@@ -38,7 +38,6 @@ from .models import (
     build_model,
     lmf_full_tensor_expand,
     load_checkpoint,
-    model_forward,
     multitask_wrap,
     save_checkpoint,
 )

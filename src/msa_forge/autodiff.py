@@ -38,7 +38,6 @@ __all__ = [
     "TapeRecord",
     "ParamSet",
     "GradCheckReport",
-    "apply",
     "backward",
     "grad_check",
     "add",
@@ -490,37 +489,6 @@ def mse_loss(pred, target) -> Tensor:
                     (target, (-gd).astype(target.data.dtype, copy=False)))
         _record("mse_loss", out, bwd)
     return out
-
-
-PRIMITIVES: dict[str, Callable] = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "matmul": matmul,
-    "concat": concat,
-    "slice": slice_,
-    "reshape": reshape,
-    "transpose": transpose,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "softmax": softmax,
-    "dropout": dropout,
-    "sum": sum_,
-    "mean": mean_,
-    "masked_mean": masked_mean,
-    "l1_loss": l1_loss,
-    "mse_loss": mse_loss,
-}
-
-
-def apply(primitive: str, *args, **kwargs) -> Tensor:
-    """Apply a primitive by registry name."""
-    try:
-        fn = PRIMITIVES[primitive]
-    except KeyError:
-        raise KeyError(f"unknown primitive {primitive!r}; known: {sorted(PRIMITIVES)}") from None
-    return fn(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,14 @@
 A bundle is a directory holding ``manifest.json`` plus one ``<modality>.bin``
 per modality. The manifest carries dataset name, label range, the modality
 table, and per-sample metadata (labels, split, tags, per-modality lengths).
-Each ``.bin`` starts with a header (magic ``MSAB``, version, then N, T, d
-as little-endian u32) followed by the N x T x d float32 array, row-major,
-little-endian. Positions past a sample's length are exactly zero.
+Each ``.bin`` is one MSAB block: a header (magic ``MSAB``, version, then N,
+T, d as little-endian u32) followed by the N x T x d float32 array,
+row-major, little-endian. Positions past a sample's length are exactly zero.
+
+The same block codec stores checkpoint ``params.bin`` and run ``reps.bin``
+as named blocks (u32 name length, UTF-8 name, one MSAB block each). The
+decoder checks every bound and raises BundleFormatError naming the file
+and the entry.
 
 Bundles are immutable after load and safe for concurrent reads.
 """
@@ -19,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BundleFormatError, BundleValidationError, EmptySplitError
+from .errors import BundleFormatError, BundleValidationError, EmptySplitError, ShapeError
 
 __all__ = [
     "MODALITIES",
@@ -36,6 +41,8 @@ __all__ = [
     "split_view",
     "take_view",
     "bundle_equal",
+    "write_named_arrays",
+    "read_named_arrays",
 ]
 
 MODALITIES = ("text", "audio", "vision")
@@ -45,7 +52,8 @@ SCENARIOS = ("Films(TV)", "Variety Show", "Life(Vlog)")
 
 _MAGIC = b"MSAB"
 _VERSION = 1
-_HEADER = struct.Struct("<4sIIII")  # magic, version, N, T, d
+_HEADER = struct.Struct("<4sIIII")  # magic, version, then the three dims
+_NAME_LEN = struct.Struct("<I")
 
 
 @dataclass
@@ -221,27 +229,77 @@ def write_bundle(bundle: FeatureBundle, path) -> None:
         json.dumps(_manifest_to_json(bundle), indent=2) + "\n", encoding="utf-8")
     for name, block in bundle.blocks.items():
         with open(root / f"{name}.bin", "wb") as fh:
-            n, t, d = block.data.shape
-            fh.write(_HEADER.pack(_MAGIC, _VERSION, n, t, d))
-            fh.write(np.ascontiguousarray(block.data, dtype="<f4").tobytes())
+            _write_block(fh, block.data)
 
 
-def _read_block(path: Path) -> tuple[np.ndarray, tuple[int, int, int]]:
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise BundleFormatError(f"{path.name}: truncated header")
-    magic, version, n, t, d = _HEADER.unpack_from(raw)
+# ---------------------------------------------------------------------------
+# MSAB block codec, shared by bundles, checkpoints and reps.bin
+# ---------------------------------------------------------------------------
+
+def _write_block(fh, arr: np.ndarray, name: str | None = None) -> None:
+    """Append one block to ``fh``, prefixed by its name when given. Arrays
+    of fewer than three dims are stored with leading ones."""
+    arr = np.asarray(arr)
+    if arr.ndim > 3:
+        raise ShapeError(f"cannot store array {name!r} with ndim {arr.ndim}")
+    if name is not None:
+        encoded = name.encode("utf-8")
+        fh.write(_NAME_LEN.pack(len(encoded)))
+        fh.write(encoded)
+    fh.write(_HEADER.pack(_MAGIC, _VERSION, *((1,) * (3 - arr.ndim) + arr.shape)))
+    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
+def _decode_block(raw: bytes, pos: int, where: str) -> tuple[np.ndarray, int]:
+    """Decode the header and payload at ``raw[pos:]``; return the array and
+    the offset just past it."""
+    if len(raw) - pos < _HEADER.size:
+        raise BundleFormatError(f"{where}: truncated header")
+    magic, version, a, b, c = _HEADER.unpack_from(raw, pos)
     if magic != _MAGIC:
-        raise BundleFormatError(f"{path.name}: bad magic {magic!r}, expected {_MAGIC!r}")
+        raise BundleFormatError(f"{where}: bad magic {magic!r}, expected {_MAGIC!r}")
     if version != _VERSION:
-        raise BundleFormatError(f"{path.name}: unsupported version {version}")
-    expect = _HEADER.size + 4 * n * t * d
-    if len(raw) != expect:
+        raise BundleFormatError(f"{where}: unsupported version {version}")
+    pos += _HEADER.size
+    size = 4 * a * b * c
+    if len(raw) - pos < size:
         raise BundleFormatError(
-            f"{path.name}: payload is {len(raw) - _HEADER.size} bytes, "
-            f"header promises {4 * n * t * d}")
-    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(n, t, d)
-    return np.ascontiguousarray(data), (n, t, d)
+            f"{where}: payload is {len(raw) - pos} bytes, header promises {size}")
+    data = np.frombuffer(raw, dtype="<f4", count=a * b * c, offset=pos)
+    return data.reshape(a, b, c), pos + size
+
+
+def write_named_arrays(path, arrays: dict[str, np.ndarray]) -> None:
+    """Store named float arrays as consecutive named blocks (float32)."""
+    with open(path, "wb") as fh:
+        for name, arr in arrays.items():
+            _write_block(fh, arr, name)
+
+
+def read_named_arrays(path) -> dict[str, np.ndarray]:
+    """Inverse of write_named_arrays; shapes come back 3-D (leading ones).
+    A container cut between two entries reads back as the leading entries."""
+    path = Path(path)
+    raw = path.read_bytes()
+    out: dict[str, np.ndarray] = {}
+    pos = 0
+    while pos < len(raw):
+        where = f"{path}, entry {len(out)}"
+        if len(raw) - pos < _NAME_LEN.size:
+            raise BundleFormatError(f"{where}: truncated name length")
+        (size,) = _NAME_LEN.unpack_from(raw, pos)
+        pos += _NAME_LEN.size
+        if len(raw) - pos < size:
+            raise BundleFormatError(
+                f"{where}: name of {size} bytes runs past the end of the file")
+        try:
+            name = raw[pos:pos + size].decode("utf-8")
+        except UnicodeDecodeError:
+            raise BundleFormatError(f"{where}: name is not UTF-8") from None
+        if name in out:
+            raise BundleFormatError(f"{where}: repeated name {name!r}")
+        out[name], pos = _decode_block(raw, pos + size, f"{path}, entry {name!r}")
+    return out
 
 
 def read_bundle(path) -> FeatureBundle:
@@ -281,7 +339,11 @@ def read_bundle(path) -> FeatureBundle:
         bin_path = root / f"{name}.bin"
         if not bin_path.exists():
             raise BundleFormatError(f"manifest lists modality {name!r} but {name}.bin is missing")
-        data, (bn, bt, bd) = _read_block(bin_path)
+        raw = bin_path.read_bytes()
+        data, end = _decode_block(raw, 0, str(bin_path))
+        if end != len(raw):
+            raise BundleFormatError(f"{bin_path}: {len(raw) - end} trailing bytes after the block")
+        bn, bt, bd = data.shape
         if (bn, bt, bd) != (n, row["max_len"], row["feature_dim"]):
             raise BundleFormatError(
                 f"modality {name!r}: array shape {(bn, bt, bd)} disagrees with manifest "

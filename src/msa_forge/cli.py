@@ -140,11 +140,22 @@ def _build_parser() -> _Parser:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
+def _read_json(path, flag: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"{flag} {path} is not valid JSON: {exc}") from exc
+
+
 def _cmd_extract(args) -> int:
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    configs = [ExtractorConfig(modality=m, kind=entry["kind"],
-                               params=entry.get("params", {}))
-               for m, entry in doc.items()]
+    doc = _read_json(args.config, "--config")
+    try:
+        configs = [ExtractorConfig(modality=m, kind=entry["kind"],
+                                   params=entry.get("params", {}))
+                   for m, entry in doc.items()]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValidationError(
+            f"--config must map modality -> {{kind, params}}: {exc!r}") from exc
     try:
         lo, hi = (float(x) for x in args.label_range.split(","))
     except ValueError:
@@ -180,14 +191,16 @@ def _cmd_train(args) -> int:
     bundle = read_bundle(args.bundle)
     dataset = args.dataset or bundle.manifest.dataset_name
     config = get_config_regression(args.model, dataset)
-    if args.config:
-        for key, value in json.loads(Path(args.config).read_text(encoding="utf-8")).items():
-            config[key] = value
-    for key, value in _parse_set(args.set):
+    overrides = _read_json(args.config, "--config") if args.config else {}
+    if not isinstance(overrides, dict):
+        raise ValidationError(f"--config {args.config} must hold a JSON object")
+    for key, value in [*overrides.items(), *_parse_set(args.set)]:
         try:
             config[key] = value
         except KeyError:
             raise UsageError(f"unknown config key {key!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad value {value!r} for config key {key!r}: {exc}") from None
     if args.seeds:
         try:
             config.seeds = [int(s) for s in args.seeds.split(",") if s]
@@ -244,8 +257,7 @@ def _cmd_eval(args) -> int:
 def _predict_feature_params(config_path, modality: str) -> dict:
     if not config_path:
         return {}
-    doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    return doc.get(modality, {}).get("params", {})
+    return _read_json(config_path, "--config").get(modality, {}).get("params", {})
 
 
 def _cmd_predict(args) -> int:

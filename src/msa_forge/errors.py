@@ -19,8 +19,9 @@ class ValidationError(MsaForgeError):
 
 
 class BundleFormatError(ValidationError):
-    """Feature container is malformed: missing files, bad magic/header,
-    manifest/array shape disagreement."""
+    """A bundle, checkpoint ``params.bin`` or run ``reps.bin`` is malformed:
+    missing files, bad magic/header, data or name past the end of the file,
+    trailing bytes, or disagreement with its manifest."""
 
 
 class BundleValidationError(ValidationError):

@@ -12,13 +12,16 @@ variants (mlf_dnn, mtfn, mlmf) trained against unimodal labels.
 
 Sequences are never assumed to be word-aligned across modalities: models
 pool or cross-attend per modality using the masks.
+
+Checkpoints store ``params.bin`` with the named-block codec of
+:mod:`msa_forge.bundle`; a malformed manifest raises ModelError, a
+malformed ``params.bin`` BundleFormatError.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -26,8 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamSet, Tensor
-from .bundle import MODALITIES, FeatureBundle
-from .errors import ModelError, ShapeError
+from .bundle import MODALITIES, FeatureBundle, read_named_arrays, write_named_arrays
+from .errors import BundleFormatError, ModelError, ShapeError
 
 __all__ = [
     "ModelConfig",
@@ -36,7 +39,6 @@ __all__ = [
     "ModelOutput",
     "Model",
     "build_model",
-    "model_forward",
     "multitask_wrap",
     "lmf_full_tensor_expand",
     "batch_from_bundle",
@@ -719,62 +721,9 @@ def build_model(config: ModelConfig) -> Model:
     return MODEL_REGISTRY[name](config)
 
 
-def model_forward(model: Model, batch: Batch, train_mode: bool = False) -> ModelOutput:
-    """Functional alias for model.forward."""
-    return model.forward(batch, train=train_mode)
-
-
 # ---------------------------------------------------------------------------
-# checkpoints: manifest.json + params.bin (named binary blocks)
+# checkpoints: manifest.json + params.bin (named MSAB blocks, see bundle)
 # ---------------------------------------------------------------------------
-
-_BLOCK_HEADER = struct.Struct("<4sIIII")
-_BLOCK_MAGIC = b"MSAB"
-_BLOCK_VERSION = 1
-
-
-def _write_named_block(fh, name: str, arr: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(encoded)))
-    fh.write(encoded)
-    shape3 = (1,) * (3 - arr.ndim) + arr.shape
-    if len(shape3) != 3:
-        raise ShapeError(f"cannot store parameter {name!r} with ndim {arr.ndim}")
-    fh.write(_BLOCK_HEADER.pack(_BLOCK_MAGIC, _BLOCK_VERSION, *shape3))
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def _read_named_blocks(path: Path) -> dict[str, np.ndarray]:
-    raw = path.read_bytes()
-    out: dict[str, np.ndarray] = {}
-    pos = 0
-    while pos < len(raw):
-        (name_len,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        name = raw[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        magic, version, a, b, c = _BLOCK_HEADER.unpack_from(raw, pos)
-        if magic != _BLOCK_MAGIC or version != _BLOCK_VERSION:
-            raise ModelError(f"{path.name}: bad block header for {name!r}")
-        pos += _BLOCK_HEADER.size
-        count = a * b * c
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=pos).reshape(a, b, c)
-        pos += 4 * count
-        out[name] = np.ascontiguousarray(arr)
-    return out
-
-
-def write_named_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    """Store named float arrays as consecutive binary blocks (float32)."""
-    with open(path, "wb") as fh:
-        for name, arr in arrays.items():
-            _write_named_block(fh, name, np.asarray(arr))
-
-
-def read_named_arrays(path) -> dict[str, np.ndarray]:
-    """Inverse of write_named_arrays; shapes come back 3-D (leading ones)."""
-    return _read_named_blocks(Path(path))
-
 
 def save_checkpoint(model: Model, path, seed: int | None = None) -> None:
     """Persist model_name, config, seed, and all parameters (float32)."""
@@ -787,9 +736,7 @@ def save_checkpoint(model: Model, path, seed: int | None = None) -> None:
         "params": [{"name": n, "shape": list(p.data.shape)} for n, p in model.params.items()],
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    with open(root / "params.bin", "wb") as fh:
-        for name, p in model.params.items():
-            _write_named_block(fh, name, p.data)
+    write_named_arrays(root / "params.bin", {n: p.data for n, p in model.params.items()})
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
@@ -798,17 +745,26 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise ModelError(f"no checkpoint manifest under {root}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    cfg_dict = dict(manifest["config"])
-    cfg_dict["model_name"] = manifest["model_name"]
-    config = ModelConfig(**cfg_dict)
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ModelError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    try:
+        config = ModelConfig(**dict(manifest["config"], model_name=manifest["model_name"]))
+        config.validate()
+        shapes = {entry["name"]: tuple(int(n) for n in entry["shape"])
+                  for entry in manifest["params"]}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"{manifest_path} is malformed: {exc!r}") from exc
     model = build_model(config)
-    blocks = _read_named_blocks(root / "params.bin")
-    state = {}
-    for entry in manifest["params"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in blocks:
-            raise ModelError(f"checkpoint is missing parameter {name!r}")
-        state[name] = blocks[name].reshape(shape)
-    model.params.load_state(state)
+    blocks = read_named_arrays(root / "params.bin")
+    missing = [name for name in shapes if name not in blocks]
+    if missing:
+        raise BundleFormatError(f"{root / 'params.bin'}: no entry for parameters {missing}")
+    try:
+        model.params.load_state({name: blocks[name].reshape(shape)
+                                 for name, shape in shapes.items()})
+    except (KeyError, ShapeError, ValueError) as exc:
+        raise ModelError(f"{manifest_path} does not fit params.bin and model "
+                         f"{model.name!r}: {exc}") from exc
     return model, manifest

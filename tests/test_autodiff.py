@@ -15,7 +15,6 @@ from msa_forge.autodiff import (
     Tape,
     Tensor,
     add,
-    apply,
     backward,
     concat,
     dropout,
@@ -82,12 +81,6 @@ class TestForwardOracles:
         with pytest.raises(ShapeError) as exc:
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
         assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
-
-    def test_apply_dispatches_by_name(self):
-        out = apply("relu", Tensor([-1.0, 2.0]))
-        np.testing.assert_allclose(out.data, [0.0, 2.0])
-        with pytest.raises(KeyError):
-            apply("no_such_primitive", Tensor([1.0]))
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))

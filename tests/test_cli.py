@@ -3,6 +3,7 @@ byte-parity with direct library calls."""
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -56,7 +57,6 @@ class TestExitCodes:
                          "--model", "tfn", "--out", str(tmp_path / "runs")]) == 2
 
     def test_corrupted_bundle_header_is_validation(self, tmp_path, tiny_bundle_dir):
-        import shutil
         broken = tmp_path / "broken"
         shutil.copytree(tiny_bundle_dir, broken)
         blob = bytearray((broken / "audio.bin").read_bytes())
@@ -117,6 +117,40 @@ class TestTrainCli:
         assert ha == hb
 
 
+class TestConfigParsing:
+    """Bad config input ends with a usage or validation exit, never a
+    traceback."""
+
+    def train(self, tmp_path, tiny_bundle_dir, *flags):
+        return cli_main(["train", "--bundle", str(tiny_bundle_dir), "--model", "lf_dnn",
+                         "--out", str(tmp_path / "runs"), *flags])
+
+    def test_train_config_invalid_json(self, tmp_path, tiny_bundle_dir, capsys):
+        (tmp_path / "cfg.json").write_text("{not json")
+        assert self.train(tmp_path, tiny_bundle_dir, "--config", str(tmp_path / "cfg.json")) == 2
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and "Traceback" not in err
+
+    def test_train_config_unknown_key(self, tmp_path, tiny_bundle_dir, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"no_such_key": 1}))
+        assert self.train(tmp_path, tiny_bundle_dir, "--config", str(tmp_path / "cfg.json")) == 1
+        err = capsys.readouterr().err
+        assert "no_such_key" in err and "Traceback" not in err
+
+    def test_train_set_bad_value(self, tmp_path, tiny_bundle_dir, capsys):
+        assert self.train(tmp_path, tiny_bundle_dir, "--set", "batch_size=abc") == 1
+        err = capsys.readouterr().err
+        assert "batch_size" in err and "Traceback" not in err
+
+    def test_extract_config_invalid_json(self, tmp_path, capsys):
+        (tmp_path / "extract.json").write_text("[1,")
+        assert cli_main(["extract", "--data", str(tmp_path), "--labels",
+                         str(tmp_path / "labels.csv"), "--config",
+                         str(tmp_path / "extract.json"), "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory, tiny_bundle_dir):
     out = tmp_path_factory.mktemp("trained")
@@ -152,6 +186,27 @@ class TestEvalCli:
         doc = json.loads((out / "tagged_report.json").read_text())
         assert "noise" in doc["report"]["rows"]
         assert "missing" in doc["report"]["rows"]
+
+    def test_eval_truncated_params_is_validation(self, tmp_path, tiny_bundle_dir,
+                                                 trained_run, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_run / "seed_1111" / "checkpoint", ckpt)
+        raw = (ckpt / "params.bin").read_bytes()
+        (ckpt / "params.bin").write_bytes(raw[:len(raw) // 2])
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--bundle",
+                         str(tiny_bundle_dir), "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert "params.bin" in err and "Traceback" not in err
+
+    def test_eval_invalid_manifest_is_validation(self, tmp_path, tiny_bundle_dir,
+                                                 trained_run, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_run / "seed_1111" / "checkpoint", ckpt)
+        (ckpt / "manifest.json").write_text("{not json")
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--bundle",
+                         str(tiny_bundle_dir), "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "Traceback" not in err
 
     def test_report_table5_from_eval(self, tmp_path, tiny_bundle_dir, trained_run, capsys):
         ckpt = trained_run / "seed_1111" / "checkpoint"

@@ -13,7 +13,6 @@ from msa_forge.models import (
     build_model,
     lmf_full_tensor_expand,
     load_checkpoint,
-    model_forward,
     multitask_wrap,
     save_checkpoint,
 )
@@ -109,7 +108,7 @@ class TestForward:
         cfg = toy_config(name)
         model = build_model(cfg)
         batch = toy_batch(cfg, b=3)
-        out = model_forward(model, batch)
+        out = model.forward(batch)
         assert out.pred.shape == (3,)
         assert out.fusion_rep.ndim == 2 and out.fusion_rep.shape[0] == 3
         assert np.all(np.isfinite(out.pred.data))
