@@ -16,15 +16,13 @@ Typical use::
         loss = mse_loss(matmul(x, w), y)
     backward(tape, loss, params)   # fills w.grad
 
-Tapes are thread-local: independent training runs may proceed in parallel
-threads, each with its own tape and RNG. A single tape must never be
-shared between threads.
+The stack of active tapes is a module-level list shared by the whole
+process, so tapes are recorded from one thread only.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -65,20 +63,11 @@ __all__ = [
 
 MASK_BIAS = -1e9  # additive bias for masked attention positions
 
-_TLS = threading.local()
-
-
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = []
-        _TLS.stack = stack
-    return stack
+_TAPES: list["Tape"] = []  # active tapes, innermost last
 
 
 def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tensor:
@@ -163,11 +152,11 @@ class Tape:
         self.records: list[TapeRecord] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         if popped is not self:
             raise RuntimeError("tape stack corrupted: exited a tape that is not innermost")
         return False

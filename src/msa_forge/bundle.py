@@ -2,7 +2,9 @@
 
 A bundle is a directory holding ``manifest.json`` plus one ``<modality>.bin``
 per modality. The manifest carries dataset name, label range, the modality
-table, and per-sample metadata (labels, split, tags, per-modality lengths).
+table, the extractor each modality was computed with (absent for bundles
+that were not extracted), and per-sample metadata (labels, split, tags,
+per-modality lengths).
 Each ``.bin`` is one MSAB block: a header (magic ``MSAB``, version, then N,
 T, d as little-endian u32) followed by the N x T x d float32 array,
 row-major, little-endian. Positions past a sample's length are exactly zero.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +80,23 @@ class Manifest:
     dataset_name: str
     label_range: tuple[float, float]
     samples: list[SampleMeta] = field(default_factory=list)
+    # modality -> {"kind", "params"} as resolved at extraction; None when the
+    # bundle was not extracted (synthetic data)
+    extractors: dict[str, dict] | None = None
+
+
+def extractor_record(doc: dict) -> dict[str, dict] | None:
+    """The ``extractors`` entry of a bundle or checkpoint manifest, checked:
+    modality -> {"kind": str, "params": dict}, or None when absent."""
+    record = doc.get("extractors")
+    if record is None:
+        return None
+    if not isinstance(record, dict) or not all(
+            m in MODALITIES and isinstance(e, dict) and set(e) == {"kind", "params"}
+            and isinstance(e["kind"], str) and isinstance(e["params"], dict)
+            for m, e in record.items()):
+        raise ValueError(f"extractors must map modality -> {{kind, params}}, got {record!r}")
+    return record
 
 
 @dataclass(eq=False)
@@ -205,7 +224,7 @@ def _manifest_to_json(bundle: FeatureBundle) -> dict:
                 entry[key] = val
         entry["lengths"] = {m: int(b.lengths[i]) for m, b in bundle.blocks.items()}
         samples.append(entry)
-    return {
+    doc = {
         "dataset_name": man.dataset_name,
         "label_range": [man.label_range[0], man.label_range[1]],
         "modalities": [
@@ -214,6 +233,9 @@ def _manifest_to_json(bundle: FeatureBundle) -> dict:
         ],
         "samples": samples,
     }
+    if man.extractors is not None:
+        doc["extractors"] = man.extractors
+    return doc
 
 
 def write_bundle(bundle: FeatureBundle, path) -> None:
@@ -329,6 +351,7 @@ def read_bundle(path) -> FeatureBundle:
         ]
         modality_table = doc["modalities"]
         dataset_name = doc["dataset_name"]
+        extractors = extractor_record(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleFormatError(f"manifest.json is malformed: {exc!r}") from exc
 
@@ -357,7 +380,7 @@ def read_bundle(path) -> FeatureBundle:
 
     bundle = FeatureBundle(
         manifest=Manifest(dataset_name=dataset_name, label_range=(float(lo), float(hi)),
-                          samples=samples),
+                          samples=samples, extractors=extractors),
         blocks=blocks,
     )
     validate_bundle(bundle)
@@ -400,11 +423,7 @@ def take_view(bundle: FeatureBundle, indices) -> FeatureBundle:
         )
         for name, b in bundle.blocks.items()
     }
-    return FeatureBundle(
-        manifest=Manifest(bundle.manifest.dataset_name, bundle.manifest.label_range,
-                          list(samples)),
-        blocks=blocks,
-    )
+    return FeatureBundle(manifest=replace(bundle.manifest, samples=samples), blocks=blocks)
 
 
 def split_view(bundle: FeatureBundle, split: str) -> FeatureBundle:

@@ -6,15 +6,15 @@ Subcommands::
     train     multi-seed training of a registered model on a bundle
     eval      metrics + PCA projection (and optionally a tag-stratified
               robustness report) for a checkpoint on a bundle
-    predict   single-sample forward pass with an STFT feature dump
+    predict   single-sample forward pass through the checkpoint's recorded
+              extractors, with an STFT feature dump
     perturb   write a noise/missing-perturbed copy of a bundle
     report    render benchmark (table4) or robustness (table5) documents
               from run directories
 
 Exit codes are stable per error class: 1 usage, 2 validation, 3 runtime.
 Every subcommand is a thin adapter over the library; outputs are
-byte-identical to direct library calls with the same arguments. The
-environment variable MSA_FORGE_THREADS caps seed-level parallelism.
+byte-identical to direct library calls with the same arguments.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .analysis import (
 )
 from .bundle import read_bundle, split_view, write_bundle
 from .errors import MsaForgeError, UsageError, ValidationError
-from .extractors import EmbeddingTable, ExtractorConfig, read_wav, run_dataset, stft, text_embed_lookup
+from .extractors import (WAV_KINDS, EmbeddingTable, ExtractorConfig, _extract_one, _wav_framing,
+                         resolve_config, run_dataset, stft)
 from .models import Batch, ModalityInput, batch_from_bundle, load_checkpoint
 from .robustness import (
     PerturbationSpec,
@@ -107,12 +108,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("predict", help="single-sample prediction with STFT dump")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--sample", default=None, help="WAV file (audio modality)")
-    p.add_argument("--tokens", default=None, help="whitespace-separated tokens")
-    p.add_argument("--embedding", default=None, help="embedding table file")
+    p.add_argument("--sample", default=None, help="audio input file (a WAV for stft/mfcc/hsf)")
+    p.add_argument("--tokens", default=None, help="whitespace-separated tokens (glove)")
+    p.add_argument("--embedding", default=None, help="embedding table file (glove)")
     p.add_argument("--visual-csv", default=None, help="per-frame visual feature CSV")
     p.add_argument("--config", default=None,
-                   help="JSON: {modality: {kind, params}} extraction overrides")
+                   help="JSON: {modality: {kind, params}}; needed only when the checkpoint "
+                        "records no extractors, and must agree with the record")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 
@@ -147,15 +149,18 @@ def _read_json(path, flag: str):
         raise ValidationError(f"{flag} {path} is not valid JSON: {exc}") from exc
 
 
-def _cmd_extract(args) -> int:
-    doc = _read_json(args.config, "--config")
+def _read_extractor_configs(path) -> list[ExtractorConfig]:
+    doc = _read_json(path, "--config")
     try:
-        configs = [ExtractorConfig(modality=m, kind=entry["kind"],
-                                   params=entry.get("params", {}))
-                   for m, entry in doc.items()]
+        return [ExtractorConfig(modality=m, kind=entry["kind"], params=entry.get("params", {}))
+                for m, entry in doc.items()]
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValidationError(
             f"--config must map modality -> {{kind, params}}: {exc!r}") from exc
+
+
+def _cmd_extract(args) -> int:
+    configs = _read_extractor_configs(args.config)
     try:
         lo, hi = (float(x) for x in args.label_range.split(","))
     except ValueError:
@@ -254,72 +259,55 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _predict_feature_params(config_path, modality: str) -> dict:
-    if not config_path:
-        return {}
-    return _read_json(config_path, "--config").get(modality, {}).get("params", {})
+def _predict_configs(config_path, recorded) -> dict[str, ExtractorConfig]:
+    """Each modality's extractor: the checkpoint's record, which --config
+    must agree with, or --config for a checkpoint without a record."""
+    given = None
+    if config_path:
+        given = {c.modality: resolve_config(c) for c in _read_extractor_configs(config_path)}
+    if recorded is None:
+        if given is None:
+            raise ValidationError("checkpoint records no extractor config; pass --config")
+        return given
+    record = {m: ExtractorConfig(m, e["kind"], e["params"]) for m, e in recorded.items()}
+    for m, cfg in (given or {}).items():
+        if record.get(m) != cfg:
+            raise ValidationError(
+                f"--config for modality {m!r} ({cfg.kind}, {cfg.params}) disagrees with the "
+                f"checkpoint's recorded extractor {recorded.get(m)}")
+    return record
 
 
 def _cmd_predict(args) -> int:
     model, manifest = load_checkpoint(args.checkpoint)
-    dims = model.config.feature_dims
+    configs = _predict_configs(args.config, manifest.get("extractors"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    table = EmbeddingTable.load(args.embedding) if args.embedding else None
+    inputs = {"audio": (args.sample, "--sample"), "vision": (args.visual_csv, "--visual-csv"),
+              "text": ((args.tokens or "").split(), "--tokens")}
     mods: dict[str, ModalityInput] = {}
     stft_path = None
-
-    if "audio" in dims:
-        if not args.sample:
-            raise ValidationError("checkpoint expects an audio modality; pass --sample WAV")
-        params = _predict_feature_params(args.config, "audio")
-        n_fft = int(params.get("n_fft", 512))
-        hop = int(params.get("hop", 160))
-        wave = read_wav(args.sample, expected_rate=params.get("sample_rate"))
-        spec = stft(wave, n_fft, hop)
-        stft_path = out_dir / "stft.csv"
-        np.savetxt(stft_path, spec, delimiter=",", fmt="%.6g")
-        from .extractors import mfcc
-        d_a = dims["audio"]
-        seq = mfcc(wave, n_fft=n_fft, hop=hop,
-                   n_mels=int(params.get("n_mels", max(26, d_a))),
-                   n_mfcc=int(params.get("n_mfcc", d_a)))
-        if seq.shape[1] != d_a:
-            raise ValidationError(
-                f"audio features have dim {seq.shape[1]}, checkpoint expects {d_a}")
-        mods["audio"] = ModalityInput(
-            data=seq[None, ...].astype(model.dtype),
-            mask=np.ones((1, seq.shape[0]), dtype=bool))
-
-    if "text" in dims:
-        if not args.tokens or not args.embedding:
-            raise ValidationError(
-                "checkpoint expects a text modality; pass --tokens and --embedding")
-        table = EmbeddingTable.load(args.embedding)
-        if table.dim != dims["text"]:
-            raise ValidationError(
-                f"embedding dim {table.dim} != checkpoint text dim {dims['text']}")
-        seq = text_embed_lookup(args.tokens.split(), table)
-        mods["text"] = ModalityInput(
-            data=seq[None, ...].astype(model.dtype),
-            mask=np.ones((1, seq.shape[0]), dtype=bool))
-
-    if "vision" in dims:
-        if args.visual_csv:
-            from .extractors import ingest_visual_csv
-            params = _predict_feature_params(args.config, "vision")
-            seq = ingest_visual_csv(args.visual_csv, params.get("columns"))
-            if seq.shape[1] != dims["vision"]:
-                raise ValidationError(
-                    f"visual features have dim {seq.shape[1]}, "
-                    f"checkpoint expects {dims['vision']}")
-            mods["vision"] = ModalityInput(
-                data=seq[None, ...].astype(model.dtype),
-                mask=np.ones((1, seq.shape[0]), dtype=bool))
-        else:
+    for m, dim in model.config.feature_dims.items():
+        source, flag = inputs[m]
+        if not source and m == "vision":
             # treated as a missing modality: zero features, all-false mask
-            mods["vision"] = ModalityInput(
-                data=np.zeros((1, 1, dims["vision"]), dtype=model.dtype),
-                mask=np.zeros((1, 1), dtype=bool))
+            mods[m] = ModalityInput(data=np.zeros((1, 1, dim), dtype=model.dtype),
+                                    mask=np.zeros((1, 1), dtype=bool))
+            continue
+        if not source:
+            raise ValidationError(f"checkpoint expects a {m} modality; pass {flag}")
+        if m not in configs:
+            raise ValidationError(f"--config has no extractor for modality {m!r}")
+        seq = _extract_one(configs[m], source, table)
+        if seq.shape[1] != dim:
+            raise ValidationError(f"{m} features have dim {seq.shape[1]}, checkpoint expects {dim}")
+        if configs[m].kind in WAV_KINDS:
+            stft_path = out_dir / "stft.csv"
+            np.savetxt(stft_path, stft(*_wav_framing(configs[m], source)), delimiter=",",
+                       fmt="%.6g")
+        mods[m] = ModalityInput(data=seq[None, ...].astype(model.dtype),
+                                mask=np.ones((1, seq.shape[0]), dtype=bool))
 
     batch = Batch(modalities=mods, labels={"m": np.zeros(1)})
     output = model.forward(batch, train=False)

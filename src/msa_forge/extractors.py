@@ -40,6 +40,7 @@ __all__ = [
     "resolve_config",
     "FEATURE_CODES",
     "EXTRACTOR_KINDS",
+    "WAV_KINDS",
 ]
 
 log = logging.getLogger(__name__)
@@ -301,37 +302,41 @@ def resolve_config(config: ExtractorConfig) -> ExtractorConfig:
     return config
 
 
-def _extract_one(config: ExtractorConfig, sample_path: Path,
-                 table: EmbeddingTable | None) -> np.ndarray:
+WAV_KINDS = ("stft", "mfcc", "hsf")
+
+
+def _wav_framing(config: ExtractorConfig, path) -> tuple[WaveBuffer, int, int]:
+    """The WAV a WAV-kind config reads, with its STFT size and hop."""
     p = config.params
-    if config.kind == "stft":
-        wave = read_wav(sample_path, expected_rate=p.get("sample_rate"))
-        return stft(wave, p.get("n_fft", 512), p.get("hop", 160))
-    if config.kind == "mfcc":
-        wave = read_wav(sample_path, expected_rate=p.get("sample_rate"))
-        return mfcc(wave, p.get("n_fft", 512), p.get("hop", 160),
-                    p.get("n_mels", 26), p.get("n_mfcc", 20))
-    if config.kind == "hsf":
-        wave = read_wav(sample_path, expected_rate=p.get("sample_rate"))
-        lld = p.get("lld", "mfcc")
+    return read_wav(path, expected_rate=p.get("sample_rate")), p.get("n_fft", 512), p.get("hop", 160)
+
+
+def _extract_one(config: ExtractorConfig, sample, table: EmbeddingTable | None) -> np.ndarray:
+    """One sample's features. ``sample`` is the input file; glove also
+    takes a token list in its place."""
+    p = config.params
+    if isinstance(sample, list) and config.kind != "glove":
+        raise ExtractionError(f"extractor kind {config.kind!r} reads a file, not tokens")
+    if config.kind in WAV_KINDS:
+        wave, n_fft, hop = _wav_framing(config, sample)
+        lld = p.get("lld", "mfcc") if config.kind == "hsf" else config.kind
         if lld == "mfcc":
-            seq = mfcc(wave, p.get("n_fft", 512), p.get("hop", 160),
-                       p.get("n_mels", 26), p.get("n_mfcc", 20))
+            seq = mfcc(wave, n_fft, hop, p.get("n_mels", 26), p.get("n_mfcc", 20))
         elif lld == "stft":
-            seq = stft(wave, p.get("n_fft", 512), p.get("hop", 160))
+            seq = stft(wave, n_fft, hop)
         else:
             raise ExtractionError(f"hsf lld must be 'mfcc' or 'stft', got {lld!r}")
-        return utterance_stats(seq)[None, :]
+        return utterance_stats(seq)[None, :] if config.kind == "hsf" else seq
     if config.kind == "glove":
         if table is None:
-            raise ExtractionError("glove extractor needs an embedding table "
-                                  "(params['table'] = path)")
-        tokens = Path(sample_path).read_text(encoding="utf-8").split()
+            raise ExtractionError("glove extractor needs an embedding table")
+        tokens = sample if isinstance(sample, list) else Path(sample).read_text(
+            encoding="utf-8").split()
         if p.get("corrupt_rate"):
             tokens = corrupt_tokens(tokens, p["corrupt_rate"], p.get("corrupt_seed", 0))
         return text_embed_lookup(tokens, table)
     if config.kind == "ingest_csv":
-        return ingest_visual_csv(sample_path, p.get("columns"))
+        return ingest_visual_csv(sample, p.get("columns"))
     raise ExtractionError(f"unhandled extractor kind {config.kind!r}")
 
 
@@ -370,7 +375,8 @@ def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
     per configured modality, and may carry label_t/label_a/label_v,
     scenario, and instance_type. In strict mode any per-sample failure
     aborts the run listing the failed ids; in lenient mode failures up to
-    ``max_failure_fraction`` are dropped and logged.
+    ``max_failure_fraction`` are dropped and logged. The manifest records
+    each modality's resolved extractor, params as given.
     """
     root = Path(dataset_dir)
     configs = [resolve_config(c) for c in configs]
@@ -456,7 +462,9 @@ def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
     ]
     bundle = FeatureBundle(
         manifest=Manifest(dataset_name=dataset_name or root.name,
-                          label_range=label_range, samples=samples),
+                          label_range=label_range, samples=samples,
+                          extractors={m: {"kind": c.kind, "params": dict(c.params)}
+                                      for m, c in by_modality.items()}),
         blocks=blocks,
     )
     validate_bundle(bundle)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamSet, Tensor
-from .bundle import MODALITIES, FeatureBundle, read_named_arrays, write_named_arrays
+from .bundle import MODALITIES, FeatureBundle, extractor_record, read_named_arrays, write_named_arrays
 from .errors import BundleFormatError, ModelError, ShapeError
 
 __all__ = [
@@ -725,8 +725,10 @@ def build_model(config: ModelConfig) -> Model:
 # checkpoints: manifest.json + params.bin (named MSAB blocks, see bundle)
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(model: Model, path, seed: int | None = None) -> None:
-    """Persist model_name, config, seed, and all parameters (float32)."""
+def save_checkpoint(model: Model, path, seed: int | None = None,
+                    extractors: dict[str, dict] | None = None) -> None:
+    """Persist model_name, config, seed, the training bundle's extractor
+    record (when it has one), and all parameters (float32)."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -735,6 +737,8 @@ def save_checkpoint(model: Model, path, seed: int | None = None) -> None:
         "seed": seed if seed is not None else model.config.seed,
         "params": [{"name": n, "shape": list(p.data.shape)} for n, p in model.params.items()],
     }
+    if extractors is not None:
+        manifest["extractors"] = extractors
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     write_named_arrays(root / "params.bin", {n: p.data for n, p in model.params.items()})
 
@@ -754,6 +758,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         config.validate()
         shapes = {entry["name"]: tuple(int(n) for n in entry["shape"])
                   for entry in manifest["params"]}
+        extractor_record(manifest)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{manifest_path} is malformed: {exc!r}") from exc
     model = build_model(config)

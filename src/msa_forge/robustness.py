@@ -2,7 +2,9 @@
 and missing conditions plus tag-stratified evaluation.
 
 Noise is additive zero-mean Gaussian on a modality's valid (unpadded)
-frames scaled per sample to a target SNR; text-side token corruption
+frames scaled per sample to a target SNR, drawn per sample from an RNG
+keyed on (seed, sample id), so a sample gets the same noise in a bundle
+and in any batch; text-side token corruption
 lives in extractors.corrupt_tokens since it acts before embedding.
 Missing means zeroed features with an all-false mask, so models must
 degrade gracefully rather than crash. Easy/common/difficult rows cannot
@@ -15,6 +17,7 @@ mean over type rows and the sample-weighted mean (the default).
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -64,37 +67,42 @@ class PerturbationSpec:
         if self.kind == "feature_noise":
             if self.snr_db is None or math.isnan(self.snr_db):
                 raise ValidationError("feature_noise needs a finite snr_db (or +inf for none)")
+        if self.seed < 0:
+            raise ValidationError(f"perturbation seed must be >= 0, got {self.seed}")
 
     @property
     def instance_type(self) -> str:
         return "noise" if self.kind == "feature_noise" else "missing"
 
 
-def _noisy_rows(data: np.ndarray, snr_db: float, rng: np.random.Generator,
-                label: str) -> np.ndarray:
-    """Additive Gaussian noise on a (frames, dim) slice at the target SNR."""
-    power = float(np.mean(data.astype(np.float64) ** 2))
+def _noisy_sample(frames: np.ndarray, snr_db: float, seed: int, sample_id) -> np.ndarray:
+    """One sample's valid (frames, dim) slice plus Gaussian noise at the
+    target SNR, drawn from an RNG keyed on (seed, sample id). The id enters
+    through a digest because Python's hash() of a str changes per process."""
+    power = float(np.mean(frames.astype(np.float64) ** 2))
     if power == 0.0:
-        log.warning("%s: all-zero features, SNR undefined; left unchanged", label)
-        return data
+        log.warning("sample %s: all-zero features, SNR undefined; left unchanged", sample_id)
+        return frames
+    digest = hashlib.sha256(str(sample_id).encode("utf-8")).digest()
+    rng = np.random.default_rng([seed, int.from_bytes(digest[:8], "little")])
     sigma = math.sqrt(power / (10.0 ** (snr_db / 10.0)))
-    noise = rng.normal(0.0, sigma, size=data.shape)
-    return (data.astype(np.float64) + noise).astype(np.float32)
+    noise = rng.normal(0.0, sigma, size=frames.shape)
+    return (frames.astype(np.float64) + noise).astype(np.float32)
 
 
-def add_feature_noise(block: ModalityBlock, snr_db: float, seed: int) -> ModalityBlock:
+def add_feature_noise(block: ModalityBlock, snr_db: float, seed: int,
+                      ids=None) -> ModalityBlock:
     """New block with per-sample Gaussian noise on unpadded frames such
-    that 10*log10(signal_power / noise_power) == snr_db. Padding stays
-    zero; snr_db == +inf is the identity; all-zero samples are skipped
-    with a warning."""
+    that 10*log10(signal_power / noise_power) == snr_db. ``ids`` key each
+    sample's noise (default: the row index). Padding stays zero; snr_db ==
+    +inf is the identity; all-zero samples are skipped with a warning."""
     if math.isnan(snr_db):
         raise ValidationError("snr_db must not be NaN")
     data = block.data.copy()
     if snr_db != NO_NOISE:
-        rng = np.random.default_rng(seed)
-        for i in range(data.shape[0]):
+        for i, sid in enumerate(range(len(data)) if ids is None else ids):
             ln = int(block.lengths[i])
-            data[i, :ln] = _noisy_rows(data[i, :ln], snr_db, rng, f"sample {i}")
+            data[i, :ln] = _noisy_sample(data[i, :ln], snr_db, seed, sid)
     return ModalityBlock(feature_dim=block.feature_dim, max_len=block.max_len,
                          data=data, lengths=block.lengths.copy())
 
@@ -121,28 +129,22 @@ def drop_modality(batch: Batch, modality: str) -> Batch:
     return Batch(modalities=mods, labels=dict(batch.labels), ids=batch.ids)
 
 
-def _noise_batch(batch: Batch, modality: str, snr_db: float, seed: int) -> Batch:
-    if modality not in batch.modalities:
-        raise ValidationError(f"batch has no modality {modality!r}")
-    mods = {}
-    rng = np.random.default_rng(seed)
-    for m, v in batch.modalities.items():
-        data = v.data.copy()
-        if m == modality and snr_db != NO_NOISE:
-            for i in range(data.shape[0]):
-                valid = v.mask[i]
-                if valid.any():
-                    data[i, valid] = _noisy_rows(data[i, valid], snr_db, rng,
-                                                 f"sample {i}")
-        mods[m] = ModalityInput(data=data, mask=v.mask.copy())
-    return Batch(modalities=mods, labels=dict(batch.labels), ids=batch.ids)
-
-
 def perturb_batch(batch: Batch, spec: PerturbationSpec) -> Batch:
+    """Copy of the batch under the spec. Noise is keyed on ``batch.ids``
+    (default: the row index), as in add_feature_noise."""
     spec.validate(batch.modalities)
-    if spec.kind == "feature_noise":
-        return _noise_batch(batch, spec.modality, spec.snr_db, spec.seed)
-    return drop_modality(batch, spec.modality)
+    if spec.kind == "modality_missing":
+        return drop_modality(batch, spec.modality)
+    mods = {m: ModalityInput(data=v.data.copy(), mask=v.mask.copy())
+            for m, v in batch.modalities.items()}
+    target = mods[spec.modality]
+    if spec.snr_db != NO_NOISE:
+        for i, sid in enumerate(range(batch.size) if batch.ids is None else batch.ids):
+            valid = target.mask[i]
+            if valid.any():
+                target.data[i, valid] = _noisy_sample(target.data[i, valid], spec.snr_db,
+                                                      spec.seed, sid)
+    return Batch(modalities=mods, labels=dict(batch.labels), ids=batch.ids)
 
 
 def apply_spec_to_bundle(bundle: FeatureBundle, spec: PerturbationSpec) -> FeatureBundle:
@@ -161,7 +163,7 @@ def apply_spec_to_bundle(bundle: FeatureBundle, spec: PerturbationSpec) -> Featu
             blocks[m] = ModalityBlock(block.feature_dim, block.max_len,
                                       block.data.copy(), block.lengths.copy())
         elif spec.kind == "feature_noise":
-            blocks[m] = add_feature_noise(block, spec.snr_db, spec.seed)
+            blocks[m] = add_feature_noise(block, spec.snr_db, spec.seed, bundle.ids)
         else:
             blocks[m] = ModalityBlock(block.feature_dim, block.max_len,
                                       np.zeros_like(block.data), block.lengths.copy())

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -94,6 +92,8 @@ class TrainConfig:
             raise ValidationError(f"patience must be >= 1, got {self.patience}")
         if not self.seeds:
             raise ValidationError("seeds must be non-empty")
+        if any(not isinstance(s, (int, np.integer)) or s < 0 for s in self.seeds):
+            raise ValidationError(f"seeds must be non-negative integers, got {self.seeds}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValidationError("batch_size and max_epochs must be >= 1")
         if self.loss != "l1":
@@ -119,7 +119,10 @@ class TrainConfig:
     def __setitem__(self, key: str, value) -> None:
         owner, attr = self._resolve(key)
         current = getattr(owner, attr)
-        if current is not None and not isinstance(current, (dict, list)):
+        if isinstance(current, (dict, list)):
+            if not isinstance(value, type(current)):
+                raise TypeError(f"expected a {type(current).__name__}")
+        elif current is not None:
             value = type(current)(value)
         setattr(owner, attr, value)
 
@@ -327,7 +330,8 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
             for rec in history:
                 fh.write(rec.to_json() + "\n")
         checkpoint_path = str(run_dir / "checkpoint")
-        save_checkpoint(model, checkpoint_path, seed=seed)
+        save_checkpoint(model, checkpoint_path, seed=seed,
+                        extractors=bundle.manifest.extractors)
         write_named_arrays(run_dir / "reps.bin", reps)
 
     return RunResult(seed=seed, best_epoch=best_epoch, test_metrics=test_metrics,
@@ -367,15 +371,6 @@ class MultiSeedResult:
         }
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("MSA_FORGE_THREADS", "1")
-    try:
-        cap = max(1, int(env))
-    except ValueError:
-        cap = 1
-    return min(n_jobs, cap)
-
-
 def _timestamp_dir(root: Path, model_name: str) -> Path:
     base = root / model_name / time.strftime("%Y%m%d-%H%M%S")
     candidate = base
@@ -390,9 +385,8 @@ def multi_seed_run(config: TrainConfig, bundle: FeatureBundle,
                    out_root=None, run_dir=None) -> MultiSeedResult:
     """Run every configured seed and aggregate per-metric mean/std.
 
-    Seeds execute independently (parallel up to MSA_FORGE_THREADS); a
-    failing seed aborts aggregation while completed run directories stay
-    on disk.
+    Seeds run one after another; a failing seed aborts aggregation while
+    completed run directories stay on disk.
     """
     config.validate()
     if run_dir is not None:
@@ -405,17 +399,9 @@ def multi_seed_run(config: TrainConfig, bundle: FeatureBundle,
         parent.mkdir(parents=True, exist_ok=True)
 
     seeds = list(config.seeds)
-
-    def run_one(seed: int) -> RunResult:
-        seed_dir = None if parent is None else parent / f"seed_{seed}"
-        return train_run(config, bundle, seed, run_dir=seed_dir)
-
-    workers = _worker_count(len(seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, seeds))
-    else:
-        results = [run_one(s) for s in seeds]
+    results = [train_run(config, bundle, seed,
+                         run_dir=None if parent is None else parent / f"seed_{seed}")
+               for seed in seeds]
 
     mean: dict[str, float] = {}
     std: dict[str, float] = {}

@@ -11,7 +11,8 @@ import scipy.io.wavfile
 
 from msa_forge.bundle import read_bundle, write_bundle
 from msa_forge.cli import cli_main
-from msa_forge.models import load_checkpoint
+from msa_forge.models import batch_from_bundle, load_checkpoint
+from msa_forge.robustness import PerturbationSpec, perturb_batch
 from msa_forge.synthetic import make_synthetic_bundle
 from msa_forge.trainer import get_config_regression, multi_seed_run
 
@@ -142,6 +143,16 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "batch_size" in err and "Traceback" not in err
 
+    def test_train_set_string_for_dict_field(self, tmp_path, tiny_bundle_dir, capsys):
+        assert self.train(tmp_path, tiny_bundle_dir, "--set", "hidden_dims=abc") == 1
+        err = capsys.readouterr().err
+        assert "hidden_dims" in err and "Traceback" not in err
+
+    def test_train_negative_seed(self, tmp_path, tiny_bundle_dir, capsys):
+        assert self.train(tmp_path, tiny_bundle_dir, "--seeds", "-3") == 2
+        err = capsys.readouterr().err
+        assert "seeds" in err and "Traceback" not in err
+
     def test_extract_config_invalid_json(self, tmp_path, capsys):
         (tmp_path / "extract.json").write_text("[1,")
         assert cli_main(["extract", "--data", str(tmp_path), "--labels",
@@ -208,6 +219,23 @@ class TestEvalCli:
         err = capsys.readouterr().err
         assert "manifest.json" in err and "Traceback" not in err
 
+    def test_eval_tagged_negative_seed(self, tmp_path, tiny_bundle_dir, trained_run, capsys):
+        ckpt = trained_run / "seed_1111" / "checkpoint"
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--bundle", str(tiny_bundle_dir),
+                         "--out", str(tmp_path / "e"), "--tagged", "--snr-db", "0",
+                         "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+
+    def test_predict_without_record_needs_config(self, tmp_path, trained_run, capsys):
+        # trained on a synthetic bundle, so the checkpoint records no extractors
+        ckpt = trained_run / "seed_1111" / "checkpoint"
+        assert "extractors" not in json.loads((ckpt / "manifest.json").read_text())
+        assert cli_main(["predict", "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and "Traceback" not in err
+
     def test_report_table5_from_eval(self, tmp_path, tiny_bundle_dir, trained_run, capsys):
         ckpt = trained_run / "seed_1111" / "checkpoint"
         out = tmp_path / "evalr"
@@ -254,6 +282,24 @@ class TestPerturbCli:
                          "--drop", "vision"]) == 0
         bundle = read_bundle(out)
         assert np.all(bundle.blocks["vision"].data == 0.0)
+
+    def test_noise_matches_batch_path(self, tmp_path, tiny_bundle_dir):
+        out = tmp_path / "noisy"
+        assert cli_main(["perturb", "--bundle", str(tiny_bundle_dir), "--out", str(out),
+                         "--snr-db", "0", "--target", "audio", "--seed", "3"]) == 0
+        idx = [17, 0, 5, 41]
+        spec = PerturbationSpec("feature_noise", "audio", snr_db=0.0, seed=3)
+        batch = perturb_batch(batch_from_bundle(read_bundle(tiny_bundle_dir), idx), spec)
+        np.testing.assert_array_equal(batch.modalities["audio"].data,
+                                      batch_from_bundle(read_bundle(out), idx)
+                                      .modalities["audio"].data)
+
+    def test_negative_seed_is_rejected(self, tmp_path, tiny_bundle_dir, capsys):
+        assert cli_main(["perturb", "--bundle", str(tiny_bundle_dir), "--out",
+                         str(tmp_path / "x"), "--snr-db", "0", "--target", "audio",
+                         "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
 
     def test_both_flags_is_usage_error(self, tmp_path, tiny_bundle_dir):
         assert cli_main(["perturb", "--bundle", str(tiny_bundle_dir),
@@ -368,3 +414,76 @@ class TestExtractAndPredictCli:
                          "--sample", str(setup["data"] / "s0.wav"),
                          "--tokens", "good",
                          "--out", str(tmp_path / "p")]) == 2
+
+
+REPLAY_CONFIGS = {
+    "stft": {"kind": "stft", "params": {"n_fft": 64, "hop": 32}},
+    "hsf": {"kind": "hsf", "params": {}},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(REPLAY_CONFIGS))
+def replay_checkpoint(request, tmp_path_factory, audio_text_checkpoint):
+    """The toy clips extracted with a non-default audio extractor, and
+    lf_dnn trained on them for one epoch."""
+    setup = audio_text_checkpoint
+    root = tmp_path_factory.mktemp(f"replay_{request.param}")
+    config = {"audio": REPLAY_CONFIGS[request.param],
+              "text": {"kind": "glove", "params": {"table": "emb.txt"}}}
+    (root / "extract.json").write_text(json.dumps(config))
+    bundles = []
+    for where in ("a", "b"):  # the same clips under two directories
+        shutil.copytree(setup["data"], root / where / "data")
+        bundles.append(root / where / "bundle")
+        assert cli_main(["extract", "--data", str(root / where / "data"),
+                         "--labels", str(setup["root"] / "labels.csv"),
+                         "--config", str(root / "extract.json"),
+                         "--out", str(bundles[-1]), "--label-range=-1,1"]) == 0
+    assert cli_main(["train", "--bundle", str(bundles[0]), "--model", "lf_dnn",
+                     "--seeds", "1111", "--out", str(root / "runs"),
+                     "--set", "max_epochs=1", "--set", "batch_size=4"]) == 0
+    (stamped,) = (root / "runs" / "lf_dnn").iterdir()
+    return {"data": setup["data"], "bundles": bundles, "config": config,
+            "config_path": root / "extract.json",
+            "checkpoint": stamped / "seed_1111" / "checkpoint"}
+
+
+class TestPredictReplaysExtraction:
+    def predict(self, setup, sid, out, *flags):
+        return cli_main(["predict", "--checkpoint", str(setup["checkpoint"]),
+                         "--sample", str(setup["data"] / f"{sid}.wav"),
+                         "--tokens", (setup["data"] / f"{sid}.txt").read_text(),
+                         "--embedding", str(setup["data"] / "emb.txt"),
+                         "--out", str(out), *flags])
+
+    def test_record_in_bundle_and_checkpoint(self, replay_checkpoint):
+        setup = replay_checkpoint
+        a, b = (bundle / "manifest.json" for bundle in setup["bundles"])
+        assert a.read_bytes() == b.read_bytes()
+        assert read_bundle(setup["bundles"][0]).manifest.extractors == setup["config"]
+        _, manifest = load_checkpoint(setup["checkpoint"])
+        assert manifest["extractors"] == setup["config"]
+
+    def test_predict_matches_forward_on_bundle_features(self, tmp_path, replay_checkpoint,
+                                                        capsys):
+        setup = replay_checkpoint
+        model, _ = load_checkpoint(setup["checkpoint"])
+        bundle = read_bundle(setup["bundles"][0])
+        for i, sample in enumerate(bundle.manifest.samples):
+            if sample.split != "test":
+                continue
+            batch = batch_from_bundle(bundle, [i], model.dtype)
+            want = float(model.forward(batch, train=False).pred.data[0])
+            for flags in ([], ["--config", str(setup["config_path"])]):
+                assert self.predict(setup, sample.id, tmp_path / "p", *flags) == 0
+                got = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["pred"]
+                assert abs(got - want) <= 1e-5, (sample.id, flags, got, want)
+
+    def test_disagreeing_config_names_modality(self, tmp_path, replay_checkpoint, capsys):
+        setup = replay_checkpoint
+        other = dict(setup["config"], audio={"kind": "mfcc", "params": {}})
+        (tmp_path / "other.json").write_text(json.dumps(other))
+        assert self.predict(setup, "s13", tmp_path / "p",
+                            "--config", str(tmp_path / "other.json")) == 2
+        err = capsys.readouterr().err
+        assert "'audio'" in err and "Traceback" not in err

@@ -236,6 +236,32 @@ class TestEvaluateTagged:
         assert report.rows["missing"].acc2 == rep.acc2
         assert report.rows["missing"].n == bundle.n
 
+    def test_report_independent_of_batch_size(self):
+        bundle = split_view(make_synthetic_bundle(n_train=4, n_valid=2, n_test=150,
+                                                  seq_len=6, feature_dim=4, seed=6), "test")
+        specs = [PerturbationSpec("feature_noise", "audio", snr_db=0.0, seed=3),
+                 PerturbationSpec("modality_missing", "vision")]
+        small = evaluate_tagged(_ConstantModel(), bundle, specs, batch_size=7)
+        large = evaluate_tagged(_ConstantModel(), bundle, specs, batch_size=64)
+        assert small.as_dict() == large.as_dict()
+
+    def test_batch_noise_keyed_per_sample(self):
+        # samples i and i + 64 once got the same noise from a per-batch reseed
+        bundle = split_view(make_synthetic_bundle(n_train=4, n_valid=2, n_test=130,
+                                                  seq_len=6, feature_dim=4, seed=6), "test")
+        spec = PerturbationSpec("feature_noise", "audio", snr_db=0.0, seed=3)
+
+        def noise(idx):
+            batch = batch_from_bundle(bundle, idx)
+            return perturb_batch(batch, spec).modalities["audio"].data - \
+                batch.modalities["audio"].data
+
+        whole = noise(np.arange(bundle.n))
+        chunks = np.concatenate([noise(np.arange(s, min(s + 64, bundle.n)))
+                                 for s in range(0, bundle.n, 64)])
+        np.testing.assert_array_equal(whole, chunks)
+        assert not np.array_equal(whole[0], whole[64])
+
     def test_avg_conventions(self):
         bundle = self._bundle()
         report = evaluate_tagged(_ConstantModel(), bundle,

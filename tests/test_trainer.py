@@ -215,16 +215,3 @@ class TestMultiSeed:
             ha = (tmp_path / "a" / f"seed_{seed}" / "history.jsonl").read_bytes()
             hb = (tmp_path / "b" / f"seed_{seed}" / "history.jsonl").read_bytes()
             assert ha == hb
-
-    def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
-        bundle = small_bundle()
-        config = fast_config("lf_dnn", max_epochs=3)
-        config.seeds = [1, 2]
-        seq = multi_seed_run(config, bundle, run_dir=tmp_path / "seq")
-        monkeypatch.setenv("MSA_FORGE_THREADS", "2")
-        par = multi_seed_run(config, bundle, run_dir=tmp_path / "par")
-        assert seq.metrics_mean == par.metrics_mean
-        for seed in (1, 2):
-            ha = (tmp_path / "seq" / f"seed_{seed}" / "history.jsonl").read_bytes()
-            hb = (tmp_path / "par" / f"seed_{seed}" / "history.jsonl").read_bytes()
-            assert ha == hb
