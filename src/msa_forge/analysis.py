@@ -208,6 +208,12 @@ def make_benchmark_report(results: Mapping[str, Mapping[str, object]],
             row += [_fmt_cell(metrics, key) for key in METRIC_KEYS]
         rows.append(row)
 
+    return _render_table(header, rows, fmt)
+
+
+def _render_table(header: list[str], rows: list[list[str]], fmt: str,
+                  footnote: str | None = None) -> str:
+    """csv or markdown grid of preformatted cells; ``footnote`` ends a markdown table."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -218,6 +224,8 @@ def make_benchmark_report(results: Mapping[str, Mapping[str, object]],
         lines = ["| " + " | ".join(header) + " |",
                  "|" + "|".join(["---"] * len(header)) + "|"]
         lines += ["| " + " | ".join(row) + " |" for row in rows]
+        if footnote:
+            lines += ["", footnote]
         return "\n".join(lines) + "\n"
     raise ValidationError(f"unknown report format {fmt!r}")
 

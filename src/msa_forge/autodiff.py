@@ -98,9 +98,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -515,9 +512,6 @@ class ParamSet:
 
     def items(self):
         return self._params.items()
-
-    def tensors(self):
-        return self._params.values()
 
     def zero_grad(self) -> None:
         for p in self._params.values():

@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    compute_metrics,
     export_curves,
     export_projection_csv,
     make_benchmark_report,
@@ -37,14 +36,14 @@ from .bundle import read_bundle, split_view, write_bundle
 from .errors import MsaForgeError, UsageError, ValidationError
 from .extractors import (WAV_KINDS, EmbeddingTable, ExtractorConfig, _extract_one, _wav_framing,
                          resolve_config, run_dataset, stft)
-from .models import Batch, ModalityInput, batch_from_bundle, load_checkpoint
+from .models import Batch, ModalityInput, load_checkpoint
 from .robustness import (
     PerturbationSpec,
     evaluate_tagged,
     render_tagged_reports,
     tagged_report_from_dict,
 )
-from .trainer import get_config_regression, multi_seed_run
+from .trainer import EVAL_BATCH_SIZE, _evaluate, get_config_regression, multi_seed_run
 
 __all__ = ["main", "cli_main"]
 
@@ -224,16 +223,13 @@ def _cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    batch = batch_from_bundle(view, dtype=model.dtype)
-    output = model.forward(batch, train=False)
-    preds = output.pred.data.astype(np.float64)
-    metrics = compute_metrics(preds, view.labels(), strict_corr=False)
+    metrics, preds, reps = _evaluate(model, view, EVAL_BATCH_SIZE, capture=True)
     (out_dir / "metrics.json").write_text(
         json.dumps({"model": manifest["model_name"], "split": args.split,
                     "metrics": metrics.as_dict()}, indent=2) + "\n", encoding="utf-8")
 
-    proj = pca_project(output.fusion_rep.data.astype(np.float64),
-                       k=min(3, view.n, output.fusion_rep.shape[1]))
+    fusion = reps["fusion"]
+    proj = pca_project(fusion, k=min(3, view.n, fusion.shape[1]))
     export_projection_csv(proj, view.ids, view.labels(), preds,
                           out_dir / "projection.csv")
 

@@ -13,6 +13,7 @@ ingestion kind.
 from __future__ import annotations
 
 import csv
+import hashlib
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -207,11 +208,13 @@ def text_embed_lookup(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
 
 
 def corrupt_tokens(tokens: list[str], rate: float, seed: int) -> list[str]:
-    """Replace each token with "<unk>" with probability ``rate``
-    (the text analog of feature noise, applied before embedding)."""
+    """Replace each token with "<unk>" with probability ``rate`` (the text
+    analog of feature noise, before embedding), drawn from an RNG keyed on
+    (seed, sentence digest): sentences differ, and extract and predict agree."""
     if not 0.0 <= rate <= 1.0:
         raise ExtractionError(f"corruption rate must be in [0, 1], got {rate}")
-    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256(" ".join(tokens).encode("utf-8")).digest()
+    rng = np.random.default_rng([seed, int.from_bytes(digest[:8], "little")])
     return ["<unk>" if rng.random() < rate else tok for tok in tokens]
 
 

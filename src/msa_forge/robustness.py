@@ -16,9 +16,7 @@ mean over type rows and the sample-weighted mean (the default).
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import logging
 import math
@@ -27,10 +25,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analysis import compute_metrics
+from .analysis import _render_table, compute_metrics
 from .bundle import INSTANCE_TYPES, FeatureBundle, ModalityBlock
 from .errors import ValidationError
-from .models import Batch, ModalityInput, Model, batch_from_bundle
+from .models import Batch, ModalityInput, Model
+from .trainer import EVAL_BATCH_SIZE, _batches
 
 __all__ = [
     "PerturbationSpec",
@@ -228,13 +227,20 @@ def tagged_report_from_dict(doc: Mapping) -> TaggedEvalReport:
     )
 
 
-def _predict(model: Model, batch: Batch) -> np.ndarray:
-    return model.forward(batch, train=False).pred.data.astype(np.float64)
+def _predict(model: Model, bundle: FeatureBundle, idx: np.ndarray, batch_size: int,
+             spec: PerturbationSpec | None = None) -> np.ndarray:
+    """Eval-mode predictions for samples ``idx``, perturbed by ``spec`` if given."""
+    preds = []
+    for batch in _batches(bundle, idx, batch_size, model.dtype):
+        if spec is not None:
+            batch = perturb_batch(batch, spec)
+        preds.append(model.forward(batch, train=False).pred.data.astype(np.float64))
+    return np.concatenate(preds)
 
 
 def evaluate_tagged(model: Model, bundle: FeatureBundle,
                     specs: Sequence[PerturbationSpec] | None = None,
-                    *, batch_size: int = 64,
+                    *, batch_size: int = EVAL_BATCH_SIZE,
                     binarize: str = "non_negative",
                     f1_average: str = "weighted") -> TaggedEvalReport:
     """Type-stratified evaluation.
@@ -256,11 +262,7 @@ def evaluate_tagged(model: Model, bundle: FeatureBundle,
     per_type: dict[str, tuple[list, list]] = {t: ([], []) for t in INSTANCE_TYPES}
 
     # clean pass over everything (tag rows + scenario breakdown)
-    clean_preds = np.empty(bundle.n, dtype=np.float64)
-    for start in range(0, bundle.n, batch_size):
-        idx = np.arange(start, min(start + batch_size, bundle.n))
-        batch = batch_from_bundle(bundle, idx, model.dtype)
-        clean_preds[idx] = _predict(model, batch)
+    clean_preds = _predict(model, bundle, np.arange(bundle.n), batch_size)
     for i, tag in enumerate(tags):
         if tag is not None:
             per_type[tag][0].append(clean_preds[i])
@@ -274,12 +276,9 @@ def evaluate_tagged(model: Model, bundle: FeatureBundle,
             spec.validate(bundle.blocks)
             if clean_idx.size == 0:
                 continue
-            for start in range(0, clean_idx.size, batch_size):
-                idx = clean_idx[start:start + batch_size]
-                batch = batch_from_bundle(bundle, idx, model.dtype)
-                preds = _predict(model, perturb_batch(batch, spec))
-                per_type[spec.instance_type][0].extend(preds)
-                per_type[spec.instance_type][1].extend(labels[idx])
+            per_type[spec.instance_type][0].extend(
+                _predict(model, bundle, clean_idx, batch_size, spec))
+            per_type[spec.instance_type][1].extend(labels[clean_idx])
 
     rows: dict[str, TypeRow] = {}
     missing: list[str] = []
@@ -368,18 +367,5 @@ def render_tagged_reports(reports: Mapping[str, TaggedEvalReport],
     if fmt == "json":
         return json.dumps({m: reports[m].as_dict() for m in models}, indent=2)
     header = ["Types"] + [f"{m} Acc-2 / F1" for m in models]
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(table)
-        return buf.getvalue()
-    if fmt == "markdown":
-        lines = ["| " + " | ".join(header) + " |",
-                 "|" + "|".join(["---"] * len(header)) + "|"]
-        lines += ["| " + " | ".join(row) + " |" for row in table]
-        if any_missing:
-            lines.append("")
-            lines.append("n/a: type with no samples, excluded from the type-mean Avg.")
-        return "\n".join(lines) + "\n"
-    raise ValidationError(f"unknown report format {fmt!r}")
+    note = "n/a: type with no samples, excluded from the type-mean Avg." if any_missing else None
+    return _render_table(header, table, fmt, note)

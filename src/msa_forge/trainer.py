@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +59,10 @@ __all__ = [
 ]
 
 DEFAULT_SEEDS = (1111, 1112, 1113, 1114, 1115)
+
+# Rows per eval-mode forward pass. A constant: its metrics equal a whole-split
+# forward's bit for bit, which some small sizes (7) do not give.
+EVAL_BATCH_SIZE = 256
 
 
 @dataclass
@@ -119,10 +123,14 @@ class TrainConfig:
     def __setitem__(self, key: str, value) -> None:
         owner, attr = self._resolve(key)
         current = getattr(owner, attr)
-        if isinstance(current, (dict, list)):
-            if not isinstance(value, type(current)):
-                raise TypeError(f"expected a {type(current).__name__}")
-        elif current is not None:
+        if is_dataclass(current):
+            raise TypeError(f"{key!r} is a config section; set its fields, e.g. {key}.<field>")
+        if current is None or isinstance(current, (dict, list)):
+            # None marks a field resolved from the bundle (feature_dims, seq_lens)
+            expected = dict if current is None else type(current)
+            if not isinstance(value, expected):
+                raise TypeError(f"expected a {expected.__name__}")
+        else:
             value = type(current)(value)
         setattr(owner, attr, value)
 
@@ -217,6 +225,7 @@ def _batches(view: FeatureBundle, order: np.ndarray, batch_size: int, dtype):
 
 def _evaluate(model: Model, view: FeatureBundle, batch_size: int,
               capture: bool = False):
+    """Metrics, predictions and, with ``capture``, representations in the model's dtype."""
     preds = []
     fusion = []
     uni: dict[str, list[np.ndarray]] = {}
@@ -225,10 +234,10 @@ def _evaluate(model: Model, view: FeatureBundle, batch_size: int,
         out = model.forward(batch, train=False)
         preds.append(out.pred.data.astype(np.float64))
         if capture:
-            fusion.append(out.fusion_rep.data.astype(np.float32))
+            fusion.append(out.fusion_rep.data)
             if out.uni_reps:
                 for m, rep in out.uni_reps.items():
-                    uni.setdefault(m, []).append(rep.data.astype(np.float32))
+                    uni.setdefault(m, []).append(rep.data)
     preds = np.concatenate(preds)
     metrics = compute_metrics(preds, view.labels(), strict_corr=False)
     reps: dict[str, np.ndarray] = {}
@@ -300,7 +309,7 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
             total_abs += loss_val * batch.size
         train_loss = total_abs / train.n
 
-        valid_metrics, _, _ = _evaluate(model, valid, config.batch_size)
+        valid_metrics, _, _ = _evaluate(model, valid, EVAL_BATCH_SIZE)
         history.append(EpochRecord(epoch=epoch, train_loss=train_loss,
                                    valid=valid_metrics, timestamp=time.time()))
         if valid_metrics.mae < best_mae:
@@ -315,7 +324,7 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
 
     if best_state is not None:
         model.params.load_state(best_state)
-    test_metrics, test_preds, reps = _evaluate(model, test, config.batch_size, capture=True)
+    test_metrics, test_preds, reps = _evaluate(model, test, EVAL_BATCH_SIZE, capture=True)
     reps["pred"] = test_preds.astype(np.float32)
 
     checkpoint_path = None

@@ -14,7 +14,7 @@ from msa_forge.cli import cli_main
 from msa_forge.models import batch_from_bundle, load_checkpoint
 from msa_forge.robustness import PerturbationSpec, perturb_batch
 from msa_forge.synthetic import make_synthetic_bundle
-from msa_forge.trainer import get_config_regression, multi_seed_run
+from msa_forge.trainer import EVAL_BATCH_SIZE, _evaluate, get_config_regression, multi_seed_run
 
 SR = 16000
 
@@ -148,6 +148,15 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "hidden_dims" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("override", ["optimizer=3", "model=tfn", "feature_dims=abc",
+                                          "seq_lens=abc"])
+    def test_train_set_rejects_section_or_non_dict(self, tmp_path, tiny_bundle_dir, capsys,
+                                                   override):
+        # a config section is not a leaf; a field resolved from the bundle takes a dict
+        assert self.train(tmp_path, tiny_bundle_dir, "--set", override) == 1
+        err = capsys.readouterr().err
+        assert override.split("=")[0] in err and "Traceback" not in err
+
     def test_train_negative_seed(self, tmp_path, tiny_bundle_dir, capsys):
         assert self.train(tmp_path, tiny_bundle_dir, "--seeds", "-3") == 2
         err = capsys.readouterr().err
@@ -186,6 +195,32 @@ class TestEvalCli:
         assert rows[0] == "id,x,y,z,label,pred"
         assert len(rows) == 11  # 10 test samples
         assert (out / "curves.csv").exists()
+
+    def test_eval_scores_in_eval_batches(self, tmp_path, monkeypatch):
+        bundle = make_synthetic_bundle()
+        write_bundle(bundle, tmp_path / "bundle")
+        config = get_config_regression("lf_dnn", bundle.manifest.dataset_name)
+        config["max_epochs"] = 1
+        config.seeds = [1111]
+        multi_seed_run(config, bundle, run_dir=tmp_path / "run")
+        ckpt = tmp_path / "run" / "seed_1111" / "checkpoint"
+        model, _ = load_checkpoint(ckpt)
+        rows = []
+        forward = type(model).forward
+
+        def spy(self, batch, train=False):
+            rows.append(batch.size)
+            return forward(self, batch, train)
+
+        monkeypatch.setattr(type(model), "forward", spy)
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--bundle",
+                         str(tmp_path / "bundle"), "--out", str(tmp_path / "eval"),
+                         "--split", "all"]) == 0
+        monkeypatch.undo()
+        assert sum(rows) == bundle.n == 1000
+        assert max(rows) <= EVAL_BATCH_SIZE
+        doc = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        assert doc["metrics"] == _evaluate(model, bundle, EVAL_BATCH_SIZE)[0].as_dict()
 
     def test_eval_tagged_report(self, tmp_path, tiny_bundle_dir, trained_run):
         ckpt = trained_run / "seed_1111" / "checkpoint"

@@ -268,6 +268,16 @@ class TestTextEmbedding:
         assert 0.2 < frac < 0.4
         assert corrupt_tokens(tokens, 0.0, seed=9) == tokens
 
+    def test_corrupt_tokens_varies_across_sentences(self):
+        def lost(tokens):
+            out = corrupt_tokens(tokens, 0.5, seed=0)
+            assert out == corrupt_tokens(tokens, 0.5, seed=0)
+            return [i for i, tok in enumerate(out) if tok == "<unk>"]
+        first = "the film was slow but the ending worked".split()
+        second = "a bright and warm story of one family".split()
+        assert len(first) == len(second) == 8
+        assert lost(first) != lost(second)
+
 
 class TestVisualCsv:
     def _write(self, path, header, rows):
