@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ShapeError
 
@@ -57,6 +58,7 @@ __all__ = [
     "l1_loss",
     "mse_loss",
     "lstm_cell_step",
+    "lstm_sequence",
     "scaled_dot_attention",
     "outer_fusion",
 ]
@@ -315,18 +317,9 @@ def transpose(x, axes: Sequence[int] | None = None) -> Tensor:
 # nonlinearities
 # ---------------------------------------------------------------------------
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    y = _sigmoid_np(x.data)
+    y = expit(x.data)
     out = Tensor(y)
     if active_tape() is not None:
         def bwd(g):
@@ -625,28 +618,131 @@ def grad_check(f: Callable[[ParamSet], Tensor], params: ParamSet,
 # composite building blocks used by the fusion models
 # ---------------------------------------------------------------------------
 
-def lstm_cell_step(x_t, h_prev, c_prev, params: Mapping[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """One LSTM step with standard gates.
-
-    ``params`` maps ``wx`` (d, 4h), ``wh`` (h, 4h) and ``b`` (4h,); gate
-    slices are ordered input, forget, cell, output. Returns (h_t, c_t).
-    """
-    x_t = _as_tensor(x_t)
-    h_prev = _as_tensor(h_prev)
-    c_prev = _as_tensor(c_prev)
+def _lstm_weights(params: Mapping[str, Tensor]) -> tuple[Tensor, Tensor, Tensor]:
     wx, wh, b = params["wx"], params["wh"], params["b"]
     hidden = wh.shape[0]
     if wx.shape[1] != 4 * hidden or b.shape[0] != 4 * hidden:
         raise ShapeError(
             f"lstm params disagree: wx {wx.shape}, wh {wh.shape}, b {b.shape}")
-    z = add(add(matmul(x_t, wx), matmul(h_prev, wh)), b)
-    i = sigmoid(slice_(z, (slice(None), slice(0, hidden))))
-    f = sigmoid(slice_(z, (slice(None), slice(hidden, 2 * hidden))))
-    g = tanh(slice_(z, (slice(None), slice(2 * hidden, 3 * hidden))))
-    o = sigmoid(slice_(z, (slice(None), slice(3 * hidden, 4 * hidden))))
-    c_t = add(mul(f, c_prev), mul(i, g))
-    h_t = mul(o, tanh(c_t))
-    return h_t, c_t
+    return wx, wh, b
+
+
+def _lstm_gates(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Activate the pre-activations ``z`` (N, 4h) in place into the gates
+    input, forget, cell, output, and return (h_t, c_t)."""
+    hid = z.shape[1] // 4
+    expit(z[:, :2 * hid], out=z[:, :2 * hid])
+    np.tanh(z[:, 2 * hid:3 * hid], out=z[:, 2 * hid:3 * hid])
+    expit(z[:, 3 * hid:], out=z[:, 3 * hid:])
+    i, f, g, o = z[:, :hid], z[:, hid:2 * hid], z[:, 2 * hid:3 * hid], z[:, 3 * hid:]
+    c_t = f * c_prev + i * g
+    return o * np.tanh(c_t), c_t
+
+
+def _lstm_gates_backward(gates: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray,
+                         dh: np.ndarray, dc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoints of one step: from the activated ``gates`` (N, 4h), c_{t-1},
+    tanh(c_t) and the adjoints of h_t and c_t, return the adjoint of the
+    pre-activations (N, 4h) and that of c_{t-1}."""
+    hid = gates.shape[1] // 4
+    i, f, g, o = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
+    dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+    dz = np.empty_like(gates)
+    dz[:, :hid] = dc * g * i * (1.0 - i)
+    dz[:, hid:2 * hid] = dc * c_prev * f * (1.0 - f)
+    dz[:, 2 * hid:3 * hid] = dc * i * (1.0 - g * g)
+    dz[:, 3 * hid:] = dh * tanh_c * o * (1.0 - o)
+    return dz, dc * f
+
+
+def lstm_cell_step(x_t, h_prev, c_prev, params: Mapping[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """One LSTM step with standard gates.
+
+    ``params`` maps ``wx`` (d, 4h), ``wh`` (h, 4h) and ``b`` (4h,); gate
+    slices are ordered input, forget, cell, output. Returns (h_t, c_t).
+    Under a tape the step is one record, plus one slice per returned state.
+    """
+    x_t = _as_tensor(x_t)
+    h_prev = _as_tensor(h_prev)
+    c_prev = _as_tensor(c_prev)
+    wx, wh, b = _lstm_weights(params)
+    z = x_t.data @ wx.data + h_prev.data @ wh.data + b.data
+    h_t, c_t = _lstm_gates(z, c_prev.data)
+    out = Tensor(np.stack([h_t, c_t], axis=1))
+    if active_tape() is not None:
+        def bwd(g):
+            dz, dc_prev = _lstm_gates_backward(z, c_prev.data, np.tanh(c_t), g[:, 0], g[:, 1])
+            return ((x_t, dz @ wx.data.T), (h_prev, dz @ wh.data.T), (c_prev, dc_prev),
+                    (wx, x_t.data.T @ dz), (wh, h_prev.data.T @ dz), (b, dz.sum(axis=0)))
+        _record("lstm_cell_step", out, bwd)
+    return slice_(out, (slice(None), 0)), slice_(out, (slice(None), 1))
+
+
+def lstm_sequence(x, mask: np.ndarray, params: Mapping[str, Tensor]) -> Tensor:
+    """An LSTM (gates as in :func:`lstm_cell_step`) run from zero state
+    over ``x`` (B, T, d).
+
+    Step t updates only the rows where ``mask[:, t]`` is true; the other
+    rows carry their state. Returns the state after every step as one
+    (B, T, 2, h) tensor: ``[:, t, 0]`` is h_t and ``[:, t, 1]`` is c_t.
+    Under a tape the whole pass is one record whose backward runs BPTT
+    for x, ``wx``, ``wh`` and ``b``, and X @ Wx + b is one GEMM over all
+    B*T rows. Without a tape x is projected one step at a time and
+    nothing is kept for a backward.
+    """
+    x = _as_tensor(x)
+    wx, wh, b = _lstm_weights(params)
+    if x.ndim != 3 or x.shape[2] != wx.shape[0]:
+        raise ShapeError(f"lstm_sequence input {x.shape} does not fit wx {wx.shape}")
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != x.shape[:2]:
+        raise ShapeError(f"lstm_sequence mask {mask.shape} does not match input {x.shape}")
+    n, steps, d = x.shape
+    hid = wh.shape[0]
+    xd, wxd, whd = x.data, wx.data, wh.data
+    dtype = np.result_type(xd, wxd)
+    states = np.empty((n, steps, 2, hid), dtype=dtype)
+    taped = active_tape() is not None
+    if taped:  # holds the activated gates for the backward
+        gates = (xd.reshape(n * steps, d) @ wxd + b.data).reshape(n, steps, 4 * hid)
+    h = c = np.zeros((n, hid), dtype=dtype)
+    for t in range(steps):
+        m = mask[:, t, None]
+        if m.any():
+            z = gates[:, t] if taped else xd[:, t] @ wxd + b.data
+            z += h @ whd
+            h_new, c_new = _lstm_gates(z, c)
+            h, c = np.where(m, h_new, h), np.where(m, c_new, c)
+        states[:, t, 0] = h
+        states[:, t, 1] = c
+    out = Tensor(states)
+    if taped:
+        def bwd(g):
+            dz_all = np.zeros_like(gates)
+            tanh_c = np.tanh(states[:, :, 1])
+            dh = np.zeros_like(h)
+            dc = np.zeros_like(c)
+            for t in range(steps - 1, -1, -1):
+                dh = dh + g[:, t, 0]
+                dc = dc + g[:, t, 1]
+                m = mask[:, t, None]
+                if not m.any():
+                    continue
+                c_prev = states[:, t - 1, 1] if t else np.zeros_like(dc)
+                dz, dc_prev = _lstm_gates_backward(gates[:, t], c_prev, tanh_c[:, t], dh, dc)
+                dz = np.where(m, dz, 0.0)
+                dz_all[:, t] = dz
+                dh = np.where(m, dz @ whd.T, dh)
+                dc = np.where(m, dc_prev, dc)
+            dz_flat = dz_all.reshape(n * steps, 4 * hid)
+            h_prev = np.zeros((n, steps, hid), dtype=states.dtype)
+            h_prev[:, 1:] = states[:, :-1, 0]
+            return ((x, (dz_flat @ wxd.T).reshape(xd.shape)),
+                    (wx, xd.reshape(n * steps, d).T @ dz_flat),
+                    (wh, h_prev.reshape(n * steps, hid).T @ dz_flat),
+                    (b, dz_flat.sum(axis=0)))
+        _record("lstm_sequence", out, bwd)
+    return out
 
 
 def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None,

@@ -51,6 +51,11 @@ __all__ = [
 
 UNI_LABEL_KEYS = {"text": "t", "audio": "a", "vision": "v"}
 
+# Rows (batch x time steps) that mfn's memory attention and gates take in one
+# pass: a training batch runs all its steps at once, a large eval batch runs
+# spans of steps, so its temporaries stay small.
+MFN_MEMORY_ROWS = 1024
+
 
 def _default_hidden() -> dict[str, int]:
     return {"text": 32, "audio": 16, "vision": 16}
@@ -321,17 +326,10 @@ class EFLSTM(Model):
             padded[:, :t_m] = mod.data
             pieces.append(padded)
             union[:, :t_m] |= mod.mask
-        x = np.concatenate(pieces, axis=2)
-
-        h = Tensor(np.zeros((b, self.hidden), dtype=self.dtype))
-        c = Tensor(np.zeros((b, self.hidden), dtype=self.dtype))
-        lstm = _lstm_params(self.params, "lstm")
-        for t in range(t_common):
-            h_new, c_new = ad.lstm_cell_step(Tensor(x[:, t, :]), h, c, lstm)
-            step = union[:, t].astype(self.dtype)[:, None]
-            h = ad.add(ad.mul(h_new, step), ad.mul(h, 1.0 - step))
-            c = ad.add(ad.mul(c_new, step), ad.mul(c, 1.0 - step))
-        pred, hidden = self._head("head", h, train)
+        x = Tensor(np.concatenate(pieces, axis=2))
+        del pieces
+        states = ad.lstm_sequence(x, union, _lstm_params(self.params, "lstm"))
+        pred, hidden = self._head("head", ad.slice_(states, (slice(None), -1, 0)), train)
         return ModelOutput(pred=pred, fusion_rep=hidden)
 
 
@@ -433,9 +431,9 @@ def lmf_full_tensor_expand(model: Model) -> np.ndarray:
 
 
 class MFN(Model):
-    """One LSTM per modality stepped in lockstep; each step, attention
-    over the concatenated memory deltas writes a gated memory
-    u_t = g1 * u_{t-1} + g2 * tanh(candidate)."""
+    """One LSTM per modality over the common length; at each step,
+    attention over the memory delta [c_{t-1}; c_t] of the concatenated
+    cell states writes a gated memory u_t = g1 * u_{t-1} + g2 * tanh(candidate)."""
 
     has_uni_reps = True
 
@@ -455,44 +453,66 @@ class MFN(Model):
         total = sum(config.hidden_dims[m] for m in mods) + mem
         self._init_head("head", total, config.post_fusion_dim)
 
+    def _memory(self, c_pad: Tensor, union: np.ndarray, start: int, stop: int,
+                u: Tensor) -> Tensor:
+        """Steps start..stop-1 of the gated memory, from u_{start-1}. The
+        memory reads only the cell states, so attention and gates run over
+        all these steps at once; only u_t = a_t * u_{t-1} + b_t is stepped."""
+        b, n = c_pad.shape[0], stop - start
+        delta = ad.concat([ad.slice_(c_pad, (slice(None), slice(start, stop))),
+                           ad.slice_(c_pad, (slice(None), slice(start + 1, stop + 1)))], axis=2)
+        delta = ad.reshape(delta, (b * n, -1))
+        attended = ad.mul(delta, ad.softmax(_affine(self.params, "att", delta), axis=-1))
+        del delta
+        cand = ad.tanh(_affine(self.params, "cand", attended))
+        g1 = ad.sigmoid(_affine(self.params, "gate1", attended))
+        g2 = ad.sigmoid(_affine(self.params, "gate2", attended))
+        del attended
+        # a step no modality takes keeps u: a_t = 1, b_t = 0
+        step = union[:, start:stop].reshape(-1, 1).astype(self.dtype)
+        keep = ad.reshape(ad.add(ad.mul(g1, step), 1.0 - step), (b, n, -1))
+        del g1
+        write = ad.reshape(ad.mul(ad.mul(g2, cand), step), (b, n, -1))
+        del g2, cand
+        for t in range(n):
+            u = ad.add(ad.mul(ad.slice_(keep, (slice(None), t)), u),
+                       ad.slice_(write, (slice(None), t)))
+        return u
+
     def forward(self, batch: Batch, train: bool = False) -> ModelOutput:
         self._check_batch(batch)
         mods = self.modalities()
         b = batch.size
         t_common = max(batch.modalities[m].data.shape[1] for m in mods)
-        h = {m: Tensor(np.zeros((b, self.config.hidden_dims[m]), dtype=self.dtype))
-             for m in mods}
-        c = dict(h)
-        u = Tensor(np.zeros((b, self.config.mfn_mem_dim), dtype=self.dtype))
         union = np.zeros((b, t_common), dtype=bool)
+        h, cells = {}, []
         for m in mods:
-            union[:, :batch.modalities[m].mask.shape[1]] |= batch.modalities[m].mask
-
-        for t in range(t_common):
-            c_prev = [c[m] for m in mods]
-            for m in mods:
-                mod = batch.modalities[m]
-                if t >= mod.data.shape[1]:
-                    continue
-                h_new, c_new = ad.lstm_cell_step(
-                    Tensor(mod.data[:, t, :]), h[m], c[m], _lstm_params(self.params, f"lstm.{m}"))
-                step = mod.mask[:, t].astype(self.dtype)[:, None]
-                h[m] = ad.add(ad.mul(h_new, step), ad.mul(h[m], 1.0 - step))
-                c[m] = ad.add(ad.mul(c_new, step), ad.mul(c[m], 1.0 - step))
-            delta = ad.concat(c_prev + [c[m] for m in mods], axis=1)
-            att = ad.softmax(_affine(self.params, "att", delta), axis=-1)
-            attended = ad.mul(delta, att)
-            cand = ad.tanh(_affine(self.params, "cand", attended))
-            g1 = ad.sigmoid(_affine(self.params, "gate1", attended))
-            g2 = ad.sigmoid(_affine(self.params, "gate2", attended))
-            u_new = ad.add(ad.mul(g1, u), ad.mul(g2, cand))
-            step = union[:, t].astype(self.dtype)[:, None]
-            u = ad.add(ad.mul(u_new, step), ad.mul(u, 1.0 - step))
+            mod = batch.modalities[m]
+            t_m = mod.data.shape[1]
+            # a shorter modality is padded with masked steps, so its state carries
+            x = np.zeros((b, t_common, mod.data.shape[2]), dtype=self.dtype)
+            x[:, :t_m] = mod.data
+            mask = np.zeros((b, t_common), dtype=bool)
+            mask[:, :t_m] = mod.mask
+            union |= mask
+            states = ad.lstm_sequence(Tensor(x), mask, _lstm_params(self.params, f"lstm.{m}"))
+            h[m] = ad.slice_(states, (slice(None), -1, 0))
+            cells.append(ad.slice_(states, (slice(None), slice(None), 1)))
+        del x, states
+        c_all = ad.concat(cells, axis=2)                                 # (B, T, sum h)
+        del cells
+        # c_pad[:, t] is c_{t-1}, so the memory delta at step t is [c_pad[:, t]; c_pad[:, t + 1]]
+        c_pad = ad.concat([Tensor(np.zeros((b, 1, c_all.shape[2]), dtype=self.dtype)), c_all],
+                          axis=1)
+        del c_all
+        u = Tensor(np.zeros((b, self.config.mfn_mem_dim), dtype=self.dtype))
+        span = max(1, MFN_MEMORY_ROWS // b)
+        for start in range(0, t_common, span):
+            u = self._memory(c_pad, union, start, min(start + span, t_common), u)
 
         rep = ad.concat([h[m] for m in mods] + [u], axis=1)
         pred, hidden = self._head("head", rep, train)
-        return ModelOutput(pred=pred, fusion_rep=hidden,
-                           uni_reps={m: h[m] for m in mods})
+        return ModelOutput(pred=pred, fusion_rep=hidden, uni_reps=h)
 
 
 class MulTLite(Model):

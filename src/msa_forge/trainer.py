@@ -131,6 +131,10 @@ class TrainConfig:
             if not isinstance(value, expected):
                 raise TypeError(f"expected a {expected.__name__}")
         else:
+            if isinstance(value, bool) and not isinstance(current, bool):
+                raise TypeError(f"expected {type(current).__name__}, not a bool")
+            if isinstance(current, int) and isinstance(value, float) and not value.is_integer():
+                raise TypeError(f"expected an integer, got {value!r}")
             value = type(current)(value)
         setattr(owner, attr, value)
 

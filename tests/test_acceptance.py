@@ -23,6 +23,7 @@ from msa_forge.autodiff import (
     grad_check,
     l1_loss,
     lstm_cell_step,
+    lstm_sequence,
     masked_mean,
     matmul,
     mean_,
@@ -219,6 +220,11 @@ def test_criterion_01_gradient_suite(acceptance_record):
             lambda p: sum_(mul(outer_fusion([p["a"], p["b"]], augment=True),
                                outer_fusion([p["a"], p["b"]], augment=True))),
             {"a": rng.normal(size=(2, 2)), "b": rng.normal(size=(2, 3))}),
+        "lstm_sequence": (
+            lambda p, _w=Tensor(rng.normal(size=(2, 3, 2, 2))):
+                sum_(mul(lstm_sequence(p["x"], mask23, p), _w)),
+            {"x": rng.normal(size=(2, 3, 2)), "wx": rng.normal(size=(2, 8)),
+             "wh": rng.normal(size=(2, 8)), "b": rng.normal(size=(8,))}),
     }
     for name, (fn, arrays) in primitive_cases.items():
         report = grad_check(fn, ps(**arrays), eps=1e-5, tol=1e-4)

@@ -21,6 +21,7 @@ from msa_forge.autodiff import (
     grad_check,
     l1_loss,
     lstm_cell_step,
+    lstm_sequence,
     masked_mean,
     matmul,
     mean_,
@@ -309,6 +310,83 @@ class TestLstmCell:
             return sum_(add(mul(ht, ht), ct))
 
         assert grad_check(f, ps).passed
+
+
+class TestLstmSequence:
+    # row 0 stops early, row 1 is masked at every step, row 2 has gaps,
+    # and no row takes step 4
+    MASK = np.array([[True, True, True, False, False, False],
+                     [False, False, False, False, False, False],
+                     [True, False, True, True, False, True]])
+
+    def _params(self, rng, b=3, t=6, d=2, h=3):
+        return _params_from({"x": rng.normal(size=(b, t, d)),
+                             "wx": rng.normal(size=(d, 4 * h)),
+                             "wh": rng.normal(size=(h, 4 * h)),
+                             "b": rng.normal(size=(4 * h,))})
+
+    @staticmethod
+    def _stepped(p, mask):
+        """The per-step formulation: lstm_cell_step and a masked blend."""
+        b, t = mask.shape
+        hid = p["wh"].shape[0]
+        h = c = Tensor(np.zeros((b, hid)))
+        states = []
+        for s in range(t):
+            h_new, c_new = lstm_cell_step(slice_(p["x"], (slice(None), s)), h, c, p)
+            step = mask[:, s].astype(np.float64)[:, None]
+            h = add(mul(h_new, step), mul(h, 1.0 - step))
+            c = add(mul(c_new, step), mul(c, 1.0 - step))
+            states += [h, c]
+        return states
+
+    def test_grad_check_ragged_masks(self):
+        rng = np.random.default_rng(30)
+        ps = self._params(rng)
+        weights = Tensor(rng.normal(size=(3, 6, 2, 3)))
+        report = grad_check(lambda p: sum_(mul(lstm_sequence(p["x"], self.MASK, p), weights)), ps)
+        assert report.passed, repr(report)
+
+    def test_matches_stepped_cells(self):
+        rng = np.random.default_rng(31)
+        ps = self._params(rng)
+        weights = rng.normal(size=(3, 6, 2, 3))
+        with Tape() as tape:
+            states = lstm_sequence(ps["x"], self.MASK, ps)
+            loss = sum_(mul(states, Tensor(weights)))
+        backward(tape, loss, ps)
+        assert len(tape) == 3
+        fused = {name: p.grad.copy() for name, p in ps.items()}
+
+        with Tape() as tape:
+            stepped = self._stepped(ps, self.MASK)   # h_0, c_0, h_1, c_1, ...
+            stack = concat([reshape(s, (3, 1, 1, 3)) for s in stepped], axis=1)
+            loss = sum_(mul(stack, Tensor(weights.reshape(3, 12, 1, 3))))
+        backward(tape, loss, ps)
+        np.testing.assert_allclose(states.data.reshape(3, 12, 1, 3), stack.data,
+                                   rtol=0, atol=1e-12)
+        for name, p in ps.items():
+            np.testing.assert_allclose(fused[name], p.grad, rtol=1e-12, atol=1e-12,
+                                       err_msg=name)
+        # masked rows carry: row 1 stays at zero, row 0 ends at its step-2 state
+        np.testing.assert_array_equal(states.data[1], 0.0)
+        np.testing.assert_array_equal(states.data[0, 5], states.data[0, 2])
+
+    def test_taped_and_untaped_forwards_agree(self):
+        rng = np.random.default_rng(32)
+        ps = self._params(rng)
+        untaped = lstm_sequence(ps["x"], self.MASK, ps).data
+        with Tape():
+            taped = lstm_sequence(ps["x"], self.MASK, ps).data
+        np.testing.assert_allclose(taped, untaped, rtol=0, atol=1e-12)
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(33)
+        ps = self._params(rng)
+        with pytest.raises(ShapeError, match="mask"):
+            lstm_sequence(ps["x"], self.MASK[:, :5], ps)
+        with pytest.raises(ShapeError, match="wx"):
+            lstm_sequence(Tensor(np.zeros((3, 6, 5))), self.MASK, ps)
 
 
 class TestAttention:

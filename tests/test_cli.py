@@ -157,6 +157,15 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert override.split("=")[0] in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("override", ["batch_size=3.7", "max_epochs=true",
+                                          "optimizer.lr=true"])
+    def test_train_set_rejects_bool_or_fraction(self, tmp_path, tiny_bundle_dir, capsys,
+                                                override):
+        # converting would store batch_size 3, max_epochs 1 and lr 1.0
+        assert self.train(tmp_path, tiny_bundle_dir, "--set", override) == 1
+        err = capsys.readouterr().err
+        assert override.split("=")[0] in err and "Traceback" not in err
+
     def test_train_negative_seed(self, tmp_path, tiny_bundle_dir, capsys):
         assert self.train(tmp_path, tiny_bundle_dir, "--seeds", "-3") == 2
         err = capsys.readouterr().err

@@ -4,7 +4,9 @@ tensor equivalence, multitask wrapping, and checkpoint round-trips."""
 import numpy as np
 import pytest
 
-from msa_forge.autodiff import Tape, backward, grad_check
+from msa_forge import autodiff as ad
+from msa_forge import models
+from msa_forge.autodiff import Tape, Tensor, backward, grad_check
 from msa_forge.errors import ModelError
 from msa_forge.models import (
     Batch,
@@ -326,6 +328,129 @@ class TestGradChecks:
 
         report = grad_check(f, model.params)
         assert report.passed, repr(report)
+
+
+def _blend(new, old, step):
+    return ad.add(ad.mul(new, step), ad.mul(old, 1.0 - step))
+
+
+def _lstm(model, name):
+    return {k: model.params[f"{name}.{k}"] for k in ("wx", "wh", "b")}
+
+
+def stepped_ef_lstm_pred(model, batch):
+    """ef_lstm as one lstm_cell_step and masked state blend per time step."""
+    mods = model.modalities()
+    b = batch.size
+    t_common = max(batch.modalities[m].data.shape[1] for m in mods)
+    pieces, union = [], np.zeros((b, t_common), dtype=bool)
+    for m in mods:
+        mod = batch.modalities[m]
+        padded = np.zeros((b, t_common, mod.data.shape[2]))
+        padded[:, :mod.data.shape[1]] = mod.data
+        pieces.append(padded)
+        union[:, :mod.data.shape[1]] |= mod.mask
+    x = np.concatenate(pieces, axis=2)
+    h = c = Tensor(np.zeros((b, model.hidden)))
+    for t in range(t_common):
+        h_new, c_new = ad.lstm_cell_step(Tensor(x[:, t]), h, c, _lstm(model, "lstm"))
+        step = union[:, t].astype(np.float64)[:, None]
+        h, c = _blend(h_new, h, step), _blend(c_new, c, step)
+    return model._head("head", h, False)[0]
+
+
+def stepped_mfn_pred(model, batch):
+    """mfn with every modality's LSTM and the gated memory stepped in lockstep;
+    a modality shorter than the common length skips its missing steps."""
+    mods = model.modalities()
+    cfg = model.config
+    b = batch.size
+    t_common = max(batch.modalities[m].data.shape[1] for m in mods)
+    h = {m: Tensor(np.zeros((b, cfg.hidden_dims[m]))) for m in mods}
+    c = dict(h)
+    u = Tensor(np.zeros((b, cfg.mfn_mem_dim)))
+    union = np.zeros((b, t_common), dtype=bool)
+    for m in mods:
+        union[:, :batch.modalities[m].mask.shape[1]] |= batch.modalities[m].mask
+
+    def affine(name, x):
+        return ad.add(ad.matmul(x, model.params[f"{name}.w"]), model.params[f"{name}.b"])
+
+    for t in range(t_common):
+        c_prev = [c[m] for m in mods]
+        for m in mods:
+            mod = batch.modalities[m]
+            if t >= mod.data.shape[1]:
+                continue
+            h_new, c_new = ad.lstm_cell_step(Tensor(mod.data[:, t]), h[m], c[m],
+                                             _lstm(model, f"lstm.{m}"))
+            step = mod.mask[:, t].astype(np.float64)[:, None]
+            h[m], c[m] = _blend(h_new, h[m], step), _blend(c_new, c[m], step)
+        delta = ad.concat(c_prev + [c[m] for m in mods], axis=1)
+        attended = ad.mul(delta, ad.softmax(affine("att", delta), axis=-1))
+        cand = ad.tanh(affine("cand", attended))
+        g1 = ad.sigmoid(affine("gate1", attended))
+        g2 = ad.sigmoid(affine("gate2", attended))
+        u_new = ad.add(ad.mul(g1, u), ad.mul(g2, cand))
+        u = _blend(u_new, u, union[:, t].astype(np.float64)[:, None])
+    rep = ad.concat([h[m] for m in mods] + [u], axis=1)
+    return model._head("head", rep, False)[0]
+
+
+class TestRecurrentModels:
+    """ef_lstm and mfn run each LSTM as one lstm_sequence; they must equal
+    the per-step formulation and keep their tapes short."""
+
+    @staticmethod
+    def ragged_batch(cfg):
+        batch = toy_batch(cfg, b=4, seed=5)
+        batch.modalities["text"].mask[1, 1] = False      # a gap inside a sequence
+        batch.modalities["audio"].mask[2] = False        # a modality missing for one row
+        batch.modalities["audio"].data[2] = 0.0
+        return batch
+
+    @pytest.mark.parametrize("name,reference,memory_rows", [
+        ("ef_lstm", stepped_ef_lstm_pred, None),
+        ("mfn", stepped_mfn_pred, None),
+        ("mfn", stepped_mfn_pred, 8),       # the memory in spans of 2 steps
+    ])
+    def test_matches_stepped_formulation(self, name, reference, memory_rows, monkeypatch):
+        if memory_rows is not None:
+            monkeypatch.setattr(models, "MFN_MEMORY_ROWS", memory_rows)
+        cfg = toy_config(name, dtype="f64", seq_lens={"text": 6, "audio": 3, "vision": 5})
+        model = build_model(cfg)
+        batch = self.ragged_batch(cfg)
+        target = Tensor(batch.labels["m"])
+
+        def run(forward):
+            with Tape() as tape:
+                pred = forward()
+                loss = ad.l1_loss(pred, target)
+            backward(tape, loss, model.params)
+            return pred.data, {n: p.grad.copy() for n, p in model.params.items()}
+
+        pred, grads = run(lambda: model.forward(batch).pred)
+        ref_pred, ref_grads = run(lambda: reference(model, batch))
+        np.testing.assert_allclose(pred, ref_pred, rtol=0, atol=1e-10)
+        assert set(grads) == set(ref_grads)
+        for n, g in grads.items():
+            np.testing.assert_allclose(g, ref_grads[n], rtol=1e-10, atol=1e-10, err_msg=n)
+        assert any(np.abs(g).max() > 0 for n, g in grads.items() if ".wh" in n)
+
+    @staticmethod
+    def tape_length(name, t):
+        cfg = toy_config(name, seq_lens={"text": t, "audio": t, "vision": t})
+        model = build_model(cfg)
+        batch = toy_batch(cfg, b=3)
+        with Tape() as tape:
+            model.loss(model.forward(batch, train=True), batch)
+        return len(tape)
+
+    def test_ef_lstm_tape_does_not_grow_with_length(self):
+        assert self.tape_length("ef_lstm", 5) == self.tape_length("ef_lstm", 20)
+
+    def test_mfn_tape_grows_at_most_four_records_per_step(self):
+        assert self.tape_length("mfn", 20) - self.tape_length("mfn", 5) <= 4 * 15
 
 
 class TestCheckpoints:
