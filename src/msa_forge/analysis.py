@@ -157,7 +157,7 @@ def pca_project(reps: np.ndarray, k: int = 3) -> ProjectionResult:
 def _fmt_cell(metrics: Mapping | None, key: str) -> str:
     if metrics is None:
         return "-"
-    val = metrics.get(key) if isinstance(metrics, Mapping) else getattr(metrics, key)
+    val = metrics.get(key)
     if val is None or (isinstance(val, float) and not math.isfinite(val)):
         return "-"
     if key in ("acc2", "f1"):

@@ -506,10 +506,6 @@ class ParamSet:
     def items(self):
         return self._params.items()
 
-    def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.grad = np.zeros_like(p.data)
-
     def num_values(self) -> int:
         return sum(p.data.size for p in self._params.values())
 
@@ -745,15 +741,14 @@ def lstm_sequence(x, mask: np.ndarray, params: Mapping[str, Tensor]) -> Tensor:
     return out
 
 
-def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None,
-                         empty_policy: str = "error") -> Tensor:
-    """softmax(q kᵀ / sqrt(d) + mask_bias) v.
+def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None) -> Tensor:
+    """softmax(q kᵀ / sqrt(d) + mask_bias) v over the last two axes.
 
-    ``mask`` marks valid key positions (shape (Tk,) or (..., Tk)); masked
+    ``mask`` marks valid key positions. It has shape (..., Tk), aligned
+    with q's leading axes, and is broadcast over the query axis; masked
     positions receive a -1e9 additive bias. A row whose keys are all
-    masked is an error under the default policy; ``empty_policy="zero"``
-    instead returns zero rows there, which is what the fusion models use
-    when a whole modality has been dropped.
+    masked returns zeros, which is what the fusion models use when a whole
+    modality has been dropped.
     """
     q = _as_tensor(q)
     k = _as_tensor(k)
@@ -762,35 +757,20 @@ def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None,
         raise ShapeError(f"attention q/k dims disagree: {q.shape} vs {k.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention k/v lengths disagree: {k.shape} vs {v.shape}")
-    if empty_policy not in ("error", "zero"):
-        raise ValueError(f"unknown empty_policy {empty_policy!r}")
-    d = q.shape[-1]
-    scores = mul(matmul(q, transpose(k, _swap_last_two(k.ndim))), 1.0 / math.sqrt(d))
-    empty = None
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape[-1] != k.shape[-2]:
-            raise ShapeError(f"attention mask {mask.shape} does not cover keys {k.shape}")
-        any_valid = mask.any(axis=-1)
-        if not np.all(any_valid):
-            if empty_policy == "error":
-                raise ShapeError("attention row with every key position masked")
-            empty = ~any_valid
-        bias = np.where(mask, 0.0, MASK_BIAS).astype(q.data.dtype)
-        # bias broadcasts over the query axis
-        scores = add(scores, bias[..., None, :] if bias.ndim == scores.ndim - 1 else bias)
-    att = softmax(scores, axis=-1)
-    out = matmul(att, v)
-    if empty is not None:
-        keep = (~empty).astype(q.data.dtype)
-        out = mul(out, keep[..., None, None] if keep.ndim == out.ndim - 2 else keep[..., None])
-    return out
-
-
-def _swap_last_two(ndim: int) -> tuple[int, ...]:
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
+    k_t = transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    scores = mul(matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
+    if mask is None:
+        return matmul(softmax(scores, axis=-1), v)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape[-1] != k.shape[-2]:
+        raise ShapeError(f"attention mask {mask.shape} does not cover keys {k.shape}")
+    mask = mask[..., None, :]  # the query axis
+    bias = np.where(mask, 0.0, MASK_BIAS).astype(q.data.dtype)
+    out = matmul(softmax(add(scores, bias), axis=-1), v)
+    keep = mask.any(axis=-1, keepdims=True)
+    if keep.all():
+        return out
+    return mul(out, keep.astype(q.data.dtype))
 
 
 def outer_fusion(vectors: Sequence, augment: bool = True) -> Tensor:

@@ -39,6 +39,7 @@ from .extractors import (WAV_KINDS, EmbeddingTable, ExtractorConfig, _extract_on
 from .models import Batch, ModalityInput, load_checkpoint
 from .robustness import (
     PerturbationSpec,
+    apply_spec_to_bundle,
     evaluate_tagged,
     render_tagged_reports,
     tagged_report_from_dict,
@@ -331,7 +332,6 @@ def _cmd_perturb(args) -> int:
                                 seed=args.seed)
     else:
         spec = PerturbationSpec("modality_missing", args.drop, seed=args.seed)
-    from .robustness import apply_spec_to_bundle
     write_bundle(apply_spec_to_bundle(bundle, spec), args.out)
     print(json.dumps({"bundle": args.out, "kind": spec.kind, "modality": spec.modality}))
     return EXIT_OK

@@ -114,6 +114,9 @@ class ModelConfig:
             raise ModelError(f"lmf_rank must be >= 1, got {self.lmf_rank}")
         if self.mfn_mem_dim <= 0 or self.mult_hidden <= 0:
             raise ModelError("memory/attention hidden dims must be positive")
+        for name in ("attn_heads", "attn_layers"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.mult_hidden % self.attn_heads != 0:
             raise ModelError(
                 f"mult_hidden {self.mult_hidden} not divisible by attn_heads {self.attn_heads}")
@@ -209,6 +212,25 @@ def _init_lstm(params: ParamSet, name: str, d_in: int, hidden: int,
 
 def _lstm_params(params: ParamSet, name: str) -> dict[str, Tensor]:
     return {"wx": params[f"{name}.wx"], "wh": params[f"{name}.wh"], "b": params[f"{name}.b"]}
+
+
+def _pad_to_common(batch: Batch, mods: list[str], dtype):
+    """Each modality zero-padded to the longest length T: the (B, T, d_m)
+    inputs, their (B, T) masks with the padded steps masked, and the union
+    of the masks (the steps some modality takes)."""
+    b = batch.size
+    t_common = max(batch.modalities[m].data.shape[1] for m in mods)
+    xs, masks = [], []
+    for m in mods:
+        mod = batch.modalities[m]
+        t_m = mod.data.shape[1]
+        x = np.zeros((b, t_common, mod.data.shape[2]), dtype=dtype)
+        x[:, :t_m] = mod.data
+        mask = np.zeros((b, t_common), dtype=bool)
+        mask[:, :t_m] = mod.mask
+        xs.append(x)
+        masks.append(mask)
+    return xs, masks, np.logical_or.reduce(masks)
 
 
 class Model:
@@ -315,17 +337,7 @@ class EFLSTM(Model):
 
     def forward(self, batch: Batch, train: bool = False) -> ModelOutput:
         self._check_batch(batch)
-        mods = self.modalities()
-        b = batch.size
-        t_common = max(batch.modalities[m].data.shape[1] for m in mods)
-        pieces, union = [], np.zeros((b, t_common), dtype=bool)
-        for m in mods:
-            mod = batch.modalities[m]
-            t_m = mod.data.shape[1]
-            padded = np.zeros((b, t_common, mod.data.shape[2]), dtype=self.dtype)
-            padded[:, :t_m] = mod.data
-            pieces.append(padded)
-            union[:, :t_m] |= mod.mask
+        pieces, _, union = _pad_to_common(batch, self.modalities(), self.dtype)
         x = Tensor(np.concatenate(pieces, axis=2))
         del pieces
         states = ad.lstm_sequence(x, union, _lstm_params(self.params, "lstm"))
@@ -483,22 +495,15 @@ class MFN(Model):
         self._check_batch(batch)
         mods = self.modalities()
         b = batch.size
-        t_common = max(batch.modalities[m].data.shape[1] for m in mods)
-        union = np.zeros((b, t_common), dtype=bool)
+        # a shorter modality is padded with masked steps, so its state carries
+        xs, masks, union = _pad_to_common(batch, mods, self.dtype)
+        t_common = union.shape[1]
         h, cells = {}, []
-        for m in mods:
-            mod = batch.modalities[m]
-            t_m = mod.data.shape[1]
-            # a shorter modality is padded with masked steps, so its state carries
-            x = np.zeros((b, t_common, mod.data.shape[2]), dtype=self.dtype)
-            x[:, :t_m] = mod.data
-            mask = np.zeros((b, t_common), dtype=bool)
-            mask[:, :t_m] = mod.mask
-            union |= mask
+        for m, x, mask in zip(mods, xs, masks):
             states = ad.lstm_sequence(Tensor(x), mask, _lstm_params(self.params, f"lstm.{m}"))
             h[m] = ad.slice_(states, (slice(None), -1, 0))
             cells.append(ad.slice_(states, (slice(None), slice(None), 1)))
-        del x, states
+        del xs, x, states
         c_all = ad.concat(cells, axis=2)                                 # (B, T, sum h)
         del cells
         # c_pad[:, t] is c_{t-1}, so the memory delta at step t is [c_pad[:, t]; c_pad[:, t + 1]]
@@ -519,7 +524,8 @@ class MulTLite(Model):
     """Directional pairwise cross-modal attention: for every ordered
     modality pair the target queries the source through multi-head scaled
     dot attention with residuals (no layer norm), then masked-mean pooled
-    translated streams concatenate into the head."""
+    translated streams concatenate into the head. The heads run as a batch
+    axis, so each (pair, layer) is one scaled_dot_attention call."""
 
     has_uni_reps = True
 
@@ -544,17 +550,16 @@ class MulTLite(Model):
 
     def _multihead(self, base: str, cur: Tensor, src: Tensor,
                    src_mask: np.ndarray) -> Tensor:
-        q = _affine(self.params, f"{base}.q", cur)
-        k = _affine(self.params, f"{base}.k", src)
-        v = _affine(self.params, f"{base}.v", src)
-        head_dim = self.config.mult_hidden // self.config.attn_heads
-        outs = []
-        for i in range(self.config.attn_heads):
-            cols = (slice(None), slice(None), slice(i * head_dim, (i + 1) * head_dim))
-            outs.append(ad.scaled_dot_attention(
-                ad.slice_(q, cols), ad.slice_(k, cols), ad.slice_(v, cols),
-                mask=src_mask, empty_policy="zero"))
-        return ad.concat(outs, axis=-1)
+        heads = self.config.attn_heads
+
+        def split_heads(name: str, x: Tensor) -> Tensor:
+            # (B, T, hid) -> (B, H, T, hid / H)
+            y = ad.reshape(_affine(self.params, f"{base}.{name}", x), x.shape[:2] + (heads, -1))
+            return ad.transpose(y, (0, 2, 1, 3))
+
+        att = ad.scaled_dot_attention(split_heads("q", cur), split_heads("k", src),
+                                      split_heads("v", src), mask=src_mask[:, None])
+        return ad.reshape(ad.transpose(att, (0, 2, 1, 3)), cur.shape)
 
     def forward(self, batch: Batch, train: bool = False) -> ModelOutput:
         self._check_batch(batch)
@@ -724,20 +729,24 @@ OUT_OF_SCOPE_MODELS = {
 }
 
 
+def check_model_name(name: str) -> None:
+    """Raise ModelError unless ``name`` is a registered or multitask model."""
+    if name in OUT_OF_SCOPE_MODELS:
+        raise ModelError(f"{name}: {OUT_OF_SCOPE_MODELS[name]}")
+    if name not in MODEL_REGISTRY and name not in MULTITASK_BASES:
+        known = sorted(list(MODEL_REGISTRY) + list(MULTITASK_BASES))
+        raise ModelError(f"unknown model {name!r}; known models: {known}")
+
+
 def build_model(config: ModelConfig) -> Model:
     """Construct a registered model with seeded uniform(+-1/sqrt(fan_in))
     initialization."""
     name = config.model_name
-    if name in OUT_OF_SCOPE_MODELS:
-        raise ModelError(f"{name}: {OUT_OF_SCOPE_MODELS[name]}")
+    check_model_name(name)
     if name in MULTITASK_BASES:
         base_cfg = replace(config, model_name=MULTITASK_BASES[name])
         base = MODEL_REGISTRY[MULTITASK_BASES[name]](base_cfg)
-        wrapper = MultitaskWrapper(base, config.multitask_uni_weight, name=name)
-        return wrapper
-    if name not in MODEL_REGISTRY:
-        known = sorted(list(MODEL_REGISTRY) + list(MULTITASK_BASES))
-        raise ModelError(f"unknown model {name!r}; known models: {known}")
+        return MultitaskWrapper(base, config.multitask_uni_weight, name=name)
     return MODEL_REGISTRY[name](config)
 
 

@@ -20,7 +20,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -166,10 +166,9 @@ def apply_spec_to_bundle(bundle: FeatureBundle, spec: PerturbationSpec) -> Featu
         else:
             blocks[m] = ModalityBlock(block.feature_dim, block.max_len,
                                       np.zeros_like(block.data), block.lengths.copy())
-    from dataclasses import replace as dc_replace
-    manifest = dc_replace(
+    manifest = replace(
         bundle.manifest,
-        samples=[dc_replace(s, instance_type=spec.instance_type)
+        samples=[replace(s, instance_type=spec.instance_type)
                  for s in bundle.manifest.samples],
     )
     return FeatureBundle(manifest=manifest, blocks=blocks)

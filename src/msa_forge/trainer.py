@@ -34,13 +34,11 @@ from .analysis import METRIC_KEYS, MetricReport, compute_metrics
 from .bundle import FeatureBundle, split_view
 from .errors import ModelError, TrainingDivergedError, ValidationError
 from .models import (
-    MODEL_REGISTRY,
-    MULTITASK_BASES,
-    OUT_OF_SCOPE_MODELS,
     Model,
     ModelConfig,
     batch_from_bundle,
     build_model,
+    check_model_name,
     save_checkpoint,
     write_named_arrays,
 )
@@ -148,11 +146,7 @@ def get_config_regression(model_name: str, dataset_name: str = "mosi") -> TrainC
     The dataset name is advisory (it labels reports and keys future
     defaults); feature dims are resolved from the bundle at train time.
     """
-    if model_name in OUT_OF_SCOPE_MODELS:
-        raise ModelError(f"{model_name}: {OUT_OF_SCOPE_MODELS[model_name]}")
-    if model_name not in MODEL_REGISTRY and model_name not in MULTITASK_BASES:
-        known = sorted(list(MODEL_REGISTRY) + list(MULTITASK_BASES))
-        raise ModelError(f"unknown model {model_name!r}; known models: {known}")
+    check_model_name(model_name)
     model = ModelConfig(model_name=model_name)
     return TrainConfig(model=model, dataset_name=dataset_name)
 
@@ -304,10 +298,9 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
                 out = model.forward(batch, train=True)
                 loss = model.loss(out, batch)
             loss_val = float(loss.data)
-            if not math.isfinite(loss_val):
-                ad.backward(tape, loss, model.params)
-                raise _diagnose_divergence(model, epoch)
             ad.backward(tape, loss, model.params)
+            if not math.isfinite(loss_val):
+                raise _diagnose_divergence(model, epoch)
             clip_global_norm(model.params, config.grad_clip)
             optimizer.step()
             total_abs += loss_val * batch.size

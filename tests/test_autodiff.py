@@ -431,16 +431,35 @@ class TestAttention:
         np.testing.assert_allclose(weights[:, ~mask], 0.0, atol=1e-9)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-6)
 
-    def test_all_masked_errors_by_default_and_zeroes_on_request(self):
+    def test_all_masked_rows_are_zero(self):
         rng = np.random.default_rng(14)
         q = Tensor(rng.normal(size=(2, 3)))
         k = Tensor(rng.normal(size=(4, 3)))
         v = Tensor(rng.normal(size=(4, 2)))
-        mask = np.zeros(4, dtype=bool)
-        with pytest.raises(ShapeError):
-            scaled_dot_attention(q, k, v, mask=mask)
-        out = scaled_dot_attention(q, k, v, mask=mask, empty_policy="zero")
+        out = scaled_dot_attention(q, k, v, mask=np.zeros(4, dtype=bool))
         np.testing.assert_allclose(out.data, 0.0)
+
+    def test_mask_broadcasts_over_leading_axes(self):
+        # a (B, 1, Tk) mask serves every head of (B, H, T, d) inputs; the
+        # batch row with no valid key comes back as zeros
+        rng = np.random.default_rng(17)
+        q = rng.normal(size=(3, 2, 4, 5))
+        k = rng.normal(size=(3, 2, 6, 5))
+        v = rng.normal(size=(3, 2, 6, 3))
+        mask = np.array([[1, 1, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1]], dtype=bool)
+        out = scaled_dot_attention(q, k, v, mask=mask[:, None]).data
+        for i in range(3):
+            for h in range(2):
+                if mask[i].any():
+                    ref = scaled_dot_attention(q[i, h], k[i, h], v[i, h], mask=mask[i]).data
+                else:
+                    ref = np.zeros((4, 3))
+                np.testing.assert_allclose(out[i, h], ref, rtol=0, atol=1e-12)
+
+    def test_mask_must_cover_keys(self):
+        q, k, v = (Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 2))))
+        with pytest.raises(ShapeError, match="mask"):
+            scaled_dot_attention(q, k, v, mask=np.ones(3, dtype=bool))
 
     def test_grad_check_with_mask(self):
         rng = np.random.default_rng(15)

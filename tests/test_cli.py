@@ -166,6 +166,16 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert override.split("=")[0] in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("override", ["attn_heads=0", "attn_heads=-2", "attn_layers=0",
+                                          "attn_layers=-1"])
+    def test_train_rejects_attention_sizes_below_one(self, tmp_path, tiny_bundle_dir, capsys,
+                                                     override):
+        # zero heads would divide by zero; zero layers would train mult with no attention
+        assert cli_main(["train", "--bundle", str(tiny_bundle_dir), "--model", "mult",
+                         "--out", str(tmp_path / "runs"), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert f"{override.split('=')[0]} must be >= 1" in err and "Traceback" not in err
+
     def test_train_negative_seed(self, tmp_path, tiny_bundle_dir, capsys):
         assert self.train(tmp_path, tiny_bundle_dir, "--seeds", "-3") == 2
         err = capsys.readouterr().err

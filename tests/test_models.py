@@ -453,6 +453,74 @@ class TestRecurrentModels:
         assert self.tape_length("mfn", 20) - self.tape_length("mfn", 5) <= 4 * 15
 
 
+def per_head_multihead(model, base, cur, src, src_mask):
+    """mult's attention with one scaled_dot_attention call per head on column
+    slices of q/k/v, the heads concatenated back."""
+    def affine(name, x):
+        return ad.add(ad.matmul(x, model.params[f"{base}.{name}.w"]),
+                      model.params[f"{base}.{name}.b"])
+
+    q, k, v = affine("q", cur), affine("k", src), affine("v", src)
+    head_dim = model.config.mult_hidden // model.config.attn_heads
+    outs = []
+    for i in range(model.config.attn_heads):
+        cols = (slice(None), slice(None), slice(i * head_dim, (i + 1) * head_dim))
+        outs.append(ad.scaled_dot_attention(ad.slice_(q, cols), ad.slice_(k, cols),
+                                            ad.slice_(v, cols), mask=src_mask))
+    return ad.concat(outs, axis=-1)
+
+
+class TestMultAttention:
+    """mult runs its heads as a batch axis of one scaled_dot_attention call;
+    it must equal the per-head formulation and keep one tape for any head count."""
+
+    @staticmethod
+    def batch(cfg, drop_source):
+        batch = toy_batch(cfg, b=4, seed=9)
+        batch.modalities["text"].mask[1, 1] = False      # a gap inside a sequence
+        if drop_source:                                  # no audio key for any row
+            batch.modalities["audio"].mask[:] = False
+        else:                                            # no audio key for one row
+            batch.modalities["audio"].mask[2] = False
+        batch.modalities["audio"].data[~batch.modalities["audio"].mask] = 0.0
+        return batch
+
+    @pytest.mark.parametrize("drop_source", [False, True])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_per_head_formulation(self, heads, drop_source, monkeypatch):
+        cfg = toy_config("mult", dtype="f64", attn_heads=heads, attn_layers=2)
+        model = build_model(cfg)
+        batch = self.batch(cfg, drop_source)
+        target = Tensor(batch.labels["m"])
+
+        def run():
+            with Tape() as tape:
+                pred = model.forward(batch).pred
+                loss = ad.l1_loss(pred, target)
+            backward(tape, loss, model.params)
+            return pred.data, {n: p.grad.copy() for n, p in model.params.items()}
+
+        pred, grads = run()
+        monkeypatch.setattr(models.MulTLite, "_multihead", per_head_multihead)
+        ref_pred, ref_grads = run()
+        np.testing.assert_allclose(pred, ref_pred, rtol=0, atol=1e-10)
+        assert set(grads) == set(ref_grads)
+        for n, g in grads.items():
+            np.testing.assert_allclose(g, ref_grads[n], rtol=1e-10, atol=1e-10, err_msg=n)
+        assert any(np.abs(g).max() > 0 for n, g in grads.items() if n.endswith(".k.w"))
+
+    def test_tape_length_does_not_depend_on_heads(self):
+        lengths = set()
+        for heads in (1, 2, 4):
+            cfg = toy_config("mult", attn_heads=heads)
+            model = build_model(cfg)
+            batch = toy_batch(cfg, b=3)
+            with Tape() as tape:
+                model.loss(model.forward(batch, train=True), batch)
+            lengths.add(len(tape))
+        assert len(lengths) == 1
+
+
 class TestCheckpoints:
     def test_round_trip_reproduces_forward(self, tmp_path):
         cfg = toy_config("mtfn")
