@@ -1,4 +1,4 @@
-"""Feature bundles: the on-disk container, round trips, splits, padding.
+"""Feature bundles: the on-disk container, round trips, splits, model-input masks.
 
 The synthetic generator stands in for a real extraction run so everything
 here is self-contained.
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from msa_forge import bundle_equal, pad_and_mask, read_bundle, split_view, write_bundle
+from msa_forge import batch_from_bundle, bundle_equal, read_bundle, split_view, write_bundle
 from msa_forge.synthetic import make_synthetic_bundle
 
 OUT = Path("demo_output/bundles")
@@ -36,12 +36,11 @@ test = split_view(bundle, "test")
 print(f"splits: train={train.n} valid={valid.n} test={test.n} "
       f"(disjoint: {not set(train.ids) & set(test.ids)})")
 
-# padding and masks for model input
-block = bundle.blocks["audio"]
-data, mask = pad_and_mask(block, target_len=16)
-print(f"padded to 16: data {data.shape}, valid frames per sample "
-      f"{mask.sum(axis=1)[:6]}...")
-print("padding is exactly zero:", bool(np.all(data[~mask] == 0.0)))
+# model input: padded arrays plus validity masks derived from the lengths
+audio = batch_from_bundle(bundle, np.arange(6)).modalities["audio"]
+print(f"audio batch: data {audio.data.shape}, valid frames per sample "
+      f"{audio.mask.sum(axis=1)}")
+print("padding is exactly zero:", bool(np.all(audio.data[~audio.mask] == 0.0)))
 
 # invalid containers are rejected with precise errors
 bad = make_synthetic_bundle(n_train=2, n_valid=2, n_test=2, seq_len=4,

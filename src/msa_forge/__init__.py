@@ -12,7 +12,6 @@ from .bundle import (
     ModalityBlock,
     SampleMeta,
     bundle_equal,
-    pad_and_mask,
     read_bundle,
     split_view,
     write_bundle,
@@ -38,7 +37,6 @@ from .models import (
     build_model,
     lmf_full_tensor_expand,
     load_checkpoint,
-    multitask_wrap,
     save_checkpoint,
 )
 from .robustness import (

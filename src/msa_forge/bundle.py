@@ -39,7 +39,6 @@ __all__ = [
     "FeatureBundle",
     "write_bundle",
     "read_bundle",
-    "pad_and_mask",
     "split_view",
     "take_view",
     "bundle_equal",
@@ -139,9 +138,6 @@ class FeatureBundle:
                 if s.unimodal_label(m) is None:
                     return False
         return True
-
-    def validate(self) -> None:
-        validate_bundle(self)
 
 
 def validate_bundle(bundle: FeatureBundle) -> None:
@@ -387,29 +383,6 @@ def read_bundle(path) -> FeatureBundle:
     return bundle
 
 
-def pad_and_mask(block: ModalityBlock, target_len: int,
-                 truncate: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Re-pad a block to ``target_len`` and return (data, mask).
-
-    mask[i, t] is true iff t < length_i; data under a false mask is zero.
-    Shortening below an existing length requires ``truncate=True``.
-    """
-    if target_len < 1:
-        raise BundleValidationError(f"target_len must be >= 1, got {target_len}")
-    longest = int(block.lengths.max())
-    if target_len < longest and not truncate:
-        raise BundleValidationError(
-            f"target_len {target_len} < longest sequence {longest}; pass truncate=True")
-    n = block.data.shape[0]
-    lengths = np.minimum(block.lengths, target_len)
-    out = np.zeros((n, target_len, block.feature_dim), dtype=np.float32)
-    keep = min(target_len, block.max_len)
-    out[:, :keep, :] = block.data[:, :keep, :]
-    mask = np.arange(target_len)[None, :] < lengths[:, None]
-    out[~mask] = 0.0
-    return out, mask
-
-
 def take_view(bundle: FeatureBundle, indices) -> FeatureBundle:
     """Sub-bundle with the given sample indices, order preserved."""
     indices = np.asarray(indices, dtype=np.int64)
@@ -418,8 +391,8 @@ def take_view(bundle: FeatureBundle, indices) -> FeatureBundle:
         name: ModalityBlock(
             feature_dim=b.feature_dim,
             max_len=b.max_len,
-            data=b.data[indices].copy(),
-            lengths=b.lengths[indices].copy(),
+            data=b.data[indices],
+            lengths=b.lengths[indices],
         )
         for name, b in bundle.blocks.items()
     }

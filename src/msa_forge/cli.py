@@ -44,7 +44,7 @@ from .robustness import (
     render_tagged_reports,
     tagged_report_from_dict,
 )
-from .trainer import EVAL_BATCH_SIZE, _evaluate, get_config_regression, multi_seed_run
+from .trainer import _evaluate, get_config_regression, multi_seed_run
 
 __all__ = ["main", "cli_main"]
 
@@ -169,7 +169,6 @@ def _cmd_extract(args) -> int:
         args.data, configs, args.labels,
         dataset_name=args.dataset_name,
         label_range=(lo, hi),
-        strict=args.lenient is None,
         max_failure_fraction=args.lenient or 0.0,
     )
     write_bundle(bundle, args.out)
@@ -224,7 +223,7 @@ def _cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    metrics, preds, reps = _evaluate(model, view, EVAL_BATCH_SIZE, capture=True)
+    metrics, preds, reps = _evaluate(model, view, capture=True)
     (out_dir / "metrics.json").write_text(
         json.dumps({"model": manifest["model_name"], "split": args.split,
                     "metrics": metrics.as_dict()}, indent=2) + "\n", encoding="utf-8")

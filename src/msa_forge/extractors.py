@@ -93,8 +93,8 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft(wave: WaveBuffer, n_fft: int, hop: int, window: str = "hann") -> np.ndarray:
-    """Magnitude spectrogram, frames x (n_fft/2 + 1).
+def stft(wave: WaveBuffer, n_fft: int, hop: int) -> np.ndarray:
+    """Hann-windowed magnitude spectrogram, frames x (n_fft/2 + 1).
 
     No padding or centering: F = 1 + floor((len - n_fft) / hop).
     """
@@ -102,8 +102,6 @@ def stft(wave: WaveBuffer, n_fft: int, hop: int, window: str = "hann") -> np.nda
         raise ExtractionError(f"n_fft must be a power of two, got {n_fft}")
     if not 1 <= hop <= n_fft:
         raise ExtractionError(f"hop must be in [1, n_fft], got {hop}")
-    if window != "hann":
-        raise ExtractionError(f"unsupported window {window!r}; only 'hann'")
     x = wave.samples
     if len(x) < n_fft:
         raise ExtractionError(f"signal of {len(x)} samples is shorter than one {n_fft} window")
@@ -369,17 +367,17 @@ def _opt_float(row: dict, key: str) -> float | None:
 def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
                 *, dataset_name: str | None = None,
                 label_range: tuple[float, float] = (-3.0, 3.0),
-                strict: bool = True,
                 max_failure_fraction: float = 0.0) -> FeatureBundle:
     """Apply the configured extractor per modality per sample and assemble
     a validated FeatureBundle.
 
     The label CSV must carry columns id, split, label_m, one ``<modality>_path``
     per configured modality, and may carry label_t/label_a/label_v,
-    scenario, and instance_type. In strict mode any per-sample failure
-    aborts the run listing the failed ids; in lenient mode failures up to
-    ``max_failure_fraction`` are dropped and logged. The manifest records
-    each modality's resolved extractor, params as given.
+    scenario, and instance_type. Failed samples are dropped and logged
+    while their share of the rows is at most ``max_failure_fraction``;
+    above it (by default, on any failure) the run aborts listing every
+    failed id. The manifest records each modality's resolved extractor,
+    params as given.
     """
     root = Path(dataset_dir)
     configs = [resolve_config(c) for c in configs]
@@ -425,8 +423,6 @@ def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
 
     if failures:
         listing = "; ".join(f"{sid}: {msg}" for sid, msg in failures.items())
-        if strict:
-            raise ExtractionError(f"{len(failures)} sample(s) failed extraction: {listing}")
         frac = len(failures) / len(rows)
         if frac > max_failure_fraction:
             raise ExtractionError(

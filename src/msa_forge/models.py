@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "ModelOutput",
     "Model",
     "build_model",
-    "multitask_wrap",
     "lmf_full_tensor_expand",
     "batch_from_bundle",
     "save_checkpoint",
@@ -55,6 +54,19 @@ UNI_LABEL_KEYS = {"text": "t", "audio": "a", "vision": "v"}
 # pass: a training batch runs all its steps at once, a large eval batch runs
 # spans of steps, so its temporaries stay small.
 MFN_MEMORY_ROWS = 1024
+
+
+def coerce_scalar(current, value):
+    """``value`` as the type of the scalar field now holding ``current``.
+    A bool fits only a bool field, a str never fits a number field, and a
+    fraction never fits an int field."""
+    if isinstance(value, bool) and not isinstance(current, bool):
+        raise TypeError(f"expected {type(current).__name__}, not a bool")
+    if isinstance(value, str) and isinstance(current, (int, float)):
+        raise TypeError(f"expected {type(current).__name__}, not a str")
+    if isinstance(current, int) and isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"expected an integer, got {value!r}")
+    return type(current)(value)
 
 
 def _default_hidden() -> dict[str, int]:
@@ -128,15 +140,6 @@ class ModelConfig:
             raise ModelError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.dtype not in ("f32", "f64"):
             raise ModelError(f"dtype must be 'f32' or 'f64', got {self.dtype!r}")
-
-    @classmethod
-    def for_bundle(cls, model_name: str, bundle: FeatureBundle, **overrides) -> "ModelConfig":
-        dims = {m: b.feature_dim for m, b in bundle.blocks.items()}
-        lens = {m: b.max_len for m, b in bundle.blocks.items()}
-        cfg = cls(model_name=model_name, feature_dims=dims, seq_lens=lens)
-        if overrides:
-            cfg = replace(cfg, **overrides)
-        return cfg
 
 
 @dataclass
@@ -704,11 +707,6 @@ class MultitaskWrapper(Model):
         return total
 
 
-def multitask_wrap(model: Model, uni_weight: float) -> Model:
-    """Wrap a fusion model for multi-task training against unimodal labels."""
-    return MultitaskWrapper(model, uni_weight)
-
-
 MODEL_REGISTRY: dict[str, type] = {
     "lf_dnn": LFDNN,
     "ef_lstm": EFLSTM,
@@ -784,6 +782,9 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         raise ModelError(f"{manifest_path} is not valid JSON: {exc}") from exc
     try:
         config = ModelConfig(**dict(manifest["config"], model_name=manifest["model_name"]))
+        for f in fields(config):
+            if isinstance(f.default, (int, float, str)):
+                setattr(config, f.name, coerce_scalar(f.default, getattr(config, f.name)))
         config.validate()
         shapes = {entry["name"]: tuple(int(n) for n in entry["shape"])
                   for entry in manifest["params"]}

@@ -89,6 +89,15 @@ def _noisy_sample(frames: np.ndarray, snr_db: float, seed: int, sample_id) -> np
     return (frames.astype(np.float64) + noise).astype(np.float32)
 
 
+def _add_noise_rows(data: np.ndarray, mask: np.ndarray, snr_db: float, seed: int, ids) -> None:
+    """Noise on each row's valid frames of (N, T, d) ``data``, in place. Row
+    i is keyed on ids[i] (default: i); a row with no valid frame is left alone."""
+    for i, sid in enumerate(range(len(data)) if ids is None else ids):
+        valid = mask[i]
+        if valid.any():
+            data[i, valid] = _noisy_sample(data[i, valid], snr_db, seed, sid)
+
+
 def add_feature_noise(block: ModalityBlock, snr_db: float, seed: int,
                       ids=None) -> ModalityBlock:
     """New block with per-sample Gaussian noise on unpadded frames such
@@ -99,9 +108,7 @@ def add_feature_noise(block: ModalityBlock, snr_db: float, seed: int,
         raise ValidationError("snr_db must not be NaN")
     data = block.data.copy()
     if snr_db != NO_NOISE:
-        for i, sid in enumerate(range(len(data)) if ids is None else ids):
-            ln = int(block.lengths[i])
-            data[i, :ln] = _noisy_sample(data[i, :ln], snr_db, seed, sid)
+        _add_noise_rows(data, block.mask(), snr_db, seed, ids)
     return ModalityBlock(feature_dim=block.feature_dim, max_len=block.max_len,
                          data=data, lengths=block.lengths.copy())
 
@@ -138,11 +145,7 @@ def perturb_batch(batch: Batch, spec: PerturbationSpec) -> Batch:
             for m, v in batch.modalities.items()}
     target = mods[spec.modality]
     if spec.snr_db != NO_NOISE:
-        for i, sid in enumerate(range(batch.size) if batch.ids is None else batch.ids):
-            valid = target.mask[i]
-            if valid.any():
-                target.data[i, valid] = _noisy_sample(target.data[i, valid], spec.snr_db,
-                                                      spec.seed, sid)
+        _add_noise_rows(target.data, target.mask, spec.snr_db, spec.seed, batch.ids)
     return Batch(modalities=mods, labels=dict(batch.labels), ids=batch.ids)
 
 
@@ -226,11 +229,11 @@ def tagged_report_from_dict(doc: Mapping) -> TaggedEvalReport:
     )
 
 
-def _predict(model: Model, bundle: FeatureBundle, idx: np.ndarray, batch_size: int,
+def _predict(model: Model, bundle: FeatureBundle, idx: np.ndarray,
              spec: PerturbationSpec | None = None) -> np.ndarray:
     """Eval-mode predictions for samples ``idx``, perturbed by ``spec`` if given."""
     preds = []
-    for batch in _batches(bundle, idx, batch_size, model.dtype):
+    for batch in _batches(bundle, idx, EVAL_BATCH_SIZE, model.dtype):
         if spec is not None:
             batch = perturb_batch(batch, spec)
         preds.append(model.forward(batch, train=False).pred.data.astype(np.float64))
@@ -238,17 +241,16 @@ def _predict(model: Model, bundle: FeatureBundle, idx: np.ndarray, batch_size: i
 
 
 def evaluate_tagged(model: Model, bundle: FeatureBundle,
-                    specs: Sequence[PerturbationSpec] | None = None,
-                    *, batch_size: int = EVAL_BATCH_SIZE,
-                    binarize: str = "non_negative",
-                    f1_average: str = "weighted") -> TaggedEvalReport:
+                    specs: Sequence[PerturbationSpec] | None = None) -> TaggedEvalReport:
     """Type-stratified evaluation.
 
     Samples with instance_type tags are scored per tag on clean features.
     Each spec synthesizes a noise/missing variant of every clean sample
     (instance_type not in {noise, missing}) and contributes to that type's
     row. Without tags, specs must be given. A type with no samples is
-    reported missing and excluded from the type-mean Avg.
+    reported missing and excluded from the type-mean Avg. Like every eval
+    pass it predicts in batches of EVAL_BATCH_SIZE rows; rows are scored
+    with compute_metrics' defaults (non-negative Acc-2, weighted F1).
     """
     if bundle.n < 2:
         raise ValidationError("need at least 2 samples to evaluate")
@@ -261,7 +263,7 @@ def evaluate_tagged(model: Model, bundle: FeatureBundle,
     per_type: dict[str, tuple[list, list]] = {t: ([], []) for t in INSTANCE_TYPES}
 
     # clean pass over everything (tag rows + scenario breakdown)
-    clean_preds = _predict(model, bundle, np.arange(bundle.n), batch_size)
+    clean_preds = _predict(model, bundle, np.arange(bundle.n))
     for i, tag in enumerate(tags):
         if tag is not None:
             per_type[tag][0].append(clean_preds[i])
@@ -276,7 +278,7 @@ def evaluate_tagged(model: Model, bundle: FeatureBundle,
             if clean_idx.size == 0:
                 continue
             per_type[spec.instance_type][0].extend(
-                _predict(model, bundle, clean_idx, batch_size, spec))
+                _predict(model, bundle, clean_idx, spec))
             per_type[spec.instance_type][1].extend(labels[clean_idx])
 
     rows: dict[str, TypeRow] = {}
@@ -284,8 +286,7 @@ def evaluate_tagged(model: Model, bundle: FeatureBundle,
     for t in INSTANCE_TYPES:
         preds, labs = per_type[t]
         if len(preds) >= 2:
-            rep = compute_metrics(np.array(preds), np.array(labs), binarize=binarize,
-                                  f1_average=f1_average, strict_corr=False)
+            rep = compute_metrics(np.array(preds), np.array(labs), strict_corr=False)
             rows[t] = TypeRow(acc2=rep.acc2, f1=rep.f1, n=rep.n)
         else:
             missing.append(t)
@@ -309,8 +310,7 @@ def evaluate_tagged(model: Model, bundle: FeatureBundle,
     for scen in sorted({s for s in scen_tags if s is not None}):
         idx = [i for i, s in enumerate(scen_tags) if s == scen]
         if len(idx) >= 2:
-            rep = compute_metrics(clean_preds[idx], labels[idx], binarize=binarize,
-                                  f1_average=f1_average, strict_corr=False)
+            rep = compute_metrics(clean_preds[idx], labels[idx], strict_corr=False)
             scenarios[scen] = TypeRow(acc2=rep.acc2, f1=rep.f1, n=rep.n)
 
     return TaggedEvalReport(rows=rows, avg_by_type=avg_by_type,

@@ -39,6 +39,7 @@ from .models import (
     batch_from_bundle,
     build_model,
     check_model_name,
+    coerce_scalar,
     save_checkpoint,
     write_named_arrays,
 )
@@ -84,7 +85,6 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 8
     seeds: list[int] = field(default_factory=lambda: list(DEFAULT_SEEDS))
-    loss: str = "l1"
     grad_clip: float = 5.0
 
     def validate(self) -> None:
@@ -98,8 +98,6 @@ class TrainConfig:
             raise ValidationError(f"seeds must be non-negative integers, got {self.seeds}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValidationError("batch_size and max_epochs must be >= 1")
-        if self.loss != "l1":
-            raise ValidationError(f"unsupported loss {self.loss!r}; only 'l1'")
 
     # -- dict-style access -------------------------------------------------
     def _resolve(self, key: str):
@@ -129,11 +127,7 @@ class TrainConfig:
             if not isinstance(value, expected):
                 raise TypeError(f"expected a {expected.__name__}")
         else:
-            if isinstance(value, bool) and not isinstance(current, bool):
-                raise TypeError(f"expected {type(current).__name__}, not a bool")
-            if isinstance(current, int) and isinstance(value, float) and not value.is_integer():
-                raise TypeError(f"expected an integer, got {value!r}")
-            value = type(current)(value)
+            value = coerce_scalar(current, value)
         setattr(owner, attr, value)
 
     def as_dict(self) -> dict:
@@ -221,14 +215,13 @@ def _batches(view: FeatureBundle, order: np.ndarray, batch_size: int, dtype):
         yield batch_from_bundle(view, idx, dtype)
 
 
-def _evaluate(model: Model, view: FeatureBundle, batch_size: int,
-              capture: bool = False):
-    """Metrics, predictions and, with ``capture``, representations in the model's dtype."""
+def _evaluate(model: Model, view: FeatureBundle, capture: bool = False):
+    """Metrics, predictions and, with ``capture``, representations in the
+    model's dtype, scored in batches of EVAL_BATCH_SIZE rows."""
     preds = []
     fusion = []
     uni: dict[str, list[np.ndarray]] = {}
-    order = np.arange(view.n)
-    for batch in _batches(view, order, batch_size, model.dtype):
+    for batch in _batches(view, np.arange(view.n), EVAL_BATCH_SIZE, model.dtype):
         out = model.forward(batch, train=False)
         preds.append(out.pred.data.astype(np.float64))
         if capture:
@@ -306,7 +299,7 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
             total_abs += loss_val * batch.size
         train_loss = total_abs / train.n
 
-        valid_metrics, _, _ = _evaluate(model, valid, EVAL_BATCH_SIZE)
+        valid_metrics, _, _ = _evaluate(model, valid)
         history.append(EpochRecord(epoch=epoch, train_loss=train_loss,
                                    valid=valid_metrics, timestamp=time.time()))
         if valid_metrics.mae < best_mae:
@@ -321,7 +314,7 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
 
     if best_state is not None:
         model.params.load_state(best_state)
-    test_metrics, test_preds, reps = _evaluate(model, test, EVAL_BATCH_SIZE, capture=True)
+    test_metrics, test_preds, reps = _evaluate(model, test, capture=True)
     reps["pred"] = test_preds.astype(np.float32)
 
     checkpoint_path = None

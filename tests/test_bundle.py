@@ -1,4 +1,4 @@
-"""Container round-trip, validation, padding, and split-view tests."""
+"""Container round-trip, validation, mask, and split-view tests."""
 
 import json
 import struct
@@ -12,7 +12,6 @@ from msa_forge.bundle import (
     ModalityBlock,
     SampleMeta,
     bundle_equal,
-    pad_and_mask,
     read_bundle,
     split_view,
     write_bundle,
@@ -159,37 +158,15 @@ class TestValidation:
             write_bundle(bundle, tmp_path / "b")
 
 
-class TestPadAndMask:
+class TestModalityBlockMask:
     def test_hand_masks(self):
         block = ModalityBlock(
             feature_dim=1, max_len=3,
             data=np.array([[[1.0], [2.0], [0.0]], [[3.0], [4.0], [5.0]]], dtype=np.float32),
             lengths=np.array([2, 3]))
-        data, mask = pad_and_mask(block, 3)
+        mask = block.mask()
         np.testing.assert_array_equal(mask, [[True, True, False], [True, True, True]])
-        assert np.all(data[~mask] == 0.0)
-
-    def test_target_equal_to_max_len_is_identity(self):
-        rng = np.random.default_rng(2)
-        bundle = random_bundle(rng, n=4, modalities=["audio"])
-        block = bundle.blocks["audio"]
-        data, _ = pad_and_mask(block, block.max_len)
-        np.testing.assert_array_equal(data, block.data)
-
-    def test_growing_pads_zeros(self):
-        block = tiny_bundle().blocks["audio"]
-        data, mask = pad_and_mask(block, block.max_len + 4)
-        assert data.shape[1] == block.max_len + 4
-        assert np.all(data[:, block.max_len:, :] == 0.0)
-        assert not mask[:, block.max_len:].any()
-
-    def test_truncation_matches_slice_oracle(self):
-        block = tiny_bundle(n=3).blocks["audio"]
-        with pytest.raises(BundleValidationError):
-            pad_and_mask(block, 1)
-        data, mask = pad_and_mask(block, 1, truncate=True)
-        np.testing.assert_array_equal(data[:, 0, :], block.data[:, 0, :])
-        assert mask.all()  # every clamped length is >= 1
+        assert np.all(block.data[~mask] == 0.0)
 
 
 class TestSplitView:

@@ -138,6 +138,12 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "no_such_key" in err and "Traceback" not in err
 
+    def test_train_set_loss_is_unknown_key(self, tmp_path, tiny_bundle_dir, capsys):
+        # training always minimizes L1; there is no loss field to set
+        assert self.train(tmp_path, tiny_bundle_dir, "--set", "loss=l1") == 1
+        err = capsys.readouterr().err
+        assert "unknown config key 'loss'" in err and "Traceback" not in err
+
     def test_train_set_bad_value(self, tmp_path, tiny_bundle_dir, capsys):
         assert self.train(tmp_path, tiny_bundle_dir, "--set", "batch_size=abc") == 1
         err = capsys.readouterr().err
@@ -158,10 +164,11 @@ class TestConfigParsing:
         assert override.split("=")[0] in err and "Traceback" not in err
 
     @pytest.mark.parametrize("override", ["batch_size=3.7", "max_epochs=true",
-                                          "optimizer.lr=true"])
+                                          "optimizer.lr=true", 'batch_size="32"'])
     def test_train_set_rejects_bool_or_fraction(self, tmp_path, tiny_bundle_dir, capsys,
                                                 override):
-        # converting would store batch_size 3, max_epochs 1 and lr 1.0
+        # converting would store batch_size 3, max_epochs 1 and lr 1.0; a
+        # number field takes no string either, as a checkpoint manifest does not
         assert self.train(tmp_path, tiny_bundle_dir, "--set", override) == 1
         err = capsys.readouterr().err
         assert override.split("=")[0] in err and "Traceback" not in err
@@ -239,7 +246,7 @@ class TestEvalCli:
         assert sum(rows) == bundle.n == 1000
         assert max(rows) <= EVAL_BATCH_SIZE
         doc = json.loads((tmp_path / "eval" / "metrics.json").read_text())
-        assert doc["metrics"] == _evaluate(model, bundle, EVAL_BATCH_SIZE)[0].as_dict()
+        assert doc["metrics"] == _evaluate(model, bundle)[0].as_dict()
 
     def test_eval_tagged_report(self, tmp_path, tiny_bundle_dir, trained_run):
         ckpt = trained_run / "seed_1111" / "checkpoint"
@@ -272,6 +279,37 @@ class TestEvalCli:
                          str(tiny_bundle_dir), "--out", str(tmp_path / "eval")]) == 2
         err = capsys.readouterr().err
         assert "manifest.json" in err and "Traceback" not in err
+
+    def _edited_checkpoint(self, tmp_path, trained_run, key, value):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_run / "seed_1111" / "checkpoint", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["config"][key] = value
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        return ckpt
+
+    @pytest.mark.parametrize("key, value", [("post_fusion_dim", True), ("seed", 1.5)])
+    def test_eval_mistyped_manifest_value_is_validation(self, tmp_path, tiny_bundle_dir,
+                                                        trained_run, capsys, key, value):
+        ckpt = self._edited_checkpoint(tmp_path, trained_run, key, value)
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--bundle",
+                         str(tiny_bundle_dir), "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "Traceback" not in err
+
+    def test_eval_whole_float_in_manifest_loads_as_int(self, tmp_path, tiny_bundle_dir,
+                                                       trained_run, capsys):
+        original = trained_run / "seed_1111" / "checkpoint"
+        dim = json.loads((original / "manifest.json").read_text())["config"]["post_fusion_dim"]
+        ckpt = self._edited_checkpoint(tmp_path, trained_run, "post_fusion_dim", float(dim))
+        model, _ = load_checkpoint(ckpt)
+        assert type(model.config.post_fusion_dim) is int
+        for name, path in (("edited", ckpt), ("original", original)):
+            assert cli_main(["eval", "--checkpoint", str(path), "--bundle",
+                             str(tiny_bundle_dir), "--out", str(tmp_path / name)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert ((tmp_path / "edited" / "metrics.json").read_bytes()
+                == (tmp_path / "original" / "metrics.json").read_bytes())
 
     def test_eval_tagged_negative_seed(self, tmp_path, tiny_bundle_dir, trained_run, capsys):
         ckpt = trained_run / "seed_1111" / "checkpoint"

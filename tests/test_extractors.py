@@ -372,7 +372,7 @@ class TestRunDataset:
     def test_lenient_mode_drops_failures(self, tmp_path):
         root = build_toy_dataset(tmp_path / "data", n=3, corrupt=1)
         bundle = run_dataset(root, self._configs(), root / "labels.csv",
-                             strict=False, max_failure_fraction=0.5)
+                             max_failure_fraction=0.5)
         assert bundle.n == 2
         assert "s1" not in bundle.ids
 

@@ -12,10 +12,10 @@ from msa_forge.models import (
     Batch,
     ModalityInput,
     ModelConfig,
+    MultitaskWrapper,
     build_model,
     lmf_full_tensor_expand,
     load_checkpoint,
-    multitask_wrap,
     save_checkpoint,
 )
 
@@ -267,14 +267,14 @@ class TestMisa:
 class TestMultitask:
     def test_wrap_produces_three_aux_preds(self):
         cfg = toy_config("lf_dnn")
-        model = multitask_wrap(build_model(cfg), uni_weight=0.5)
+        model = MultitaskWrapper(build_model(cfg), uni_weight=0.5)
         out = model.forward(toy_batch(cfg, b=2))
         assert set(out.aux_preds) == {"text", "audio", "vision"}
 
     def test_zero_uni_weight_equals_base_task_loss(self):
         cfg = toy_config("lf_dnn")
         base = build_model(cfg)
-        wrapped = multitask_wrap(build_model(cfg), uni_weight=0.0)
+        wrapped = MultitaskWrapper(build_model(cfg), uni_weight=0.0)
         batch = toy_batch(cfg, b=3)
         base_loss = base.loss(base.forward(batch), batch)
         total = wrapped.loss(wrapped.forward(batch), batch)
@@ -291,7 +291,7 @@ class TestMultitask:
     def test_cannot_wrap_model_without_uni_reps(self):
         cfg = toy_config("ef_lstm")
         with pytest.raises(ModelError, match="unimodal representations"):
-            multitask_wrap(build_model(cfg), uni_weight=1.0)
+            MultitaskWrapper(build_model(cfg), uni_weight=1.0)
 
     def test_shared_encoder_gets_gradient_from_both_terms(self):
         cfg = toy_config("mlf_dnn", dtype="f64")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from msa_forge import robustness
 from msa_forge.bundle import ModalityBlock, split_view
 from msa_forge.errors import ValidationError
 from msa_forge.models import ModelConfig, batch_from_bundle, build_model
@@ -121,9 +122,11 @@ class TestDropModality:
         # pooled vector with zeros (masked-mean-of-nothing convention)
         bundle = make_synthetic_bundle(n_train=4, n_valid=2, n_test=4, seq_len=5,
                                        feature_dim=3, seed=2)
-        cfg = ModelConfig.for_bundle("lf_dnn", bundle, dropout=0.0, seed=5,
-                                     hidden_dims={"text": 4, "audio": 4, "vision": 4},
-                                     post_fusion_dim=4)
+        cfg = ModelConfig(model_name="lf_dnn",
+                          feature_dims={m: b.feature_dim for m, b in bundle.blocks.items()},
+                          seq_lens={m: b.max_len for m, b in bundle.blocks.items()},
+                          dropout=0.0, seed=5, post_fusion_dim=4,
+                          hidden_dims={"text": 4, "audio": 4, "vision": 4})
         model = build_model(cfg)
         batch = batch_from_bundle(bundle)
         dropped_pred = model.forward(drop_modality(batch, "audio")).pred.data
@@ -236,13 +239,15 @@ class TestEvaluateTagged:
         assert report.rows["missing"].acc2 == rep.acc2
         assert report.rows["missing"].n == bundle.n
 
-    def test_report_independent_of_batch_size(self):
+    def test_report_independent_of_batch_size(self, monkeypatch):
         bundle = split_view(make_synthetic_bundle(n_train=4, n_valid=2, n_test=150,
                                                   seq_len=6, feature_dim=4, seed=6), "test")
         specs = [PerturbationSpec("feature_noise", "audio", snr_db=0.0, seed=3),
                  PerturbationSpec("modality_missing", "vision")]
-        small = evaluate_tagged(_ConstantModel(), bundle, specs, batch_size=7)
-        large = evaluate_tagged(_ConstantModel(), bundle, specs, batch_size=64)
+        monkeypatch.setattr(robustness, "EVAL_BATCH_SIZE", 7)
+        small = evaluate_tagged(_ConstantModel(), bundle, specs)
+        monkeypatch.setattr(robustness, "EVAL_BATCH_SIZE", 64)
+        large = evaluate_tagged(_ConstantModel(), bundle, specs)
         assert small.as_dict() == large.as_dict()
 
     def test_batch_noise_keyed_per_sample(self):

@@ -92,7 +92,7 @@ class TestTrainRun:
         from msa_forge.bundle import split_view
         from msa_forge.trainer import _evaluate
         model, _ = load_checkpoint(result.checkpoint_path)
-        metrics, _, _ = _evaluate(model, split_view(bundle, "train"), config.batch_size)
+        metrics, _, _ = _evaluate(model, split_view(bundle, "train"))
         assert metrics.mae < 0.05
 
     def test_same_seed_identical_histories(self):
@@ -145,7 +145,7 @@ class TestTrainRun:
         model, _ = load_checkpoint(result.checkpoint_path)
         from msa_forge.bundle import split_view
         from msa_forge.trainer import _evaluate
-        metrics, _, _ = _evaluate(model, split_view(bundle, "test"), config.batch_size)
+        metrics, _, _ = _evaluate(model, split_view(bundle, "test"))
         assert metrics.mae == result.test_metrics.mae
         assert metrics.acc2 == result.test_metrics.acc2
 
