@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import MetricError, ValidationError
+from .errors import MetricError, ValidationError, parsing
 
 __all__ = [
     "MetricReport",
@@ -231,18 +231,19 @@ def _render_table(header: list[str], rows: list[list[str]], fmt: str,
 
 
 def export_curves(history_path, out_path=None) -> str:
-    """Flatten a history.jsonl into plot-ready CSV: epoch, loss, acc2, f1."""
-    lines = Path(history_path).read_text(encoding="utf-8").splitlines()
+    """Flatten a history.jsonl into plot-ready CSV: epoch, loss, acc2, f1.
+    A malformed history raises ValidationError."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["epoch", "loss", "acc2", "f1"])
-    for line in lines:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        valid = rec.get("valid", {})
-        writer.writerow([rec["epoch"], rec["train_loss"],
-                         valid.get("acc2"), valid.get("f1")])
+    with parsing(history_path):
+        for line in Path(history_path).read_text(encoding="utf-8").splitlines():
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            valid = rec.get("valid", {})
+            writer.writerow([rec["epoch"], rec["train_loss"],
+                             valid.get("acc2"), valid.get("f1")])
     text = buf.getvalue()
     if out_path is not None:
         Path(out_path).write_text(text, encoding="utf-8")

@@ -33,7 +33,7 @@ from .analysis import (
     pca_project,
 )
 from .bundle import read_bundle, split_view, write_bundle
-from .errors import MsaForgeError, UsageError, ValidationError
+from .errors import MsaForgeError, UsageError, ValidationError, parsing
 from .extractors import (WAV_KINDS, EmbeddingTable, ExtractorConfig, _extract_one, _wav_framing,
                          resolve_config, run_dataset, stft)
 from .models import Batch, ModalityInput, load_checkpoint
@@ -342,17 +342,19 @@ def _cmd_report(args) -> int:
     if args.style == "table4":
         results: dict[str, dict[str, dict]] = {}
         for path in sorted(root.rglob("aggregate.json")):
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            metrics = {key: doc["metrics"][key]["mean"] for key in doc["metrics"]}
-            results.setdefault(doc["model"], {})[doc["dataset"]] = metrics
+            with parsing(path):
+                doc = json.loads(path.read_text(encoding="utf-8"))
+                metrics = {key: doc["metrics"][key]["mean"] for key in doc["metrics"]}
+                results.setdefault(doc["model"], {})[doc["dataset"]] = metrics
         if not results:
             raise ValidationError(f"no aggregate.json found under {root}")
         text = make_benchmark_report(results, fmt=fmt)
     else:
         reports = {}
         for path in sorted(root.rglob("tagged_report.json")):
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            reports[doc["model"]] = tagged_report_from_dict(doc["report"])
+            with parsing(path):
+                doc = json.loads(path.read_text(encoding="utf-8"))
+                reports[doc["model"]] = tagged_report_from_dict(doc["report"])
         if not reports:
             raise ValidationError(f"no tagged_report.json found under {root}")
         text = render_tagged_reports(reports, fmt=fmt, avg="both")

@@ -5,6 +5,8 @@ validation problems (bad data, bad config, malformed containers) exit 2,
 runtime failures (training divergence, I/O during a run) exit 3.
 """
 
+from contextlib import contextmanager
+
 
 class MsaForgeError(Exception):
     """Base class for all toolkit errors."""
@@ -59,3 +61,14 @@ class TrainingDivergedError(MsaForgeError):
 class MetricError(ValidationError):
     """A metric is undefined for the given inputs (e.g. zero-variance
     correlation)."""
+
+
+@contextmanager
+def parsing(path):
+    """Raise a parse or lookup error from reading the file at ``path`` (not
+    JSON, a missing field, a field of the wrong type) as a ValidationError
+    that names the file."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path} is malformed: {exc!r}") from exc

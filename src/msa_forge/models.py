@@ -8,7 +8,8 @@ covers late fusion (lf_dnn), early fusion (ef_lstm), outer-product tensor
 fusion (tfn), its low-rank factorization (lmf), a gated-memory multi-view
 recurrent model (mfn), a lite directional cross-modal attention model
 (mult), a lite shared/private subspace model (misa), and multi-task
-variants (mlf_dnn, mtfn, mlmf) trained against unimodal labels.
+variants (mlf_dnn, mtfn, mlmf) trained against unimodal labels, each its
+base class with :class:`MultitaskWrapper` in front.
 
 Sequences are never assumed to be word-aligned across modalities: models
 pool or cross-attend per modality using the masks.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -239,7 +240,6 @@ def _pad_to_common(batch: Batch, mods: list[str], dtype):
 class Model:
     """Base class: owns the config, the ParamSet, and the training loss."""
 
-    has_uni_reps = False
     needs_unimodal_labels = False
 
     def __init__(self, config: ModelConfig):
@@ -249,7 +249,6 @@ class Model:
         self.params = ParamSet()
         self._init_rng = np.random.default_rng(config.seed)
         self._dropout_rng = np.random.default_rng([config.seed, 0xD0])
-        self.uni_rep_dims: dict[str, int] = {}
 
     # -- shared building blocks ------------------------------------------
     @property
@@ -306,13 +305,10 @@ class LFDNN(Model):
     """Per-modality encoders (masked-mean pooling into a 2-layer MLP),
     concatenation, and an MLP head: late fusion."""
 
-    has_uni_reps = True
-
     def __init__(self, config: ModelConfig):
         super().__init__(config)
         for m in self.modalities():
             self._init_encoder("enc", m)
-            self.uni_rep_dims[m] = config.hidden_dims[m]
         total = sum(config.hidden_dims[m] for m in self.modalities())
         self._init_head("head", total, config.post_fusion_dim)
 
@@ -352,8 +348,6 @@ class TFN(Model):
     """Encoders feed a constant-augmented outer product capturing uni-,
     bi-, and tri-modal interaction terms, then a post-fusion MLP."""
 
-    has_uni_reps = True
-
     def __init__(self, config: ModelConfig):
         super().__init__(config)
         mods = self.modalities()
@@ -361,7 +355,6 @@ class TFN(Model):
             raise ModelError("tfn needs at least two modalities")
         for m in mods:
             self._init_encoder("enc", m)
-            self.uni_rep_dims[m] = config.hidden_dims[m]
         fused = 1
         for m in mods:
             fused *= config.hidden_dims[m] + 1
@@ -382,8 +375,6 @@ class LMF(Model):
     fusion is the elementwise product of per-modality projections summed
     over rank with output weights."""
 
-    has_uni_reps = True
-
     def __init__(self, config: ModelConfig):
         super().__init__(config)
         mods = self.modalities()
@@ -392,7 +383,6 @@ class LMF(Model):
         rank, out = config.lmf_rank, config.post_fusion_dim
         for m in mods:
             self._init_encoder("enc", m)
-            self.uni_rep_dims[m] = config.hidden_dims[m]
             h = config.hidden_dims[m]
             bound = 1.0 / math.sqrt(h + 1)
             self.params.add(f"lmf.{m}.factor",
@@ -450,15 +440,12 @@ class MFN(Model):
     attention over the memory delta [c_{t-1}; c_t] of the concatenated
     cell states writes a gated memory u_t = g1 * u_{t-1} + g2 * tanh(candidate)."""
 
-    has_uni_reps = True
-
     def __init__(self, config: ModelConfig):
         super().__init__(config)
         mods = self.modalities()
         for m in mods:
             _init_lstm(self.params, f"lstm.{m}", config.feature_dims[m],
                        config.hidden_dims[m], self._init_rng, self.dtype)
-            self.uni_rep_dims[m] = config.hidden_dims[m]
         delta = 2 * sum(config.hidden_dims[m] for m in mods)
         mem = config.mfn_mem_dim
         _init_linear(self.params, "att", delta, delta, self._init_rng, self.dtype)
@@ -530,8 +517,6 @@ class MulTLite(Model):
     translated streams concatenate into the head. The heads run as a batch
     axis, so each (pair, layer) is one scaled_dot_attention call."""
 
-    has_uni_reps = True
-
     def __init__(self, config: ModelConfig):
         super().__init__(config)
         mods = self.modalities()
@@ -541,7 +526,6 @@ class MulTLite(Model):
         for m in mods:
             _init_linear(self.params, f"proj.{m}", config.feature_dims[m], hid,
                          self._init_rng, self.dtype)
-            self.uni_rep_dims[m] = hid
         self.pairs = [(tgt, src) for tgt in mods for src in mods if tgt != src]
         for tgt, src in self.pairs:
             for layer in range(config.attn_layers):
@@ -596,8 +580,6 @@ class MISALite(Model):
     shared+private back to the encoder output under MSE.
     """
 
-    has_uni_reps = True
-
     def __init__(self, config: ModelConfig):
         super().__init__(config)
         mods = self.modalities()
@@ -609,7 +591,6 @@ class MISALite(Model):
             _init_linear(self.params, f"enc.{m}.l1", d, self.common, self._init_rng, self.dtype)
             _init_linear(self.params, f"enc.{m}.l2", self.common, self.common,
                          self._init_rng, self.dtype)
-            self.uni_rep_dims[m] = self.common
             _init_linear(self.params, f"priv.{m}", self.common, self.common,
                          self._init_rng, self.dtype)
         _init_linear(self.params, "shared", self.common, self.common,
@@ -657,45 +638,30 @@ class MISALite(Model):
         return ModelOutput(pred=pred, fusion_rep=hidden, uni_reps=base, aux_loss=aux)
 
 
-class MultitaskWrapper(Model):
-    """Adds per-modality linear heads on the base model's unimodal
-    representations; total loss = task loss + uni_weight * sum of
-    per-modality L1 losses against the unimodal labels."""
+class MultitaskWrapper:
+    """Mixin that goes before a base model class: ``mtfn`` is
+    ``(MultitaskWrapper, TFN)``. Adds a linear head per modality on the
+    base's unimodal representations (``config.hidden_dims[m]`` wide); total
+    loss = the base's loss + multitask_uni_weight * sum of per-modality L1
+    losses against the unimodal labels."""
 
-    has_uni_reps = True
     needs_unimodal_labels = True
 
-    def __init__(self, base: Model, uni_weight: float, name: str | None = None):
-        if not base.has_uni_reps:
-            raise ModelError(
-                f"cannot multitask-wrap {base.name!r}: it exposes no unimodal representations")
-        if uni_weight < 0:
-            raise ModelError(f"uni_weight must be >= 0, got {uni_weight}")
-        self.base = base
-        self.config = base.config
-        self.name = name or f"m{base.name}"
-        self.params = base.params
-        self.uni_weight = uni_weight
-        self.uni_rep_dims = base.uni_rep_dims
-        self._init_rng = base._init_rng
-        self._dropout_rng = base._dropout_rng
-        for m in base.modalities():
-            _init_linear(self.params, f"aux.{m}", base.uni_rep_dims[m], 1,
+    def __init__(self, config: ModelConfig):
+        super().__init__(config)
+        for m in self.modalities():
+            _init_linear(self.params, f"aux.{m}", config.hidden_dims[m], 1,
                          self._init_rng, self.dtype)
 
     def forward(self, batch: Batch, train: bool = False) -> ModelOutput:
-        out = self.base.forward(batch, train)
-        aux_preds = {
-            m: ad.reshape(_affine(self.params, f"aux.{m}", out.uni_reps[m]), (-1,))
-            for m in self.base.modalities()
-        }
-        return ModelOutput(pred=out.pred, fusion_rep=out.fusion_rep,
-                           uni_reps=out.uni_reps, aux_preds=aux_preds,
-                           aux_loss=out.aux_loss)
+        out = super().forward(batch, train)
+        out.aux_preds = {m: ad.reshape(_affine(self.params, f"aux.{m}", out.uni_reps[m]), (-1,))
+                         for m in self.modalities()}
+        return out
 
     def loss(self, output: ModelOutput, batch: Batch) -> Tensor:
         total = super().loss(output, batch)
-        for m in self.base.modalities():
+        for m in self.modalities():
             key = UNI_LABEL_KEYS[m]
             if key not in batch.labels:
                 raise ModelError(
@@ -703,7 +669,7 @@ class MultitaskWrapper(Model):
                     f"label_{key} (the bundle must provide them for every sample)")
             target = Tensor(batch.labels[key].astype(self.dtype))
             total = ad.add(total, ad.mul(ad.l1_loss(output.aux_preds[m], target),
-                                         self.uni_weight))
+                                         self.config.multitask_uni_weight))
         return total
 
 
@@ -719,6 +685,15 @@ MODEL_REGISTRY: dict[str, type] = {
 
 MULTITASK_BASES = {"mlf_dnn": "lf_dnn", "mtfn": "tfn", "mlmf": "lmf"}
 
+# every buildable model; a multi-task variant is its base class with
+# MultitaskWrapper in front (MLFDNN, MTFN, MLMF)
+_MODEL_CLASSES: dict[str, type] = {
+    **MODEL_REGISTRY,
+    **{name: type(f"M{MODEL_REGISTRY[base].__name__}",
+                  (MultitaskWrapper, MODEL_REGISTRY[base]), {})
+       for name, base in MULTITASK_BASES.items()},
+}
+
 OUT_OF_SCOPE_MODELS = {
     "bert_mag": "not implemented: requires pretrained backbone",
     "graph_mfn": "not implemented: requires dynamic fusion-graph construction",
@@ -731,21 +706,15 @@ def check_model_name(name: str) -> None:
     """Raise ModelError unless ``name`` is a registered or multitask model."""
     if name in OUT_OF_SCOPE_MODELS:
         raise ModelError(f"{name}: {OUT_OF_SCOPE_MODELS[name]}")
-    if name not in MODEL_REGISTRY and name not in MULTITASK_BASES:
-        known = sorted(list(MODEL_REGISTRY) + list(MULTITASK_BASES))
-        raise ModelError(f"unknown model {name!r}; known models: {known}")
+    if name not in _MODEL_CLASSES:
+        raise ModelError(f"unknown model {name!r}; known models: {sorted(_MODEL_CLASSES)}")
 
 
 def build_model(config: ModelConfig) -> Model:
-    """Construct a registered model with seeded uniform(+-1/sqrt(fan_in))
-    initialization."""
-    name = config.model_name
-    check_model_name(name)
-    if name in MULTITASK_BASES:
-        base_cfg = replace(config, model_name=MULTITASK_BASES[name])
-        base = MODEL_REGISTRY[MULTITASK_BASES[name]](base_cfg)
-        return MultitaskWrapper(base, config.multitask_uni_weight, name=name)
-    return MODEL_REGISTRY[name](config)
+    """Construct a registered or multitask model with seeded
+    uniform(+-1/sqrt(fan_in)) initialization."""
+    check_model_name(config.model_name)
+    return _MODEL_CLASSES[config.model_name](config)
 
 
 # ---------------------------------------------------------------------------
@@ -781,10 +750,15 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     except ValueError as exc:
         raise ModelError(f"{manifest_path} is not valid JSON: {exc}") from exc
     try:
+        # the top-level name wins: older multi-task checkpoints hold the base's
+        # name in config.model_name
         config = ModelConfig(**dict(manifest["config"], model_name=manifest["model_name"]))
         for f in fields(config):
+            value = getattr(config, f.name)
             if isinstance(f.default, (int, float, str)):
-                setattr(config, f.name, coerce_scalar(f.default, getattr(config, f.name)))
+                setattr(config, f.name, coerce_scalar(f.default, value))
+            elif isinstance(value, dict):  # modality -> size
+                setattr(config, f.name, {m: coerce_scalar(0, d) for m, d in value.items()})
         config.validate()
         shapes = {entry["name"]: tuple(int(n) for n in entry["shape"])
                   for entry in manifest["params"]}

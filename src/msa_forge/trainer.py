@@ -126,6 +126,8 @@ class TrainConfig:
             expected = dict if current is None else type(current)
             if not isinstance(value, expected):
                 raise TypeError(f"expected a {expected.__name__}")
+            if isinstance(value, dict):  # modality -> size
+                value = {m: coerce_scalar(0, d) for m, d in value.items()}
         else:
             value = coerce_scalar(current, value)
         setattr(owner, attr, value)

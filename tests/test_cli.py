@@ -164,14 +164,26 @@ class TestConfigParsing:
         assert override.split("=")[0] in err and "Traceback" not in err
 
     @pytest.mark.parametrize("override", ["batch_size=3.7", "max_epochs=true",
-                                          "optimizer.lr=true", 'batch_size="32"'])
+                                          "optimizer.lr=true", 'batch_size="32"',
+                                          'hidden_dims={"text":2.5,"audio":4,"vision":4}',
+                                          'feature_dims={"text":true}',
+                                          'seq_lens={"text":"4"}'])
     def test_train_set_rejects_bool_or_fraction(self, tmp_path, tiny_bundle_dir, capsys,
                                                 override):
         # converting would store batch_size 3, max_epochs 1 and lr 1.0; a
-        # number field takes no string either, as a checkpoint manifest does not
+        # number field takes no string either, as a checkpoint manifest does
+        # not; each value of a modality -> size dict follows the same rule
         assert self.train(tmp_path, tiny_bundle_dir, "--set", override) == 1
         err = capsys.readouterr().err
         assert override.split("=")[0] in err and "Traceback" not in err
+
+    def test_train_config_file_dict_value_follows_scalar_rule(self, tmp_path, tiny_bundle_dir,
+                                                              capsys):
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"hidden_dims": {"text": 2.5, "audio": 4, "vision": 4}}))
+        assert self.train(tmp_path, tiny_bundle_dir, "--config", str(tmp_path / "cfg.json")) == 1
+        err = capsys.readouterr().err
+        assert "hidden_dims" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("override", ["attn_heads=0", "attn_heads=-2", "attn_layers=0",
                                           "attn_layers=-1"])
@@ -288,7 +300,10 @@ class TestEvalCli:
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
         return ckpt
 
-    @pytest.mark.parametrize("key, value", [("post_fusion_dim", True), ("seed", 1.5)])
+    @pytest.mark.parametrize("key, value", [
+        ("post_fusion_dim", True), ("seed", 1.5), ("feature_dims", {"text": 3.5}),
+        ("feature_dims", {"text": True}),
+        ("hidden_dims", {"text": 2.5, "audio": 6, "vision": 6})])
     def test_eval_mistyped_manifest_value_is_validation(self, tmp_path, tiny_bundle_dir,
                                                         trained_run, capsys, key, value):
         ckpt = self._edited_checkpoint(tmp_path, trained_run, key, value)
@@ -304,6 +319,22 @@ class TestEvalCli:
         ckpt = self._edited_checkpoint(tmp_path, trained_run, "post_fusion_dim", float(dim))
         model, _ = load_checkpoint(ckpt)
         assert type(model.config.post_fusion_dim) is int
+        for name, path in (("edited", ckpt), ("original", original)):
+            assert cli_main(["eval", "--checkpoint", str(path), "--bundle",
+                             str(tiny_bundle_dir), "--out", str(tmp_path / name)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert ((tmp_path / "edited" / "metrics.json").read_bytes()
+                == (tmp_path / "original" / "metrics.json").read_bytes())
+
+    def test_eval_whole_float_dims_in_manifest_load_as_int(self, tmp_path, tiny_bundle_dir,
+                                                           trained_run, capsys):
+        original = trained_run / "seed_1111" / "checkpoint"
+        dims = json.loads((original / "manifest.json").read_text())["config"]["feature_dims"]
+        ckpt = self._edited_checkpoint(tmp_path, trained_run, "feature_dims",
+                                       {m: float(d) for m, d in dims.items()})
+        model, _ = load_checkpoint(ckpt)
+        assert model.config.feature_dims == dims
+        assert all(type(d) is int for d in model.config.feature_dims.values())
         for name, path in (("edited", ckpt), ("original", original)):
             assert cli_main(["eval", "--checkpoint", str(path), "--bundle",
                              str(tiny_bundle_dir), "--out", str(tmp_path / name)]) == 0
@@ -327,6 +358,17 @@ class TestEvalCli:
                          "--out", str(tmp_path / "p")]) == 2
         err = capsys.readouterr().err
         assert "--config" in err and "Traceback" not in err
+
+    def test_eval_malformed_history_is_validation(self, tmp_path, tiny_bundle_dir,
+                                                  trained_run, capsys):
+        # eval exports the curves of the history.jsonl next to the checkpoint
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "seed_1111", run)
+        (run / "history.jsonl").write_text('{"epoch": 1, "train_loss"\n')
+        assert cli_main(["eval", "--checkpoint", str(run / "checkpoint"), "--bundle",
+                         str(tiny_bundle_dir), "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert "history.jsonl" in err and "Traceback" not in err
 
     def test_report_table5_from_eval(self, tmp_path, tiny_bundle_dir, trained_run, capsys):
         ckpt = trained_run / "seed_1111" / "checkpoint"
@@ -357,6 +399,21 @@ class TestReportCli:
                          "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "lf_dnn" in doc
+
+    @pytest.mark.parametrize("text", ["{not json", json.dumps({"model": "lf_dnn",
+                                                                "dataset": "synthetic"})])
+    def test_table4_malformed_aggregate_is_validation(self, tmp_path, capsys, text):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "aggregate.json").write_text(text)
+        assert cli_main(["report", "--runs", str(tmp_path), "--style", "table4"]) == 2
+        err = capsys.readouterr().err
+        assert "aggregate.json" in err and "Traceback" not in err
+
+    def test_table5_report_without_report_is_validation(self, tmp_path, capsys):
+        (tmp_path / "tagged_report.json").write_text(json.dumps({"model": "lf_dnn"}))
+        assert cli_main(["report", "--runs", str(tmp_path), "--style", "table5"]) == 2
+        err = capsys.readouterr().err
+        assert "tagged_report.json" in err and "Traceback" not in err
 
 
 class TestPerturbCli:

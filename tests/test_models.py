@@ -1,6 +1,8 @@
 """Model zoo tests: registry behavior, architecture oracles, the LMF/full
 tensor equivalence, multitask wrapping, and checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,13 @@ class TestLmfEquivalence:
         fused, contraction = self._contract(model, toy_batch(cfg, b=2))
         np.testing.assert_allclose(fused, contraction, atol=1e-6)
 
+    def test_mlmf_expands_like_lmf(self):
+        # mlmf is an LMF with aux heads, so its fusion expands the same way
+        cfg = toy_config("mlmf", dtype="f64")
+        model = build_model(cfg)
+        fused, contraction = self._contract(model, toy_batch(cfg, b=3))
+        np.testing.assert_allclose(fused, contraction, atol=1e-10)
+
     def test_rank2_is_sum_of_rank1_expansions(self):
         cfg = toy_config("lmf", lmf_rank=2)
         model = build_model(cfg)
@@ -266,16 +275,16 @@ class TestMisa:
 
 class TestMultitask:
     def test_wrap_produces_three_aux_preds(self):
-        cfg = toy_config("lf_dnn")
-        model = MultitaskWrapper(build_model(cfg), uni_weight=0.5)
+        cfg = toy_config("mlf_dnn", multitask_uni_weight=0.5)
+        model = build_model(cfg)
+        assert isinstance(model, MultitaskWrapper) and model.name == cfg.model_name
         out = model.forward(toy_batch(cfg, b=2))
         assert set(out.aux_preds) == {"text", "audio", "vision"}
 
     def test_zero_uni_weight_equals_base_task_loss(self):
-        cfg = toy_config("lf_dnn")
-        base = build_model(cfg)
-        wrapped = MultitaskWrapper(build_model(cfg), uni_weight=0.0)
-        batch = toy_batch(cfg, b=3)
+        base = build_model(toy_config("lf_dnn"))
+        wrapped = build_model(toy_config("mlf_dnn", multitask_uni_weight=0.0))
+        batch = toy_batch(base.config, b=3)
         base_loss = base.loss(base.forward(batch), batch)
         total = wrapped.loss(wrapped.forward(batch), batch)
         np.testing.assert_allclose(total.data, base_loss.data, rtol=1e-7)
@@ -288,18 +297,13 @@ class TestMultitask:
         with pytest.raises(ModelError, match="unimodal labels"):
             model.loss(out, batch)
 
-    def test_cannot_wrap_model_without_uni_reps(self):
-        cfg = toy_config("ef_lstm")
-        with pytest.raises(ModelError, match="unimodal representations"):
-            MultitaskWrapper(build_model(cfg), uni_weight=1.0)
-
     def test_shared_encoder_gets_gradient_from_both_terms(self):
         cfg = toy_config("mlf_dnn", dtype="f64")
         model = build_model(cfg)
         batch = toy_batch(cfg, b=2)
 
         def run(uni_weight):
-            model.uni_weight = uni_weight
+            model.config.multitask_uni_weight = uni_weight
             with Tape() as tape:
                 loss = model.loss(model.forward(batch), batch)
             backward(tape, loss, model.params)
@@ -308,6 +312,37 @@ class TestMultitask:
         g_task_only = run(0.0)
         g_both = run(1.0)
         assert not np.allclose(g_task_only, g_both)
+
+    @pytest.mark.parametrize("name, base", sorted(models.MULTITASK_BASES.items()))
+    def test_base_parameters_equal_base_model(self, name, base):
+        # the aux heads are drawn after the base's parameters, from the same stream
+        variant = build_model(toy_config(name, seed=5))
+        plain = build_model(toy_config(base, seed=5))
+        assert variant.params.names()[:len(plain.params.names())] == plain.params.names()
+        assert set(variant.params.names()) - set(plain.params.names()) == {
+            f"aux.{m}.{p}" for m in ("text", "audio", "vision") for p in ("w", "b")}
+        for n in plain.params.names():
+            assert variant.params[n].data.tobytes() == plain.params[n].data.tobytes(), n
+
+    def test_checkpoint_naming_base_in_config_still_loads(self, tmp_path):
+        # checkpoints written while a variant wrapped a separately built base
+        # hold the base's name in config.model_name
+        cfg = toy_config("mtfn")
+        model = build_model(cfg)
+        save_checkpoint(model, tmp_path / "ckpt", seed=cfg.seed)
+        path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["config"]["model_name"] == manifest["model_name"] == "mtfn"
+        manifest["config"]["model_name"] = "tfn"
+        path.write_text(json.dumps(manifest, indent=2) + "\n")
+        restored, _ = load_checkpoint(tmp_path / "ckpt")
+        assert restored.name == restored.config.model_name == "mtfn"
+        assert type(restored) is type(model)
+        batch = toy_batch(cfg, b=3)
+        before, after = model.forward(batch), restored.forward(batch)
+        assert before.pred.data.tobytes() == after.pred.data.tobytes()
+        for m in model.modalities():
+            assert before.aux_preds[m].data.tobytes() == after.aux_preds[m].data.tobytes()
 
 
 class TestGradChecks:

@@ -3,13 +3,17 @@ stopping, checkpoint restore, and multi-seed aggregation."""
 
 import json
 
+import numpy as np
 import pytest
 
+from msa_forge.autodiff import ParamSet
 from msa_forge.errors import EmptySplitError, ModelError, ValidationError
 from msa_forge.models import load_checkpoint, read_named_arrays
 from msa_forge.synthetic import make_synthetic_bundle
 from msa_forge.trainer import (
     DEFAULT_SEEDS,
+    Adam,
+    AdamConfig,
     get_config_regression,
     multi_seed_run,
     train_run,
@@ -62,6 +66,16 @@ class TestConfigRegistry:
         with pytest.raises(KeyError):
             config["warp_speed"]
 
+    def test_dims_values_follow_scalar_rule(self):
+        config = get_config_regression("tfn", "mosi")
+        config["hidden_dims"] = {"text": 6.0, "audio": 4, "vision": 4}
+        assert config["hidden_dims"] == {"text": 6, "audio": 4, "vision": 4}
+        assert type(config["hidden_dims"]["text"]) is int
+        for bad in (2.5, True, "4"):
+            with pytest.raises(TypeError):
+                config["feature_dims"] = {"text": bad}
+        assert config["feature_dims"] is None
+
     def test_validation_catches_bad_values(self):
         config = get_config_regression("tfn", "mosi")
         config["optimizer.lr"] = -1.0
@@ -71,6 +85,38 @@ class TestConfigRegistry:
         config.seeds = []
         with pytest.raises(ValidationError):
             config.validate()
+
+
+class TestAdam:
+    """One step from zero moments, by hand: the gradient with coupled L2
+    decay is g + wd * p; then m_hat = g', v_hat = g'^2 and
+    p <- p - lr * m_hat / (sqrt(v_hat) + eps)."""
+
+    P0 = np.array([0.5, -2.0, 3.0])
+    GRAD = np.array([0.1, 0.2, -0.3])
+
+    def step(self, **config):
+        params = ParamSet()
+        params.add("w", self.P0.copy())
+        params["w"].grad = self.GRAD.copy()
+        Adam(params, AdamConfig(**config)).step()
+        return params["w"].data
+
+    def by_hand(self, lr, eps, weight_decay):
+        g = self.GRAD + weight_decay * self.P0
+        m_hat = (1 - 0.9) * g / (1 - 0.9)
+        v_hat = (1 - 0.999) * g * g / (1 - 0.999)
+        return self.P0 - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+    def test_weight_decay_is_coupled_l2(self):
+        # eps comparable to |g| keeps the step's size, not only its sign, in the check
+        got = self.step(lr=0.1, eps=0.5, weight_decay=0.5)
+        np.testing.assert_allclose(got, self.by_hand(0.1, 0.5, 0.5), rtol=1e-12)
+        assert not np.allclose(got, self.by_hand(0.1, 0.5, 0.0))
+
+    def test_zero_weight_decay_leaves_update_unchanged(self):
+        got = self.step(lr=0.1, eps=0.5, weight_decay=0.0)
+        np.testing.assert_allclose(got, self.by_hand(0.1, 0.5, 0.0), rtol=1e-12)
 
 
 class TestTrainRun:
