@@ -526,7 +526,11 @@ class ParamSet:
 
 def backward(tape: Tape, loss: Tensor, params: ParamSet | None = None) -> None:
     """Walk the tape in reverse from ``loss`` and fill parameter gradient
-    slots. Parameters the loss never touched receive zero gradients."""
+    slots. Parameters the loss never touched receive zero gradients.
+
+    Each gradient is copied into the slot array that :meth:`ParamSet.add`
+    allocated, so no two parameters ever share a gradient array and the
+    slots may be scaled in place."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -542,11 +546,11 @@ def backward(tape: Tape, loss: Tensor, params: ParamSet | None = None) -> None:
                 grads[key] = gt
     if params is not None:
         for name, p in params.items():
-            g = grads.get(id(p))
+            g = grads.pop(id(p), None)
             if g is None:
-                p.grad = np.zeros_like(p.data)
+                p.grad.fill(0)
             else:
-                p.grad = np.asarray(g, dtype=p.data.dtype).reshape(p.data.shape)
+                np.copyto(p.grad, np.reshape(g, p.data.shape))
 
 
 @dataclass
@@ -779,7 +783,9 @@ def outer_fusion(vectors: Sequence, augment: bool = True) -> Tensor:
     1, which is what makes the lower-order interaction terms appear; the
     result has length prod(d_i + 1).
 
-    Accepts 1-D vectors or batched (B, d_i) tensors.
+    Accepts 1-D vectors or batched (B, d_i) tensors. Under a tape the
+    whole product is one record; its backward walks the factors in
+    reverse with batched matmuls on the (B, p, q) view of the adjoint.
     """
     ts = [_as_tensor(v) for v in vectors]
     if len(ts) < 2:
@@ -790,19 +796,30 @@ def outer_fusion(vectors: Sequence, augment: bool = True) -> Tensor:
     for t in ts:
         if t.shape[-1] == 0:
             raise ShapeError("outer_fusion got an empty vector")
-    if one_dim:
-        ts = [reshape(t, (1, -1)) for t in ts]
-    batch = ts[0].shape[0]
-    if any(t.shape[0] != batch for t in ts):
+    factors = [t.data.reshape(1, -1) if one_dim else t.data for t in ts]
+    batch = factors[0].shape[0]
+    if any(f.shape[0] != batch for f in factors):
         raise ShapeError(f"outer_fusion batch sizes disagree: {[t.shape for t in ts]}")
     if augment:
-        ones = Tensor(np.ones((batch, 1), dtype=ts[0].data.dtype))
-        ts = [concat([ones, t], axis=1) for t in ts]
-    out = ts[0]
-    for t in ts[1:]:
-        p, q = out.shape[1], t.shape[1]
-        out = mul(reshape(out, (batch, p, 1)), reshape(t, (batch, 1, q)))
-        out = reshape(out, (batch, p * q))
-    if one_dim:
-        out = reshape(out, (-1,))
+        ones = np.ones((batch, 1), dtype=factors[0].dtype)
+        factors = [np.concatenate([ones, f], axis=1) for f in factors]
+    prods = [factors[0]]  # prods[k]: product of factors[0..k], (B, p_k)
+    for f in factors[1:]:
+        p, q = prods[-1].shape[1], f.shape[1]
+        prods.append((prods[-1].reshape(batch, p, 1) * f.reshape(batch, 1, q))
+                     .reshape(batch, p * q))
+    out = Tensor(prods[-1].reshape(-1) if one_dim else prods[-1])
+    if active_tape() is not None:
+        def bwd(g):
+            g = g.reshape(batch, -1)
+            adjoints = [None] * len(factors)
+            for k in range(len(factors) - 1, 0, -1):
+                prev, f = prods[k - 1], factors[k]
+                g3 = g.reshape(batch, prev.shape[1], f.shape[1])
+                adjoints[k] = (prev[:, None, :] @ g3)[:, 0]
+                g = (g3 @ f[:, :, None])[:, :, 0]
+            adjoints[0] = g
+            return tuple((t, (gk[:, 1:] if augment else gk).reshape(t.shape))
+                         for t, gk in zip(ts, adjoints))
+        _record("outer_fusion", out, bwd)
     return out

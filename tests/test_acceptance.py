@@ -225,6 +225,11 @@ def test_criterion_01_gradient_suite(acceptance_record):
                 sum_(mul(lstm_sequence(p["x"], mask23, p), _w)),
             {"x": rng.normal(size=(2, 3, 2)), "wx": rng.normal(size=(2, 8)),
              "wh": rng.normal(size=(2, 8)), "b": rng.normal(size=(8,))}),
+        "outer_fusion_3way": (
+            lambda p: sum_(mul(outer_fusion([p["a"], p["b"], p["c"]], augment=True),
+                               outer_fusion([p["a"], p["b"], p["c"]], augment=True))),
+            {"a": rng.normal(size=(2, 2)), "b": rng.normal(size=(2, 3)),
+             "c": rng.normal(size=(2, 2))}),
     }
     for name, (fn, arrays) in primitive_cases.items():
         report = grad_check(fn, ps(**arrays), eps=1e-5, tol=1e-4)

@@ -520,6 +520,79 @@ class TestOuterFusion:
 
         assert grad_check(f, ps).passed
 
+    @staticmethod
+    def _chained(vectors, augment):
+        """The per-factor formulation: concat a ones column, then chain
+        broadcast ``mul``s of (B, p, 1) and (B, 1, q) views."""
+        ts = list(vectors)
+        one_dim = all(t.ndim == 1 for t in ts)
+        if one_dim:
+            ts = [reshape(t, (1, -1)) for t in ts]
+        batch = ts[0].shape[0]
+        if augment:
+            ones = Tensor(np.ones((batch, 1), dtype=ts[0].data.dtype))
+            ts = [concat([ones, t], axis=1) for t in ts]
+        out = ts[0]
+        for t in ts[1:]:
+            p, q = out.shape[1], t.shape[1]
+            out = reshape(mul(reshape(out, (batch, p, 1)), reshape(t, (batch, 1, q))),
+                          (batch, p * q))
+        return reshape(out, (-1,)) if one_dim else out
+
+    @staticmethod
+    def _factors(rng, ways, batch):
+        lead = () if batch is None else (batch,)
+        return {f"x{i}": rng.normal(size=lead + (i + 2,)) for i in range(ways)}
+
+    CASES = [(ways, augment, batch) for ways in (2, 3, 4) for augment in (True, False)
+             for batch in (None, 3)]
+
+    @pytest.mark.parametrize("ways,augment,batch", CASES)
+    def test_grad_check_fused(self, ways, augment, batch):
+        rng = np.random.default_rng(22)
+        ps = _params_from(self._factors(rng, ways, batch))
+        size = math.prod(i + 2 + augment for i in range(ways))
+        weights = Tensor(rng.normal(size=(size,) if batch is None else (batch, size)))
+
+        def f(p):
+            return sum_(mul(outer_fusion([p[n] for n in p], augment=augment), weights))
+
+        report = grad_check(f, ps, eps=1e-5, tol=1e-4)
+        assert report.passed, repr(report)
+
+    @pytest.mark.parametrize("ways,augment,batch", CASES)
+    def test_matches_chained_mul(self, ways, augment, batch):
+        rng = np.random.default_rng(23)
+        arrays = self._factors(rng, ways, batch)
+        for dtype in (np.float32, np.float64):
+            xs = [Tensor(a.astype(dtype)) for a in arrays.values()]
+            np.testing.assert_array_equal(outer_fusion(xs, augment).data,
+                                          self._chained(xs, augment).data)
+        ps = _params_from(arrays)
+        weights = Tensor(rng.normal(size=self._chained(
+            [ps[n] for n in ps], augment).shape))
+        grads = []
+        for fn in (outer_fusion, self._chained):
+            with Tape() as tape:
+                loss = sum_(mul(fn([ps[n] for n in ps], augment), weights))
+            backward(tape, loss, ps)
+            grads.append({n: p.grad.copy() for n, p in ps.items()})
+            if fn is outer_fusion:
+                assert len(tape) == 3  # the fusion, the weighting and the sum
+        for n in ps:
+            np.testing.assert_allclose(grads[0][n], grads[1][n], rtol=1e-12, atol=1e-15,
+                                       err_msg=n)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match="at least 2"):
+            outer_fusion([Tensor(np.ones(3))])
+        with pytest.raises(ShapeError, match="all 1-D"):
+            outer_fusion([Tensor(np.ones(3)), Tensor(np.ones((2, 3)))])
+        with pytest.raises(ShapeError, match="empty"):
+            outer_fusion([Tensor(np.ones(3)), Tensor(np.ones(0))])
+        with pytest.raises(ShapeError, match="batch sizes"):
+            outer_fusion([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))])
+
 
 class TestDeterminism:
     def test_forward_is_bit_identical(self):

@@ -2,11 +2,12 @@
 stopping, checkpoint restore, and multi-seed aggregation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from msa_forge.autodiff import ParamSet
+from msa_forge.autodiff import ParamSet, Tape, add, backward, sum_
 from msa_forge.errors import EmptySplitError, ModelError, ValidationError
 from msa_forge.models import load_checkpoint, read_named_arrays
 from msa_forge.synthetic import make_synthetic_bundle
@@ -14,6 +15,7 @@ from msa_forge.trainer import (
     DEFAULT_SEEDS,
     Adam,
     AdamConfig,
+    clip_global_norm,
     get_config_regression,
     multi_seed_run,
     train_run,
@@ -117,6 +119,96 @@ class TestAdam:
     def test_zero_weight_decay_leaves_update_unchanged(self):
         got = self.step(lr=0.1, eps=0.5, weight_decay=0.0)
         np.testing.assert_allclose(got, self.by_hand(0.1, 0.5, 0.0), rtol=1e-12)
+
+
+def reference_adam_step(params, m, v, t, cfg):
+    """The allocating textbook step that ``Adam.step`` must equal bit for bit."""
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    for name, p in params.items():
+        g = p.grad
+        if cfg.weight_decay:
+            g = g + cfg.weight_decay * p.data
+        m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+        v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * (g * g)
+        m_hat = m[name] / bc1
+        v_hat = v[name] / bc2
+        p.data -= (cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)).astype(p.data.dtype)
+
+
+def reference_clip(params, max_norm):
+    """The allocating clip that ``clip_global_norm`` must equal bit for bit."""
+    total = 0.0
+    for _, p in params.items():
+        total += float(np.sum(p.grad.astype(np.float64) ** 2))
+    norm = math.sqrt(total)
+    if max_norm > 0 and norm > max_norm:
+        scale = max_norm / norm
+        for _, p in params.items():
+            p.grad = p.grad * scale
+    return norm
+
+
+class TestInPlaceOptimizer:
+    # tfn's post.l1.w, larger than ADAM_CHUNK, is updated in chunks
+    SHAPES = {"w": (9537, 32), "b": (4,), "s": (1,)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_matches_allocating_reference(self, dtype, weight_decay):
+        rng = np.random.default_rng(40)
+        init = {n: rng.normal(size=s).astype(dtype) for n, s in self.SHAPES.items()}
+        new, ref = ParamSet(), ParamSet()
+        for n, a in init.items():
+            new.add(n, a.copy())
+            ref.add(n, a.copy())
+        cfg = AdamConfig(lr=1e-2, weight_decay=weight_decay)
+        opt = Adam(new, cfg)
+        m = {n: np.zeros_like(a) for n, a in init.items()}
+        v = {n: np.zeros_like(a) for n, a in init.items()}
+        draws = [{n: rng.normal(size=s).astype(dtype) for n, s in self.SHAPES.items()}
+                 for _ in range(3)]
+        clipped = 0
+        for t in range(1, 201):
+            # odd steps stay under the clip norm, even steps go over it
+            size = 0.1 if t % 2 == 0 else 1e-3
+            for n in self.SHAPES:
+                g = draws[t % 3][n] * size
+                new[n].grad[...] = g
+                ref[n].grad = g
+            norm = clip_global_norm(new, 5.0)
+            assert norm == reference_clip(ref, 5.0)
+            clipped += norm > 5.0
+            opt.step()
+            reference_adam_step(ref, m, v, t, cfg)
+        assert clipped == 100
+        for n in self.SHAPES:
+            assert np.array_equal(new[n].data, ref[n].data), n
+            assert np.array_equal(opt.m[n], m[n]), n
+            assert np.array_equal(opt.v[n], v[n]), n
+
+    def test_empty_param_set_steps(self):
+        opt = Adam(ParamSet(), AdamConfig())
+        opt.step()
+        assert opt.t == 1
+
+    def test_gradients_live_in_their_own_slots(self):
+        # d(sum(W1 + W2)) is the same ones array for W1 and W2; each slot
+        # must get its own copy, or an in-place clip would scale it twice
+        params = ParamSet()
+        w1 = params.add("w1", np.full((3, 4), 0.5))
+        w2 = params.add("w2", np.full((3, 4), -0.5))
+        slots = {"w1": w1.grad, "w2": w2.grad}
+        with Tape() as tape:
+            loss = sum_(add(w1, w2))
+        backward(tape, loss, params)
+        assert w1.grad is slots["w1"] and w2.grad is slots["w2"]
+        assert not np.shares_memory(w1.grad, w2.grad)
+        norm = clip_global_norm(params, 1.0)
+        assert norm == math.sqrt(24.0)
+        scale = 1.0 / math.sqrt(24.0)
+        np.testing.assert_array_equal(w1.grad, np.full((3, 4), scale))
+        np.testing.assert_array_equal(w2.grad, np.full((3, 4), scale))
 
 
 class TestTrainRun:
