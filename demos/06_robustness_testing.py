@@ -59,6 +59,6 @@ for name in ("lf_dnn", "tfn"):
           f"missing row {reports[name].rows['missing'].acc2:.3f}")
 
 # --- the stratified table, with both Avg conventions ----------------------
-table = render_tagged_reports(reports, fmt="markdown", avg="both")
+table = render_tagged_reports(reports, fmt="markdown")
 (OUT / "robustness_table.md").write_text(table)
 print("\n" + table)

@@ -75,8 +75,8 @@ def active_tape() -> "Tape | None":
 class Tensor:
     """A shaped float array with an optional gradient slot.
 
-    ``grad`` is populated by :func:`backward` for tensors registered in a
-    :class:`ParamSet`; for everything else it stays ``None``.
+    A tensor registered in a :class:`ParamSet` has a ``grad`` slot, which
+    :func:`backward` fills; for everything else it stays ``None``.
     """
 
     __slots__ = ("data", "grad")
@@ -475,17 +475,35 @@ def mse_loss(pred, target) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class ParamSet:
-    """Named parameter tensors, each with a same-shaped gradient slot."""
+    """Named parameter tensors of one dtype, stored flat.
+
+    Every value lives in one array, ``data``, and every gradient slot in
+    another, ``grad``, in ``add`` order. Each parameter's ``Tensor.data``
+    and ``Tensor.grad`` are reshaped views into them, so a whole-set update
+    is one operation on the flat arrays.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self.data = self.grad = np.empty(0)
 
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.ascontiguousarray(value))
-        t.grad = np.zeros_like(t.data)
+        t = Tensor(value)
+        if self._params and t.dtype != self.data.dtype:
+            raise ValueError(f"parameter {name!r} is {t.dtype}, but the set holds "
+                             f"{self.data.dtype}; one ParamSet holds one dtype")
+        flat = t.data.reshape(-1)
+        self.data = np.concatenate([self.data, flat], dtype=t.dtype)
+        self.grad = np.concatenate([self.grad, np.zeros_like(flat)], dtype=t.dtype)
         self._params[name] = t
+        lo = 0
+        for p in self._params.values():
+            hi = lo + p.data.size
+            p.data = self.data[lo:hi].reshape(p.shape)
+            p.grad = self.grad[lo:hi].reshape(p.shape)
+            lo = hi
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -507,10 +525,7 @@ class ParamSet:
         return self._params.items()
 
     def num_values(self) -> int:
-        return sum(p.data.size for p in self._params.values())
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self._params.items()}
+        return self.data.size
 
     def load_state(self, state: Mapping[str, np.ndarray]) -> None:
         missing = set(self._params) - set(state)
@@ -528,9 +543,9 @@ def backward(tape: Tape, loss: Tensor, params: ParamSet | None = None) -> None:
     """Walk the tape in reverse from ``loss`` and fill parameter gradient
     slots. Parameters the loss never touched receive zero gradients.
 
-    Each gradient is copied into the slot array that :meth:`ParamSet.add`
-    allocated, so no two parameters ever share a gradient array and the
-    slots may be scaled in place."""
+    Each gradient is copied into the parameter's own slot, its view of
+    :attr:`ParamSet.grad`, so no two parameters ever share gradient memory
+    and the slots may be scaled in place."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -585,9 +600,8 @@ def grad_check(f: Callable[[ParamSet], Tensor], params: ParamSet,
     ``|a - n| / max(|a|, |n|, 1e-8)``; the report carries the max per
     parameter and never raises.
     """
-    for name, p in params.items():
-        if p.data.dtype != np.float64:
-            raise ValueError(f"grad_check requires float64 parameters; {name!r} is {p.data.dtype}")
+    if params.data.dtype != np.float64:
+        raise ValueError(f"grad_check requires float64 parameters, not {params.data.dtype}")
 
     with Tape() as tape:
         loss = f(params)

@@ -320,6 +320,16 @@ def read_named_arrays(path) -> dict[str, np.ndarray]:
     return out
 
 
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
+def _count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def read_bundle(path) -> FeatureBundle:
     """Load and validate a bundle directory written by write_bundle."""
     root = Path(path)
@@ -337,15 +347,19 @@ def read_bundle(path) -> FeatureBundle:
                 id=entry["id"],
                 split=entry["split"],
                 label_m=float(entry["label_m"]),
-                label_t=entry.get("label_t"),
-                label_a=entry.get("label_a"),
-                label_v=entry.get("label_v"),
+                label_t=_optional_float(entry.get("label_t")),
+                label_a=_optional_float(entry.get("label_a")),
+                label_v=_optional_float(entry.get("label_v")),
                 scenario=entry.get("scenario"),
                 instance_type=entry.get("instance_type"),
             )
             for entry in doc["samples"]
         ]
-        modality_table = doc["modalities"]
+        table = [(row["name"], _count(row["max_len"]), _count(row["feature_dim"]))
+                 for row in doc["modalities"]]
+        lengths = {name: np.array([_count(entry["lengths"][name]) for entry in doc["samples"]],
+                                  dtype=np.int64)
+                   for name, _, _ in table}
         dataset_name = doc["dataset_name"]
         extractors = extractor_record(doc)
     except (KeyError, TypeError, ValueError) as exc:
@@ -353,8 +367,7 @@ def read_bundle(path) -> FeatureBundle:
 
     n = len(samples)
     blocks: dict[str, ModalityBlock] = {}
-    for row in modality_table:
-        name = row["name"]
+    for name, max_len, feature_dim in table:
         bin_path = root / f"{name}.bin"
         if not bin_path.exists():
             raise BundleFormatError(f"manifest lists modality {name!r} but {name}.bin is missing")
@@ -362,17 +375,12 @@ def read_bundle(path) -> FeatureBundle:
         data, end = _decode_block(raw, 0, str(bin_path))
         if end != len(raw):
             raise BundleFormatError(f"{bin_path}: {len(raw) - end} trailing bytes after the block")
-        bn, bt, bd = data.shape
-        if (bn, bt, bd) != (n, row["max_len"], row["feature_dim"]):
+        if data.shape != (n, max_len, feature_dim):
             raise BundleFormatError(
-                f"modality {name!r}: array shape {(bn, bt, bd)} disagrees with manifest "
-                f"({n}, {row['max_len']}, {row['feature_dim']})")
-        try:
-            lengths = np.array([entry["lengths"][name] for entry in doc["samples"]],
-                               dtype=np.int64)
-        except KeyError as exc:
-            raise BundleFormatError(f"sample is missing a length for modality {name!r}") from exc
-        blocks[name] = ModalityBlock(feature_dim=bd, max_len=bt, data=data, lengths=lengths)
+                f"modality {name!r}: array shape {data.shape} disagrees with manifest "
+                f"{(n, max_len, feature_dim)}")
+        blocks[name] = ModalityBlock(feature_dim=feature_dim, max_len=max_len, data=data,
+                                     lengths=lengths[name])
 
     bundle = FeatureBundle(
         manifest=Manifest(dataset_name=dataset_name, label_range=(float(lo), float(hi)),

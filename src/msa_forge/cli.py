@@ -357,7 +357,7 @@ def _cmd_report(args) -> int:
                 reports[doc["model"]] = tagged_report_from_dict(doc["report"])
         if not reports:
             raise ValidationError(f"no tagged_report.json found under {root}")
-        text = render_tagged_reports(reports, fmt=fmt, avg="both")
+        text = render_tagged_reports(reports, fmt=fmt)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     print(text, end="" if text.endswith("\n") else "\n")

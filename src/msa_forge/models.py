@@ -78,14 +78,13 @@ def _default_hidden() -> dict[str, int]:
 class ModelConfig:
     """Architecture hyperparameters shared by the registry.
 
-    ``feature_dims``/``seq_lens`` map present modalities to their input
-    feature dim and padded length. Defaults are plumbing choices except
-    post_fusion_dim, which follows the published override example.
+    ``feature_dims`` maps present modalities to their input feature dim.
+    Defaults are plumbing choices except post_fusion_dim, which follows the
+    published override example.
     """
 
     model_name: str
     feature_dims: dict[str, int] | None = None
-    seq_lens: dict[str, int] | None = None
     hidden_dims: dict[str, int] = field(default_factory=_default_hidden)
     post_fusion_dim: int = 32
     lmf_rank: int = 4
@@ -751,8 +750,10 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         raise ModelError(f"{manifest_path} is not valid JSON: {exc}") from exc
     try:
         # the top-level name wins: older multi-task checkpoints hold the base's
-        # name in config.model_name
-        config = ModelConfig(**dict(manifest["config"], model_name=manifest["model_name"]))
+        # name in config.model_name; older checkpoints also hold seq_lens
+        stored = dict(manifest["config"], model_name=manifest["model_name"])
+        stored.pop("seq_lens", None)
+        config = ModelConfig(**stored)
         for f in fields(config):
             value = getattr(config, f.name)
             if isinstance(f.default, (int, float, str)):

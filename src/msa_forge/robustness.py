@@ -333,17 +333,13 @@ def _cell(row: TypeRow | None) -> str:
 
 
 def render_tagged_reports(reports: Mapping[str, TaggedEvalReport],
-                          fmt: str = "markdown", avg: str = "both") -> str:
-    """Robustness grid: rows Easy/Common/Difficult/Noise/Missing/Avg,
-    one "Acc-2 / F1" column per model (percentages, one decimal).
-
-    ``avg`` picks the Avg convention: "sample" (weighted by row counts,
-    the default elsewhere), "type" (unweighted mean over rows), or "both".
+                          fmt: str = "markdown") -> str:
+    """Robustness grid: rows Easy/Common/Difficult/Noise/Missing and both
+    Avg rows, sample-weighted and type-mean, one "Acc-2 / F1" column per
+    model (percentages, one decimal).
     """
     if not reports:
         raise ValidationError("empty reports map")
-    if avg not in ("sample", "type", "both"):
-        raise ValidationError(f"unknown avg convention {avg!r}")
     models = list(reports)
     table: list[list[str]] = []
     any_missing = False
@@ -354,14 +350,8 @@ def render_tagged_reports(reports: Mapping[str, TaggedEvalReport],
             any_missing |= cell == "n/a"
             row.append(cell)
         table.append(row)
-    avg_rows = []
-    if avg in ("sample", "both"):
-        avg_rows.append(["Avg (sample-weighted)" if avg == "both" else "Avg"]
-                        + [_cell(reports[m].avg_by_sample) for m in models])
-    if avg in ("type", "both"):
-        avg_rows.append(["Avg (type-mean)" if avg == "both" else "Avg"]
-                        + [_cell(reports[m].avg_by_type) for m in models])
-    table.extend(avg_rows)
+    table.append(["Avg (sample-weighted)"] + [_cell(reports[m].avg_by_sample) for m in models])
+    table.append(["Avg (type-mean)"] + [_cell(reports[m].avg_by_type) for m in models])
 
     if fmt == "json":
         return json.dumps({m: reports[m].as_dict() for m in models}, indent=2)

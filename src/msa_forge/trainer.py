@@ -16,7 +16,7 @@ Run directory layout::
     <out>/<model>/<timestamp>/aggregate.json
 
 history.jsonl is byte-identical across reruns with the same config and
-seed; wall-clock timestamps stay on the in-memory records only.
+seed.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class TrainConfig:
         if is_dataclass(current):
             raise TypeError(f"{key!r} is a config section; set its fields, e.g. {key}.<field>")
         if current is None or isinstance(current, (dict, list)):
-            # None marks a field resolved from the bundle (feature_dims, seq_lens)
+            # None marks a field resolved from the bundle (feature_dims)
             expected = dict if current is None else type(current)
             if not isinstance(value, expected):
                 raise TypeError(f"expected a {expected.__name__}")
@@ -152,11 +152,8 @@ class EpochRecord:
     epoch: int
     train_loss: float
     valid: MetricReport
-    timestamp: float
 
     def to_json(self) -> str:
-        # timestamp deliberately excluded: history files must be
-        # byte-identical for identical (config, seed)
         return json.dumps({"epoch": self.epoch, "train_loss": self.train_loss,
                            "valid": self.valid.as_dict()})
 
@@ -172,56 +169,40 @@ class RunResult:
     run_dir: str | None
 
 
-# Elements per in-place Adam pass. A larger parameter is updated one chunk
-# at a time, so the dozen ufunc passes of a step stay in cache and the
-# scratch stays small (on a 2-vCPU Xeon VM, tfn's step took 2.1 ms per
-# batch against 3.3 ms with whole-array passes).
+# Elements per in-place Adam pass. The step walks the flat arrays one chunk
+# at a time, so the dozen ufunc passes stay in cache and the scratch stays
+# small (on a 2-vCPU Xeon VM, tfn's step took 2.1 ms per batch against
+# 3.3 ms with whole-array passes).
 ADAM_CHUNK = 1 << 16
 
 
 class Adam:
-    """Adam with bias correction; state lives per parameter name.
+    """Adam with bias correction over a :class:`~msa_forge.autodiff.ParamSet`.
 
-    The step updates ``m``, ``v`` and the parameters in place, in the
-    same operation order as the textbook expression, so it is bit for bit
-    that expression. Its two scratch buffers are shared by all parameters
-    of a dtype and hold at most ``ADAM_CHUNK`` elements each.
+    ``m`` and ``v`` are flat arrays aligned with ``params.data``. The step
+    updates them and the parameters in place, chunk by chunk, in the same
+    operation order as the textbook expression, so it is bit for bit that
+    expression.
     """
 
-    def __init__(self, params, config: AdamConfig):
+    def __init__(self, params: ad.ParamSet, config: AdamConfig):
         self.params = params
         self.config = config
         self.t = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
-        self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
-        sizes: dict[np.dtype, int] = {}
-        for _, p in params.items():
-            sizes[p.dtype] = max(sizes.get(p.dtype, 0), min(p.data.size, ADAM_CHUNK))
-        scratch = {dtype: np.empty((2, n), dtype=dtype) for dtype, n in sizes.items()}
-        # (parameter, flat chunk or None for all of it, m, v, scratch a, scratch b)
-        self._slots = []
-        for n, p in params.items():
-            a, b = scratch[p.dtype]
-            size = p.data.size
-            if size <= ADAM_CHUNK:
-                self._slots.append((p, None, self.m[n], self.v[n],
-                                    a[:size].reshape(p.shape), b[:size].reshape(p.shape)))
-            else:
-                m, v = self.m[n].reshape(-1), self.v[n].reshape(-1)
-                for lo in range(0, size, ADAM_CHUNK):
-                    chunk = slice(lo, min(lo + ADAM_CHUNK, size))
-                    k = chunk.stop - lo
-                    self._slots.append((p, chunk, m[chunk], v[chunk], a[:k], b[:k]))
+        self.m = np.zeros_like(params.data)
+        self.v = np.zeros_like(params.data)
+        self._scratch = np.empty((2, min(params.data.size, ADAM_CHUNK)), dtype=params.data.dtype)
 
     def step(self) -> None:
         cfg = self.config
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
-        for param, chunk, m, v, a, b in self._slots:
-            p, g = param.data, param.grad
-            if chunk is not None:
-                p, g = p.reshape(-1)[chunk], g.reshape(-1)[chunk]
+        data, grad = self.params.data, self.params.grad
+        for lo in range(0, data.size, ADAM_CHUNK):
+            chunk = slice(lo, lo + ADAM_CHUNK)
+            p, g, m, v = data[chunk], grad[chunk], self.m[chunk], self.v[chunk]
+            a, b = self._scratch[0, :p.size], self._scratch[1, :p.size]
             if cfg.weight_decay:
                 np.multiply(p, cfg.weight_decay, out=b)
                 b += g
@@ -242,17 +223,15 @@ class Adam:
             p -= a
 
 
-def clip_global_norm(params, max_norm: float) -> float:
+def clip_global_norm(params: ad.ParamSet, max_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is at most
-    max_norm."""
+    max_norm. The norm sums per parameter in float64."""
     total = 0.0
     for _, p in params.items():
         total += float(np.sum(np.square(p.grad, dtype=np.float64)))
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for _, p in params.items():
-            p.grad *= scale
+        params.grad *= max_norm / norm
     return norm
 
 
@@ -288,8 +267,7 @@ def _evaluate(model: Model, view: FeatureBundle, capture: bool = False):
 
 def _diagnose_divergence(model: Model, epoch: int) -> TrainingDivergedError:
     for name, p in model.params.items():
-        if not np.all(np.isfinite(p.data)) or (p.grad is not None
-                                               and not np.all(np.isfinite(p.grad))):
+        if not (np.all(np.isfinite(p.data)) and np.all(np.isfinite(p.grad))):
             return TrainingDivergedError(
                 epoch, name, f"loss is non-finite at epoch {epoch}; "
                              f"first non-finite parameter/gradient: {name!r}")
@@ -309,11 +287,8 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
 
     model_cfg = config.model
     if model_cfg.feature_dims is None:
-        model_cfg = replace(
-            model_cfg,
-            feature_dims={m: b.feature_dim for m, b in bundle.blocks.items()},
-            seq_lens={m: b.max_len for m, b in bundle.blocks.items()},
-        )
+        model_cfg = replace(model_cfg,
+                            feature_dims={m: b.feature_dim for m, b in bundle.blocks.items()})
     model_cfg = replace(model_cfg, seed=seed)
     model = build_model(model_cfg)
     if model.needs_unimodal_labels and not bundle.has_unimodal_labels():
@@ -327,7 +302,7 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
     history: list[EpochRecord] = []
     best_mae = math.inf
     best_epoch = 0
-    best_state: dict[str, np.ndarray] | None = None
+    best_state: np.ndarray | None = None
     bad_epochs = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -348,12 +323,11 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
         train_loss = total_abs / train.n
 
         valid_metrics, _, _ = _evaluate(model, valid)
-        history.append(EpochRecord(epoch=epoch, train_loss=train_loss,
-                                   valid=valid_metrics, timestamp=time.time()))
+        history.append(EpochRecord(epoch=epoch, train_loss=train_loss, valid=valid_metrics))
         if valid_metrics.mae < best_mae:
             best_mae = valid_metrics.mae
             best_epoch = epoch
-            best_state = model.params.state()
+            best_state = model.params.data.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -361,7 +335,7 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
                 break
 
     if best_state is not None:
-        model.params.load_state(best_state)
+        model.params.data[...] = best_state
     test_metrics, test_preds, reps = _evaluate(model, test, capture=True)
     reps["pred"] = test_preds.astype(np.float32)
 

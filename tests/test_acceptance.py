@@ -89,7 +89,6 @@ def tiny_model_config(name, dtype="f64", seed=5):
     return ModelConfig(
         model_name=name,
         feature_dims={"text": 2, "audio": 2, "vision": 2},
-        seq_lens={"text": 2, "audio": 2, "vision": 2},
         hidden_dims={"text": 2, "audio": 2, "vision": 2},
         post_fusion_dim=2,
         lmf_rank=2,
@@ -103,12 +102,11 @@ def tiny_model_config(name, dtype="f64", seed=5):
     )
 
 
-def tiny_batch(config, b=2, seed=9):
+def tiny_batch(config, b=2, seed=9, t=2):
     rng = np.random.default_rng(seed)
     dtype = config.np_dtype
     mods = {}
     for m, d in config.feature_dims.items():
-        t = config.seq_lens[m]
         mask = np.zeros((b, t), dtype=bool)
         data = np.zeros((b, t, d), dtype=dtype)
         for i in range(b):
@@ -269,7 +267,6 @@ def test_criterion_02_lmf_full_tensor_equivalence(acceptance_record):
             config = ModelConfig(
                 model_name="lmf",
                 feature_dims={m: 2 for m in dims},
-                seq_lens={m: 3 for m in dims},
                 hidden_dims=dims,
                 post_fusion_dim=int(rng.integers(1, 4)),
                 lmf_rank=rank,
@@ -278,7 +275,7 @@ def test_criterion_02_lmf_full_tensor_equivalence(acceptance_record):
                 dtype=dtype,
             )
             model = build_model(config)
-            batch = tiny_batch(config, b=2, seed=trial)
+            batch = tiny_batch(config, b=2, seed=trial, t=3)
             out = model.forward(batch)
             full = lmf_full_tensor_expand(model)
             uni = [np.concatenate([np.ones((2, 1)),
@@ -436,7 +433,7 @@ def test_criterion_06_robustness_monotonicity(acceptance_record, synthetic_bundl
         ok &= n <= c and d <= c
         details.append(f"{name}: clean {c:.3f} >= noise {n:.3f}, missing {d:.3f}")
 
-    table = render_tagged_reports(reports, fmt="markdown", avg="both")
+    table = render_tagged_reports(reports, fmt="markdown")
     rows_ok = all(f"| {label}" in table
                   for label in ("Easy", "Common", "Difficult", "Noise", "Missing"))
     avg_ok = "Avg (sample-weighted)" in table and "Avg (type-mean)" in table

@@ -238,6 +238,54 @@ class TestGradCheckPrimitives:
             grad_check(lambda p: sum_(p["w"]), ps)
 
 
+class TestParamSet:
+    """Values and gradient slots live flat, in add order; each parameter's
+    data and grad are views into them."""
+
+    SHAPES = {"w": (3, 2), "b": (2,), "s": (), "u": (4, 5)}
+
+    def _params(self):
+        rng = np.random.default_rng(4)
+        return _params_from({n: rng.normal(size=s) for n, s in self.SHAPES.items()})
+
+    @staticmethod
+    def assert_views(ps):
+        lo = 0
+        for name, p in ps.items():
+            hi = lo + p.data.size
+            assert np.shares_memory(p.data, ps.data) and np.shares_memory(p.grad, ps.grad), name
+            np.testing.assert_array_equal(p.data.reshape(-1), ps.data[lo:hi])
+            np.testing.assert_array_equal(p.grad.reshape(-1), ps.grad[lo:hi])
+            lo = hi
+        assert lo == ps.data.size == ps.grad.size == ps.num_values()
+
+    def test_flat_layout_in_add_order(self):
+        ps = self._params()
+        assert {n: p.shape for n, p in ps.items()} == self.SHAPES and ps.names() == list(self.SHAPES)
+        self.assert_views(ps)
+        ps["b"].grad[...] = 7.0
+        np.testing.assert_array_equal(ps.grad, [0] * 6 + [7, 7] + [0] * 21)
+
+    def test_views_survive_load_state_and_grad_check(self):
+        ps = self._params()
+        ps.load_state({n: np.full(s, 0.5) for n, s in self.SHAPES.items()})
+        self.assert_views(ps)
+        np.testing.assert_array_equal(ps.data, 0.5)
+        x = Tensor(np.ones((4, 3)))
+        report = grad_check(lambda p: add(sum_(mul(add(matmul(x, p["w"]), p["b"]), p["s"])),
+                                          sum_(mul(p["u"], p["u"]))), ps)
+        assert report.passed
+        self.assert_views(ps)
+        assert np.all(ps.grad != 0)
+
+    def test_second_dtype_refused(self):
+        ps = ParamSet()
+        ps.add("w", np.zeros(3, dtype=np.float32))
+        with pytest.raises(ValueError, match="one dtype"):
+            ps.add("b", np.zeros(3, dtype=np.float64))
+        assert ps.names() == ["w"] and ps.data.dtype == np.float32
+
+
 class TestLstmCell:
     def _make_params(self, d, h, rng, dtype=np.float64):
         ps = ParamSet()

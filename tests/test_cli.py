@@ -66,6 +66,26 @@ class TestExitCodes:
         assert cli_main(["train", "--bundle", str(broken), "--model", "lf_dnn",
                          "--out", str(tmp_path / "runs")]) == 2
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["modalities"][0].pop("name"),
+        lambda doc: doc["modalities"].__setitem__(0, "text"),
+        lambda doc: doc.__setitem__("modalities", 3),
+        lambda doc: doc["samples"][0].__setitem__("lengths", [6, 6, 6]),
+        lambda doc: doc["samples"][0].__setitem__("label_t", "x"),
+        lambda doc: doc["modalities"][0].__setitem__("max_len", "6"),
+    ], ids=["row_without_name", "row_is_string", "modalities_not_list", "lengths_is_list",
+            "label_t_not_number", "max_len_is_string"])
+    def test_malformed_manifest_is_validation(self, tmp_path, tiny_bundle_dir, capsys, corrupt):
+        broken = tmp_path / "broken"
+        shutil.copytree(tiny_bundle_dir, broken)
+        doc = json.loads((broken / "manifest.json").read_text())
+        corrupt(doc)
+        (broken / "manifest.json").write_text(json.dumps(doc))
+        assert cli_main(["train", "--bundle", str(broken), "--model", "lf_dnn",
+                         "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "Traceback" not in err
+
     def test_unknown_model_is_validation(self, tmp_path, tiny_bundle_dir):
         assert cli_main(["train", "--bundle", str(tiny_bundle_dir),
                          "--model", "gpt17", "--out", str(tmp_path / "runs")]) == 2

@@ -22,11 +22,13 @@ from msa_forge.models import (
 )
 
 
+TOY_SEQ_LENS = {"text": 4, "audio": 5, "vision": 3}
+
+
 def toy_config(model_name, seed=7, dtype="f32", **overrides):
     base = dict(
         model_name=model_name,
         feature_dims={"text": 3, "audio": 2, "vision": 2},
-        seq_lens={"text": 4, "audio": 5, "vision": 3},
         hidden_dims={"text": 4, "audio": 3, "vision": 3},
         post_fusion_dim=4,
         lmf_rank=2,
@@ -41,12 +43,12 @@ def toy_config(model_name, seed=7, dtype="f32", **overrides):
     return ModelConfig(**base)
 
 
-def toy_batch(config, b=2, seed=3, with_uni_labels=True):
+def toy_batch(config, b=2, seed=3, with_uni_labels=True, seq_lens=TOY_SEQ_LENS):
     rng = np.random.default_rng(seed)
     dtype = config.np_dtype
     mods = {}
     for m, d in config.feature_dims.items():
-        t = config.seq_lens[m]
+        t = seq_lens[m]
         lengths = rng.integers(1, t + 1, size=b)
         data = np.zeros((b, t, d), dtype=dtype)
         mask = np.zeros((b, t), dtype=bool)
@@ -126,16 +128,16 @@ class TestForward:
             if n.endswith(".b"):
                 model.params[n].data[...] = 0.0
         model.params["head.l2.b"].data[...] = 0.7
-        mods = {m: ModalityInput(data=np.zeros((1, cfg.seq_lens[m], d), dtype=np.float32),
-                                 mask=np.ones((1, cfg.seq_lens[m]), dtype=bool))
+        mods = {m: ModalityInput(data=np.zeros((1, TOY_SEQ_LENS[m], d), dtype=np.float32),
+                                 mask=np.ones((1, TOY_SEQ_LENS[m]), dtype=bool))
                 for m, d in cfg.feature_dims.items()}
         out = model.forward(Batch(modalities=mods, labels={"m": np.zeros(1)}))
         np.testing.assert_allclose(out.pred.data, [0.7], rtol=1e-6)
 
     def test_mult_with_length_one_sequences(self):
-        cfg = toy_config("mult", seq_lens={"text": 1, "audio": 1, "vision": 1})
+        cfg = toy_config("mult")
         model = build_model(cfg)
-        batch = toy_batch(cfg, b=2)
+        batch = toy_batch(cfg, b=2, seq_lens={"text": 1, "audio": 1, "vision": 1})
         out = model.forward(batch)
         assert out.pred.shape == (2,)
         assert np.all(np.isfinite(out.pred.data))
@@ -352,11 +354,10 @@ class TestGradChecks:
     def test_fast_models(self, name):
         cfg = toy_config(name, dtype="f64",
                          feature_dims={"text": 2, "audio": 2, "vision": 2},
-                         seq_lens={"text": 2, "audio": 2, "vision": 2},
                          hidden_dims={"text": 2, "audio": 2, "vision": 2},
                          post_fusion_dim=2)
         model = build_model(cfg)
-        batch = toy_batch(cfg, b=2)
+        batch = toy_batch(cfg, b=2, seq_lens={"text": 2, "audio": 2, "vision": 2})
 
         def f(params):
             return model.loss(model.forward(batch), batch)
@@ -438,7 +439,7 @@ class TestRecurrentModels:
 
     @staticmethod
     def ragged_batch(cfg):
-        batch = toy_batch(cfg, b=4, seed=5)
+        batch = toy_batch(cfg, b=4, seed=5, seq_lens={"text": 6, "audio": 3, "vision": 5})
         batch.modalities["text"].mask[1, 1] = False      # a gap inside a sequence
         batch.modalities["audio"].mask[2] = False        # a modality missing for one row
         batch.modalities["audio"].data[2] = 0.0
@@ -452,7 +453,7 @@ class TestRecurrentModels:
     def test_matches_stepped_formulation(self, name, reference, memory_rows, monkeypatch):
         if memory_rows is not None:
             monkeypatch.setattr(models, "MFN_MEMORY_ROWS", memory_rows)
-        cfg = toy_config(name, dtype="f64", seq_lens={"text": 6, "audio": 3, "vision": 5})
+        cfg = toy_config(name, dtype="f64")
         model = build_model(cfg)
         batch = self.ragged_batch(cfg)
         target = Tensor(batch.labels["m"])
@@ -474,9 +475,9 @@ class TestRecurrentModels:
 
     @staticmethod
     def tape_length(name, t):
-        cfg = toy_config(name, seq_lens={"text": t, "audio": t, "vision": t})
+        cfg = toy_config(name)
         model = build_model(cfg)
-        batch = toy_batch(cfg, b=3)
+        batch = toy_batch(cfg, b=3, seq_lens={"text": t, "audio": t, "vision": t})
         with Tape() as tape:
             model.loss(model.forward(batch, train=True), batch)
         return len(tape)
@@ -567,6 +568,20 @@ class TestCheckpoints:
         assert manifest["model_name"] == "mtfn"
         after = restored.forward(batch).pred.data
         assert before.tobytes() == after.tobytes()
+
+    def test_manifest_with_seq_lens_still_loads(self, tmp_path):
+        # older checkpoints record the bundle's padded lengths, which no model reads
+        cfg = toy_config("lf_dnn")
+        model = build_model(cfg)
+        save_checkpoint(model, tmp_path / "ckpt", seed=cfg.seed)
+        path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert "seq_lens" not in manifest["config"]
+        manifest["config"]["seq_lens"] = TOY_SEQ_LENS
+        path.write_text(json.dumps(manifest, indent=2) + "\n")
+        restored, _ = load_checkpoint(tmp_path / "ckpt")
+        assert restored.config == model.config
+        assert restored.params.data.tobytes() == model.params.data.tobytes()
 
     def test_missing_checkpoint_errors(self, tmp_path):
         with pytest.raises(ModelError):

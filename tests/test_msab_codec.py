@@ -46,7 +46,6 @@ def pack_named(arrays):
 
 def small_model():
     cfg = ModelConfig(model_name="lf_dnn", feature_dims={"text": 2, "audio": 2},
-                      seq_lens={"text": 3, "audio": 3},
                       hidden_dims={"text": 2, "audio": 2, "vision": 2}, post_fusion_dim=2)
     return build_model(cfg)
 

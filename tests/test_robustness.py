@@ -124,7 +124,6 @@ class TestDropModality:
                                        feature_dim=3, seed=2)
         cfg = ModelConfig(model_name="lf_dnn",
                           feature_dims={m: b.feature_dim for m, b in bundle.blocks.items()},
-                          seq_lens={m: b.max_len for m, b in bundle.blocks.items()},
                           dropout=0.0, seed=5, post_fusion_dim=4,
                           hidden_dims={"text": 4, "audio": 4, "vision": 4})
         model = build_model(cfg)
@@ -321,7 +320,7 @@ class TestRendering:
         assert "83.3 / 84.4" in easy
 
     def test_both_avg_rows_rendered(self):
-        text = render_tagged_reports({"tfn": self._report()}, fmt="markdown", avg="both")
+        text = render_tagged_reports({"tfn": self._report()}, fmt="markdown")
         assert "Avg (sample-weighted)" in text
         assert "Avg (type-mean)" in text
 
