@@ -18,9 +18,8 @@ from msa_forge.autodiff import (
 rng = np.random.default_rng(0)
 
 # --- a tiny regression traced on a tape -----------------------------------
-params = ParamSet()
-w = params.add("w", rng.normal(size=(4, 1)).astype(np.float64) * 0.1)
-b = params.add("b", np.zeros(1))
+params = ParamSet({"w": rng.normal(size=(4, 1)) * 0.1, "b": np.zeros(1)})
+w, b = params["w"], params["b"]
 
 x = Tensor(rng.normal(size=(16, 4)))
 y = Tensor(rng.normal(size=(16, 1)))
@@ -59,10 +58,9 @@ print(f"attention weights per query sum to {weights.data.sum(axis=1)} "
       "over the unmasked keys")
 
 # --- one recurrent step ------------------------------------------------------
-lstm = ParamSet()
-lstm.add("wx", rng.normal(size=(3, 8)) * 0.3)
-lstm.add("wh", rng.normal(size=(2, 8)) * 0.3)
-lstm.add("b", np.zeros(8))
+lstm = ParamSet({"wx": rng.normal(size=(3, 8)) * 0.3,
+                 "wh": rng.normal(size=(2, 8)) * 0.3,
+                 "b": np.zeros(8)})
 h, c = lstm_cell_step(Tensor(rng.normal(size=(1, 3))),
                       Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), lstm)
 print(f"\nlstm step: h {h.data.round(3)}, c {c.data.round(3)}")

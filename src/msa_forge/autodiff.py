@@ -10,8 +10,8 @@ each input's shape.
 
 Typical use::
 
-    params = ParamSet()
-    w = params.add("w", np.zeros((3, 1), dtype=np.float32))
+    params = ParamSet({"w": np.zeros((3, 1), dtype=np.float32)})
+    w = params["w"]
     with Tape() as tape:
         loss = mse_loss(matmul(x, w), y)
     backward(tape, loss, params)   # fills w.grad
@@ -478,39 +478,32 @@ class ParamSet:
     """Named parameter tensors of one dtype, stored flat.
 
     Every value lives in one array, ``data``, and every gradient slot in
-    another, ``grad``, in ``add`` order. Each parameter's ``Tensor.data``
-    and ``Tensor.grad`` are reshaped views into them, so a whole-set update
-    is one operation on the flat arrays.
+    another, ``grad``, in the mapping's order; each is allocated once. Each
+    parameter's ``Tensor.data`` and ``Tensor.grad`` are reshaped views into
+    them, so a whole-set update is one operation on the flat arrays.
     """
 
-    def __init__(self):
+    def __init__(self, values: Mapping[str, np.ndarray]):
+        arrays = {name: np.asarray(value) for name, value in values.items()}
+        dtypes = {a.dtype for a in arrays.values()}
+        if len(dtypes) > 1 or not dtypes <= {np.dtype(np.float32), np.dtype(np.float64)}:
+            raise ValueError(f"parameters are {sorted(map(str, dtypes))}; one ParamSet "
+                             "holds one dtype, float32 or float64")
+        size = sum(a.size for a in arrays.values())
+        self.data = np.empty(size, dtype=dtypes.pop() if dtypes else np.float64)
+        self.grad = np.zeros_like(self.data)
         self._params: dict[str, Tensor] = {}
-        self.data = self.grad = np.empty(0)
-
-    def add(self, name: str, value: np.ndarray) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(value)
-        if self._params and t.dtype != self.data.dtype:
-            raise ValueError(f"parameter {name!r} is {t.dtype}, but the set holds "
-                             f"{self.data.dtype}; one ParamSet holds one dtype")
-        flat = t.data.reshape(-1)
-        self.data = np.concatenate([self.data, flat], dtype=t.dtype)
-        self.grad = np.concatenate([self.grad, np.zeros_like(flat)], dtype=t.dtype)
-        self._params[name] = t
         lo = 0
-        for p in self._params.values():
-            hi = lo + p.data.size
-            p.data = self.data[lo:hi].reshape(p.shape)
-            p.grad = self.grad[lo:hi].reshape(p.shape)
+        for name, a in arrays.items():
+            hi = lo + a.size
+            t = Tensor(self.data[lo:hi].reshape(a.shape))
+            t.data[...] = a
+            t.grad = self.grad[lo:hi].reshape(a.shape)
+            self._params[name] = t
             lo = hi
-        return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def __iter__(self):
         return iter(self._params)
@@ -526,17 +519,6 @@ class ParamSet:
 
     def num_values(self) -> int:
         return self.data.size
-
-    def load_state(self, state: Mapping[str, np.ndarray]) -> None:
-        missing = set(self._params) - set(state)
-        if missing:
-            raise KeyError(f"state is missing parameters: {sorted(missing)}")
-        for name, p in self._params.items():
-            arr = np.asarray(state[name], dtype=p.data.dtype)
-            if arr.shape != p.data.shape:
-                raise ShapeError(
-                    f"parameter {name!r}: stored shape {arr.shape} != expected {p.data.shape}")
-            p.data[...] = arr
 
 
 def backward(tape: Tape, loss: Tensor, params: ParamSet | None = None) -> None:

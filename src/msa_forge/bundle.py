@@ -194,16 +194,17 @@ def validate_bundle(bundle: FeatureBundle) -> None:
             sid = man.samples[i].id if i < n else str(i)
             raise BundleValidationError(
                 f"non-finite value at sample {sid!r}, modality {name!r}, frame {t}, dim {d}")
-        for i, length in enumerate(block.lengths):
-            if not 1 <= length <= block.max_len:
-                raise BundleValidationError(
-                    f"sample {man.samples[i].id!r}, modality {name!r}: "
-                    f"length {int(length)} outside [1, {block.max_len}]")
-            tail = block.data[i, int(length):]
-            if tail.size and np.any(tail != 0):
-                raise BundleValidationError(
-                    f"sample {man.samples[i].id!r}, modality {name!r}: "
-                    f"nonzero padding past length {int(length)}")
+        bad_length = (block.lengths < 1) | (block.lengths > block.max_len)
+        # a nonzero frame past the length; a bad length is reported instead
+        bad_padding = np.any(np.any(block.data != 0, axis=2) & ~block.mask(), axis=1)
+        bad = np.flatnonzero(bad_length | bad_padding)
+        if bad.size:
+            i = int(bad[0])
+            length = int(block.lengths[i])
+            what = (f"length {length} outside [1, {block.max_len}]" if bad_length[i]
+                    else f"nonzero padding past length {length}")
+            raise BundleValidationError(
+                f"sample {man.samples[i].id!r}, modality {name!r}: {what}")
 
 
 def _manifest_to_json(bundle: FeatureBundle) -> dict:
@@ -320,8 +321,12 @@ def read_named_arrays(path) -> dict[str, np.ndarray]:
     return out
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
+def _number(value, optional: bool = False) -> float | None:
+    if optional and value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _count(value) -> int:
@@ -341,15 +346,15 @@ def read_bundle(path) -> FeatureBundle:
     except json.JSONDecodeError as exc:
         raise BundleFormatError(f"manifest.json is not valid JSON: {exc}") from exc
     try:
-        lo, hi = doc["label_range"]
+        lo, hi = (_number(x) for x in doc["label_range"])
         samples = [
             SampleMeta(
                 id=entry["id"],
                 split=entry["split"],
-                label_m=float(entry["label_m"]),
-                label_t=_optional_float(entry.get("label_t")),
-                label_a=_optional_float(entry.get("label_a")),
-                label_v=_optional_float(entry.get("label_v")),
+                label_m=_number(entry["label_m"]),
+                label_t=_number(entry.get("label_t"), optional=True),
+                label_a=_number(entry.get("label_a"), optional=True),
+                label_v=_number(entry.get("label_v"), optional=True),
                 scenario=entry.get("scenario"),
                 instance_type=entry.get("instance_type"),
             )
@@ -383,7 +388,7 @@ def read_bundle(path) -> FeatureBundle:
                                      lengths=lengths[name])
 
     bundle = FeatureBundle(
-        manifest=Manifest(dataset_name=dataset_name, label_range=(float(lo), float(hi)),
+        manifest=Manifest(dataset_name=dataset_name, label_range=(lo, hi),
                           samples=samples, extractors=extractors),
         blocks=blocks,
     )

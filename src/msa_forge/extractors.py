@@ -341,27 +341,39 @@ def _extract_one(config: ExtractorConfig, sample, table: EmbeddingTable | None) 
     raise ExtractionError(f"unhandled extractor kind {config.kind!r}")
 
 
-def _read_label_csv(label_file, modalities: list[str]) -> list[dict]:
+def _read_label_csv(label_file, modalities: list[str]) -> list[tuple[SampleMeta, dict]]:
+    """Each row's sample metadata and its ``<modality>_path`` cells, checked
+    before any clip is read."""
     with open(label_file, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise ExtractionError(f"{label_file}: no samples listed")
-    required = {"id", "split", "label_m"}
+    required = {"id", "split", "label_m"} | {f"{m}_path" for m in modalities}
     missing = required - set(rows[0])
     if missing:
         raise ExtractionError(f"{label_file}: missing columns {sorted(missing)}")
-    for m in modalities:
-        if f"{m}_path" not in rows[0]:
-            raise ExtractionError(f"{label_file}: missing column '{m}_path'")
-    return rows
 
-
-def _opt_float(row: dict, key: str) -> float | None:
-    val = row.get(key)
-    if val is None or val == "":
-        return None
-    return float(val)
+    out = []
+    for line, row in enumerate(rows, start=2):
+        absent = sorted(key for key in required if row[key] is None)  # a short row
+        if absent:
+            raise ExtractionError(f"{label_file}: row {line} has no cell for column {absent[0]!r}")
+        labels = {}
+        for key in ("label_m", "label_t", "label_a", "label_v"):
+            val = row.get(key)
+            if key != "label_m" and val in (None, ""):
+                labels[key] = None
+                continue
+            try:
+                labels[key] = float(val)
+            except ValueError:
+                raise ExtractionError(f"{label_file}: non-numeric cell {val!r} at row {line}, "
+                                      f"column {key!r}") from None
+        meta = SampleMeta(id=row["id"], split=row["split"], **labels,
+                          scenario=row.get("scenario") or None,
+                          instance_type=row.get("instance_type") or None)
+        out.append((meta, {m: row[f"{m}_path"] for m in modalities}))
+    return out
 
 
 def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
@@ -403,23 +415,22 @@ def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
     rows = _read_label_csv(label_file, list(by_modality))
 
     sequences: dict[str, list[np.ndarray]] = {m: [] for m in by_modality}
-    kept_rows: list[dict] = []
+    samples: list[SampleMeta] = []
     failures: dict[str, str] = {}
-    for row in rows:
-        sid = row["id"]
+    for meta, paths in rows:
         try:
             per_mod = {}
             for m, cfg in by_modality.items():
-                rel = row[f"{m}_path"]
+                rel = paths[m]
                 sample_path = Path(rel) if Path(rel).is_absolute() else root / rel
                 per_mod[m] = np.asarray(_extract_one(cfg, sample_path, tables[m]),
                                         dtype=np.float64)
         except ExtractionError as exc:
-            failures[sid] = str(exc)
+            failures[meta.id] = str(exc)
             continue
         for m, seq in per_mod.items():
             sequences[m].append(seq)
-        kept_rows.append(row)
+        samples.append(meta)
 
     if failures:
         listing = "; ".join(f"{sid}: {msg}" for sid, msg in failures.items())
@@ -429,7 +440,7 @@ def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
                 f"{len(failures)}/{len(rows)} samples failed "
                 f"({frac:.2f} > allowed {max_failure_fraction}): {listing}")
         log.warning("dropped %d failed sample(s): %s", len(failures), listing)
-    if not kept_rows:
+    if not samples:
         raise ExtractionError("no samples survived extraction")
 
     blocks: dict[str, ModalityBlock] = {}
@@ -446,19 +457,6 @@ def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
             lengths[i] = s.shape[0]
         blocks[m] = ModalityBlock(feature_dim=d, max_len=max_len, data=data, lengths=lengths)
 
-    samples = [
-        SampleMeta(
-            id=row["id"],
-            split=row["split"],
-            label_m=float(row["label_m"]),
-            label_t=_opt_float(row, "label_t"),
-            label_a=_opt_float(row, "label_a"),
-            label_v=_opt_float(row, "label_v"),
-            scenario=row.get("scenario") or None,
-            instance_type=row.get("instance_type") or None,
-        )
-        for row in kept_rows
-    ]
     bundle = FeatureBundle(
         manifest=Manifest(dataset_name=dataset_name or root.name,
                           label_range=label_range, samples=samples,

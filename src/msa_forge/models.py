@@ -194,23 +194,8 @@ class ModelOutput:
 # parameter plumbing
 # ---------------------------------------------------------------------------
 
-def _init_linear(params: ParamSet, name: str, fan_in: int, fan_out: int,
-                 rng: np.random.Generator, dtype) -> None:
-    bound = 1.0 / math.sqrt(fan_in)
-    params.add(f"{name}.w", rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype))
-    params.add(f"{name}.b", rng.uniform(-bound, bound, size=(fan_out,)).astype(dtype))
-
-
 def _affine(params: ParamSet, name: str, x: Tensor) -> Tensor:
     return ad.add(ad.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
-
-
-def _init_lstm(params: ParamSet, name: str, d_in: int, hidden: int,
-               rng: np.random.Generator, dtype) -> None:
-    bound = 1.0 / math.sqrt(hidden)
-    params.add(f"{name}.wx", rng.uniform(-bound, bound, size=(d_in, 4 * hidden)).astype(dtype))
-    params.add(f"{name}.wh", rng.uniform(-bound, bound, size=(hidden, 4 * hidden)).astype(dtype))
-    params.add(f"{name}.b", rng.uniform(-bound, bound, size=(4 * hidden,)).astype(dtype))
 
 
 def _lstm_params(params: ParamSet, name: str) -> dict[str, Tensor]:
@@ -237,7 +222,9 @@ def _pad_to_common(batch: Batch, mods: list[str], dtype):
 
 
 class Model:
-    """Base class: owns the config, the ParamSet, and the training loss."""
+    """Base class: owns the config, the parameter table that a subclass's
+    ``__init__`` declares through ``_param``/``_linear``/``_lstm``, its
+    ParamSet, and the training loss."""
 
     needs_unimodal_labels = False
 
@@ -245,14 +232,44 @@ class Model:
         config.validate()
         self.config = config
         self.name = config.model_name
-        self.params = ParamSet()
-        self._init_rng = np.random.default_rng(config.seed)
+        # parameter name -> (shape, init bound), in declaration order
+        self.param_table: dict[str, tuple[tuple[int, ...], float]] = {}
+        self._params: ParamSet | None = None
         self._dropout_rng = np.random.default_rng([config.seed, 0xD0])
+
+    @property
+    def params(self) -> ParamSet:
+        """Unless a checkpoint set them, the first use draws each row's values
+        in declaration order from ``default_rng(config.seed)``."""
+        if self._params is None:
+            rng = np.random.default_rng(self.config.seed)
+            self._params = ParamSet({
+                name: rng.uniform(-bound, bound, size=shape).astype(self.dtype)
+                for name, (shape, bound) in self.param_table.items()})
+        return self._params
+
+    @params.setter
+    def params(self, params: ParamSet) -> None:
+        self._params = params
 
     # -- shared building blocks ------------------------------------------
     @property
     def dtype(self):
         return self.config.np_dtype
+
+    def _param(self, name: str, shape: tuple[int, ...], bound: float) -> None:
+        self.param_table[name] = (shape, bound)
+
+    def _linear(self, name: str, fan_in: int, fan_out: int) -> None:
+        bound = 1.0 / math.sqrt(fan_in)
+        self._param(f"{name}.w", (fan_in, fan_out), bound)
+        self._param(f"{name}.b", (fan_out,), bound)
+
+    def _lstm(self, name: str, d_in: int, hidden: int) -> None:
+        bound = 1.0 / math.sqrt(hidden)
+        self._param(f"{name}.wx", (d_in, 4 * hidden), bound)
+        self._param(f"{name}.wh", (hidden, 4 * hidden), bound)
+        self._param(f"{name}.b", (4 * hidden,), bound)
 
     def modalities(self) -> list[str]:
         return self.config.modalities()
@@ -268,8 +285,8 @@ class Model:
 
     def _init_encoder(self, prefix: str, m: str) -> None:
         d, h = self.config.feature_dims[m], self.config.hidden_dims[m]
-        _init_linear(self.params, f"{prefix}.{m}.l1", d, h, self._init_rng, self.dtype)
-        _init_linear(self.params, f"{prefix}.{m}.l2", h, h, self._init_rng, self.dtype)
+        self._linear(f"{prefix}.{m}.l1", d, h)
+        self._linear(f"{prefix}.{m}.l2", h, h)
 
     def _encode(self, prefix: str, m: str, batch: Batch, train: bool) -> Tensor:
         mod = batch.modalities[m]
@@ -279,8 +296,8 @@ class Model:
         return ad.relu(_affine(self.params, f"{prefix}.{m}.l2", h))
 
     def _init_head(self, prefix: str, d_in: int, hidden: int) -> None:
-        _init_linear(self.params, f"{prefix}.l1", d_in, hidden, self._init_rng, self.dtype)
-        _init_linear(self.params, f"{prefix}.l2", hidden, 1, self._init_rng, self.dtype)
+        self._linear(f"{prefix}.l1", d_in, hidden)
+        self._linear(f"{prefix}.l2", hidden, 1)
 
     def _head(self, prefix: str, x: Tensor, train: bool) -> tuple[Tensor, Tensor]:
         hidden = ad.relu(_affine(self.params, f"{prefix}.l1", x))
@@ -330,7 +347,7 @@ class EFLSTM(Model):
         mods = self.modalities()
         d_total = sum(config.feature_dims[m] for m in mods)
         self.hidden = config.hidden_dims[mods[0]]
-        _init_lstm(self.params, "lstm", d_total, self.hidden, self._init_rng, self.dtype)
+        self._lstm("lstm", d_total, self.hidden)
         self._init_head("head", self.hidden, config.post_fusion_dim)
 
     def forward(self, batch: Batch, train: bool = False) -> ModelOutput:
@@ -383,16 +400,10 @@ class LMF(Model):
         for m in mods:
             self._init_encoder("enc", m)
             h = config.hidden_dims[m]
-            bound = 1.0 / math.sqrt(h + 1)
-            self.params.add(f"lmf.{m}.factor",
-                            self._init_rng.uniform(-bound, bound,
-                                                   size=(rank, h + 1, out)).astype(self.dtype))
-        bound = 1.0 / math.sqrt(rank)
-        self.params.add("lmf.weights",
-                        self._init_rng.uniform(-bound, bound, size=(1, rank)).astype(self.dtype))
-        self.params.add("lmf.bias",
-                        self._init_rng.uniform(-bound, bound, size=(out,)).astype(self.dtype))
-        _init_linear(self.params, "out", out, 1, self._init_rng, self.dtype)
+            self._param(f"lmf.{m}.factor", (rank, h + 1, out), 1.0 / math.sqrt(h + 1))
+        self._param("lmf.weights", (1, rank), 1.0 / math.sqrt(rank))
+        self._param("lmf.bias", (out,), 1.0 / math.sqrt(rank))
+        self._linear("out", out, 1)
 
     def _fuse(self, uni: dict[str, Tensor]) -> Tensor:
         b = next(iter(uni.values())).shape[0]
@@ -443,14 +454,13 @@ class MFN(Model):
         super().__init__(config)
         mods = self.modalities()
         for m in mods:
-            _init_lstm(self.params, f"lstm.{m}", config.feature_dims[m],
-                       config.hidden_dims[m], self._init_rng, self.dtype)
+            self._lstm(f"lstm.{m}", config.feature_dims[m], config.hidden_dims[m])
         delta = 2 * sum(config.hidden_dims[m] for m in mods)
         mem = config.mfn_mem_dim
-        _init_linear(self.params, "att", delta, delta, self._init_rng, self.dtype)
-        _init_linear(self.params, "cand", delta, mem, self._init_rng, self.dtype)
-        _init_linear(self.params, "gate1", delta, mem, self._init_rng, self.dtype)
-        _init_linear(self.params, "gate2", delta, mem, self._init_rng, self.dtype)
+        self._linear("att", delta, delta)
+        self._linear("cand", delta, mem)
+        self._linear("gate1", delta, mem)
+        self._linear("gate2", delta, mem)
         total = sum(config.hidden_dims[m] for m in mods) + mem
         self._init_head("head", total, config.post_fusion_dim)
 
@@ -523,15 +533,14 @@ class MulTLite(Model):
             raise ModelError("mult needs at least two modalities")
         hid = config.mult_hidden
         for m in mods:
-            _init_linear(self.params, f"proj.{m}", config.feature_dims[m], hid,
-                         self._init_rng, self.dtype)
+            self._linear(f"proj.{m}", config.feature_dims[m], hid)
         self.pairs = [(tgt, src) for tgt in mods for src in mods if tgt != src]
         for tgt, src in self.pairs:
             for layer in range(config.attn_layers):
                 base = f"x.{tgt}_{src}.l{layer}"
-                _init_linear(self.params, f"{base}.q", hid, hid, self._init_rng, self.dtype)
-                _init_linear(self.params, f"{base}.k", hid, hid, self._init_rng, self.dtype)
-                _init_linear(self.params, f"{base}.v", hid, hid, self._init_rng, self.dtype)
+                self._linear(f"{base}.q", hid, hid)
+                self._linear(f"{base}.k", hid, hid)
+                self._linear(f"{base}.v", hid, hid)
         self._init_head("head", len(self.pairs) * hid, config.post_fusion_dim)
 
     def _multihead(self, base: str, cur: Tensor, src: Tensor,
@@ -587,14 +596,11 @@ class MISALite(Model):
         self.common = config.hidden_dims[mods[0]]
         for m in mods:
             d = config.feature_dims[m]
-            _init_linear(self.params, f"enc.{m}.l1", d, self.common, self._init_rng, self.dtype)
-            _init_linear(self.params, f"enc.{m}.l2", self.common, self.common,
-                         self._init_rng, self.dtype)
-            _init_linear(self.params, f"priv.{m}", self.common, self.common,
-                         self._init_rng, self.dtype)
-        _init_linear(self.params, "shared", self.common, self.common,
-                     self._init_rng, self.dtype)
-        _init_linear(self.params, "dec", self.common, self.common, self._init_rng, self.dtype)
+            self._linear(f"enc.{m}.l1", d, self.common)
+            self._linear(f"enc.{m}.l2", self.common, self.common)
+            self._linear(f"priv.{m}", self.common, self.common)
+        self._linear("shared", self.common, self.common)
+        self._linear("dec", self.common, self.common)
         self._init_head("head", 2 * len(mods) * self.common, config.post_fusion_dim)
 
     def forward(self, batch: Batch, train: bool = False) -> ModelOutput:
@@ -649,8 +655,7 @@ class MultitaskWrapper:
     def __init__(self, config: ModelConfig):
         super().__init__(config)
         for m in self.modalities():
-            _init_linear(self.params, f"aux.{m}", config.hidden_dims[m], 1,
-                         self._init_rng, self.dtype)
+            self._linear(f"aux.{m}", config.hidden_dims[m], 1)
 
     def forward(self, batch: Batch, train: bool = False) -> ModelOutput:
         out = super().forward(batch, train)
@@ -739,7 +744,8 @@ def save_checkpoint(model: Model, path, seed: int | None = None,
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
-    """Rebuild the model from a checkpoint directory and restore weights."""
+    """Rebuild the model from a checkpoint directory with its weights from
+    ``params.bin``; no initial values are drawn."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -771,10 +777,15 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     missing = [name for name in shapes if name not in blocks]
     if missing:
         raise BundleFormatError(f"{root / 'params.bin'}: no entry for parameters {missing}")
+    declared = {name: shape for name, (shape, _) in model.param_table.items()}
     try:
-        model.params.load_state({name: blocks[name].reshape(shape)
-                                 for name, shape in shapes.items()})
-    except (KeyError, ShapeError, ValueError) as exc:
+        stored = {name: blocks[name].reshape(shape) for name, shape in shapes.items()}
+        if shapes != declared:
+            raise ValueError("the (name, shape) rows in only one of manifest and model: "
+                             f"{sorted(shapes.items() ^ declared.items())}")
+    except ValueError as exc:
         raise ModelError(f"{manifest_path} does not fit params.bin and model "
                          f"{model.name!r}: {exc}") from exc
+    model.params = ParamSet({name: stored[name].astype(model.dtype, copy=False)
+                             for name in declared})
     return model, manifest

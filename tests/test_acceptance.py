@@ -154,10 +154,7 @@ def test_criterion_01_gradient_suite(acceptance_record):
     worst = {}
 
     def ps(**arrays):
-        out = ParamSet()
-        for k, v in arrays.items():
-            out.add(k, np.asarray(v, dtype=np.float64))
-        return out
+        return ParamSet({k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()})
 
     const = Tensor(rng.normal(size=(2, 3)))
     mask23 = np.array([[True, True, False], [True, True, True]])

@@ -43,10 +43,7 @@ from msa_forge.errors import ShapeError
 
 
 def _params_from(arrays: dict) -> ParamSet:
-    ps = ParamSet()
-    for name, arr in arrays.items():
-        ps.add(name, np.asarray(arr, dtype=np.float64))
-    return ps
+    return ParamSet({name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()})
 
 
 class TestForwardOracles:
@@ -232,15 +229,14 @@ class TestGradCheckPrimitives:
         assert report.max_rel_error == 0.0
 
     def test_grad_check_requires_f64(self):
-        ps = ParamSet()
-        ps.add("w", np.zeros(2, dtype=np.float32))
+        ps = ParamSet({"w": np.zeros(2, dtype=np.float32)})
         with pytest.raises(ValueError):
             grad_check(lambda p: sum_(p["w"]), ps)
 
 
 class TestParamSet:
-    """Values and gradient slots live flat, in add order; each parameter's
-    data and grad are views into them."""
+    """Values and gradient slots live flat, in the mapping's order; each
+    parameter's data and grad are views into them."""
 
     SHAPES = {"w": (3, 2), "b": (2,), "s": (), "u": (4, 5)}
 
@@ -259,16 +255,20 @@ class TestParamSet:
             lo = hi
         assert lo == ps.data.size == ps.grad.size == ps.num_values()
 
-    def test_flat_layout_in_add_order(self):
-        ps = self._params()
+    def test_flat_layout_in_mapping_order(self):
+        rng = np.random.default_rng(4)
+        values = {n: rng.normal(size=s) for n, s in self.SHAPES.items()}
+        ps = _params_from(values)
         assert {n: p.shape for n, p in ps.items()} == self.SHAPES and ps.names() == list(self.SHAPES)
         self.assert_views(ps)
+        np.testing.assert_array_equal(ps.data, np.concatenate(
+            [values[n].reshape(-1) for n in self.SHAPES]))
         ps["b"].grad[...] = 7.0
         np.testing.assert_array_equal(ps.grad, [0] * 6 + [7, 7] + [0] * 21)
 
-    def test_views_survive_load_state_and_grad_check(self):
+    def test_views_survive_whole_set_write_and_grad_check(self):
         ps = self._params()
-        ps.load_state({n: np.full(s, 0.5) for n, s in self.SHAPES.items()})
+        ps.data[...] = 0.5
         self.assert_views(ps)
         np.testing.assert_array_equal(ps.data, 0.5)
         x = Tensor(np.ones((4, 3)))
@@ -279,26 +279,19 @@ class TestParamSet:
         assert np.all(ps.grad != 0)
 
     def test_second_dtype_refused(self):
-        ps = ParamSet()
-        ps.add("w", np.zeros(3, dtype=np.float32))
         with pytest.raises(ValueError, match="one dtype"):
-            ps.add("b", np.zeros(3, dtype=np.float64))
-        assert ps.names() == ["w"] and ps.data.dtype == np.float32
+            ParamSet({"w": np.zeros(3, dtype=np.float32), "b": np.zeros(3, dtype=np.float64)})
+        assert ParamSet({"w": np.zeros(3, dtype=np.float32)}).data.dtype == np.float32
 
 
 class TestLstmCell:
     def _make_params(self, d, h, rng, dtype=np.float64):
-        ps = ParamSet()
-        ps.add("wx", rng.normal(size=(d, 4 * h)).astype(dtype))
-        ps.add("wh", rng.normal(size=(h, 4 * h)).astype(dtype))
-        ps.add("b", rng.normal(size=(4 * h,)).astype(dtype))
-        return ps
+        return ParamSet({"wx": rng.normal(size=(d, 4 * h)).astype(dtype),
+                         "wh": rng.normal(size=(h, 4 * h)).astype(dtype),
+                         "b": rng.normal(size=(4 * h,)).astype(dtype)})
 
     def test_zero_everything_gives_zero_h(self):
-        ps = ParamSet()
-        ps.add("wx", np.zeros((2, 12)))
-        ps.add("wh", np.zeros((3, 12)))
-        ps.add("b", np.zeros(12))
+        ps = ParamSet({"wx": np.zeros((2, 12)), "wh": np.zeros((3, 12)), "b": np.zeros(12)})
         h, c = lstm_cell_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3))),
                               Tensor(np.zeros((1, 3))), ps)
         np.testing.assert_allclose(h.data, 0.0)
@@ -306,13 +299,10 @@ class TestLstmCell:
 
     def test_saturated_forget_gate_copies_cell(self):
         d, h = 2, 3
-        ps = ParamSet()
-        ps.add("wx", np.zeros((d, 4 * h)))
-        ps.add("wh", np.zeros((h, 4 * h)))
         b = np.zeros(4 * h)
         b[0:h] = -50.0   # input gate ~ 0
         b[h:2 * h] = 50.0  # forget gate ~ 1
-        ps.add("b", b)
+        ps = ParamSet({"wx": np.zeros((d, 4 * h)), "wh": np.zeros((h, 4 * h)), "b": b})
         c_prev = Tensor(np.array([[0.3, -0.2, 0.9]]))
         _, c = lstm_cell_step(Tensor(np.ones((1, d))), Tensor(np.zeros((1, h))), c_prev, ps)
         np.testing.assert_allclose(c.data, c_prev.data, atol=1e-12)

@@ -14,6 +14,7 @@ from msa_forge.bundle import (
     bundle_equal,
     read_bundle,
     split_view,
+    validate_bundle,
     write_bundle,
 )
 from msa_forge.errors import BundleFormatError, BundleValidationError, EmptySplitError
@@ -144,6 +145,28 @@ class TestValidation:
         with pytest.raises(BundleValidationError) as exc:
             write_bundle(bundle, tmp_path / "b")
         assert "padding" in str(exc.value)
+
+    @pytest.mark.parametrize("first,second,expect", [
+        ("padding", "length", "sample 's1', modality 'audio': nonzero padding past length 7"),
+        ("length", "padding", "sample 's1', modality 'audio': length 11 outside [1, 10]"),
+        ("both", "length", "sample 's1', modality 'audio': length 0 outside [1, 10]"),
+    ])
+    def test_first_of_two_bad_samples_reported(self, first, second, expect):
+        bundle = tiny_bundle(n=4)
+        block = bundle.blocks["audio"]
+        block.lengths[3] = 7  # as sample 1: frames 7..9 are padding
+        block.data[3, 7:] = 0.0
+        validate_bundle(bundle)
+        for i, fault in ((1, first), (3, second)):
+            if fault in ("padding", "both"):
+                block.data[i, -1, 0] = 1.0
+            if fault == "length":
+                block.lengths[i] = 11
+            if fault == "both":
+                block.lengths[i] = 0
+        with pytest.raises(BundleValidationError) as exc:
+            validate_bundle(bundle)
+        assert str(exc.value) == expect
 
     def test_duplicate_id_rejected(self, tmp_path):
         bundle = tiny_bundle()

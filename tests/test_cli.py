@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
+from msa_forge import extractors
 from msa_forge.bundle import read_bundle, write_bundle
 from msa_forge.cli import cli_main
 from msa_forge.models import batch_from_bundle, load_checkpoint
@@ -73,8 +74,13 @@ class TestExitCodes:
         lambda doc: doc["samples"][0].__setitem__("lengths", [6, 6, 6]),
         lambda doc: doc["samples"][0].__setitem__("label_t", "x"),
         lambda doc: doc["modalities"][0].__setitem__("max_len", "6"),
+        lambda doc: doc["samples"][0].__setitem__("label_m", "0.5"),
+        lambda doc: doc["samples"][0].__setitem__("label_m", True),
+        lambda doc: doc["samples"][0].__setitem__("label_a", False),
+        lambda doc: doc.__setitem__("label_range", ["-3", 3]),
     ], ids=["row_without_name", "row_is_string", "modalities_not_list", "lengths_is_list",
-            "label_t_not_number", "max_len_is_string"])
+            "label_t_not_number", "max_len_is_string", "label_m_is_numeric_string",
+            "label_m_is_bool", "label_a_is_bool", "label_range_is_string"])
     def test_malformed_manifest_is_validation(self, tmp_path, tiny_bundle_dir, capsys, corrupt):
         broken = tmp_path / "broken"
         shutil.copytree(tiny_bundle_dir, broken)
@@ -175,10 +181,11 @@ class TestConfigParsing:
         assert "hidden_dims" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("override", ["optimizer=3", "model=tfn", "feature_dims=abc",
-                                          "seq_lens=abc"])
+                                          "hidden_dims=[4]"])
     def test_train_set_rejects_section_or_non_dict(self, tmp_path, tiny_bundle_dir, capsys,
                                                    override):
-        # a config section is not a leaf; a field resolved from the bundle takes a dict
+        # a config section is not a leaf; a dict field, resolved from the bundle
+        # (feature_dims) or not (hidden_dims), takes only a dict
         assert self.train(tmp_path, tiny_bundle_dir, "--set", override) == 1
         err = capsys.readouterr().err
         assert override.split("=")[0] in err and "Traceback" not in err
@@ -187,7 +194,7 @@ class TestConfigParsing:
                                           "optimizer.lr=true", 'batch_size="32"',
                                           'hidden_dims={"text":2.5,"audio":4,"vision":4}',
                                           'feature_dims={"text":true}',
-                                          'seq_lens={"text":"4"}'])
+                                          'hidden_dims={"text":"4"}'])
     def test_train_set_rejects_bool_or_fraction(self, tmp_path, tiny_bundle_dir, capsys,
                                                 override):
         # converting would store batch_size 3, max_epochs 1 and lr 1.0; a
@@ -227,6 +234,56 @@ class TestConfigParsing:
                          str(tmp_path / "extract.json"), "--out", str(tmp_path / "b")]) == 2
         err = capsys.readouterr().err
         assert "not valid JSON" in err and "Traceback" not in err
+
+
+class TestExtractLabelCsv:
+    """The label CSV is checked, whole, before any clip is extracted."""
+
+    def extract(self, tmp_path, monkeypatch, rows):
+        data = tmp_path / "data"
+        data.mkdir()
+        for i in range(2):
+            (data / f"v{i}.csv").write_text("AU01,AU02\n0.5,0.25\n1.0,0.0\n")
+        with open(tmp_path / "labels.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([["id", "split", "label_m", "label_t", "vision_path"],
+                                      *rows])
+        (tmp_path / "extract.json").write_text(
+            json.dumps({"vision": {"kind": "ingest_csv", "params": {}}}))
+        extracted = []
+        real = extractors._extract_one
+        monkeypatch.setattr(extractors, "_extract_one",
+                            lambda *a, **k: extracted.append(a) or real(*a, **k))
+        code = cli_main(["extract", "--data", str(data), "--labels", str(tmp_path / "labels.csv"),
+                         "--config", str(tmp_path / "extract.json"), "--out",
+                         str(tmp_path / "bundle")])
+        return code, extracted
+
+    def test_good_rows_extract(self, tmp_path, monkeypatch):
+        code, extracted = self.extract(tmp_path, monkeypatch, [
+            ["s0", "train", "0.5", "", "v0.csv"], ["s1", "test", "-1", "2", "v1.csv"]])
+        assert code == 0 and len(extracted) == 2
+        assert read_bundle(tmp_path / "bundle").manifest.samples[1].label_t == 2.0
+
+    def test_non_numeric_label_m(self, tmp_path, monkeypatch, capsys):
+        code, extracted = self.extract(tmp_path, monkeypatch, [
+            ["s0", "train", "0.5", "", "v0.csv"], ["s1", "test", "high", "", "v1.csv"]])
+        err = capsys.readouterr().err
+        assert code == 2 and extracted == [] and "Traceback" not in err
+        assert "labels.csv" in err and "row 3" in err and "'label_m'" in err
+
+    def test_non_numeric_label_t(self, tmp_path, monkeypatch, capsys):
+        code, extracted = self.extract(tmp_path, monkeypatch, [
+            ["s0", "train", "0.5", "n/a", "v0.csv"], ["s1", "test", "1", "", "v1.csv"]])
+        err = capsys.readouterr().err
+        assert code == 2 and extracted == [] and "Traceback" not in err
+        assert "labels.csv" in err and "row 2" in err and "'label_t'" in err
+
+    def test_short_row_without_path_cell(self, tmp_path, monkeypatch, capsys):
+        code, extracted = self.extract(tmp_path, monkeypatch, [
+            ["s0", "train", "0.5", "", "v0.csv"], ["s1", "test", "1", ""]])
+        err = capsys.readouterr().err
+        assert code == 2 and extracted == [] and "Traceback" not in err
+        assert "labels.csv" in err and "row 3" in err and "'vision_path'" in err
 
 
 @pytest.fixture(scope="module")

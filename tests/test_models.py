@@ -583,6 +583,37 @@ class TestCheckpoints:
         assert restored.config == model.config
         assert restored.params.data.tobytes() == model.params.data.tobytes()
 
+    @pytest.mark.parametrize("name,dtype", [("mtfn", "f32"), ("mfn", "f64")])
+    def test_load_draws_no_init_and_fills_the_flat_store(self, tmp_path, monkeypatch,
+                                                         name, dtype):
+        cfg = toy_config(name, dtype=dtype)
+        model = build_model(cfg)
+        model.params.data[...] = np.linspace(-1.0, 1.0, model.params.num_values())
+        save_checkpoint(model, tmp_path / "ckpt")
+
+        class NoDraws:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def uniform(self, *args, **kwargs):
+                raise AssertionError("load_checkpoint drew an initial value")
+
+            def __getattr__(self, attr):
+                return getattr(self.rng, attr)
+
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: NoDraws(default_rng(*a, **k)))
+        restored, _ = load_checkpoint(tmp_path / "ckpt")
+        params = restored.params
+        monkeypatch.undo()
+
+        assert params.names() == model.params.names()
+        saved = model.params.data.astype(np.float32).astype(params.data.dtype)
+        assert params.data.dtype == model.params.data.dtype
+        assert params.data.tobytes() == saved.tobytes()
+        for n, p in params.items():
+            assert p.data.base is params.data and p.grad.base is params.grad, n
+
     def test_missing_checkpoint_errors(self, tmp_path):
         with pytest.raises(ModelError):
             load_checkpoint(tmp_path / "none")

@@ -98,8 +98,7 @@ class TestAdam:
     GRAD = np.array([0.1, 0.2, -0.3])
 
     def step(self, **config):
-        params = ParamSet()
-        params.add("w", self.P0)
+        params = ParamSet({"w": self.P0})
         params["w"].grad[...] = self.GRAD
         Adam(params, AdamConfig(**config)).step()
         return params["w"].data
@@ -159,9 +158,7 @@ class TestInPlaceOptimizer:
     def test_matches_allocating_reference(self, dtype, weight_decay):
         rng = np.random.default_rng(40)
         init = {n: rng.normal(size=s).astype(dtype) for n, s in self.SHAPES.items()}
-        new = ParamSet()
-        for n, a in init.items():
-            new.add(n, a)
+        new = ParamSet(init)
         ref = {n: Tensor(a.copy()) for n, a in init.items()}
         cfg = AdamConfig(lr=1e-2, weight_decay=weight_decay)
         opt = Adam(new, cfg)
@@ -191,16 +188,15 @@ class TestInPlaceOptimizer:
         assert np.array_equal(opt.v, flat(v))
 
     def test_empty_param_set_steps(self):
-        opt = Adam(ParamSet(), AdamConfig())
+        opt = Adam(ParamSet({}), AdamConfig())
         opt.step()
         assert opt.t == 1
 
     def test_gradients_live_in_their_own_slots(self):
         # d(sum(W1 + W2)) is the same ones array for W1 and W2; each slot
         # must get its own copy, or an in-place clip would scale it twice
-        params = ParamSet()
-        w1 = params.add("w1", np.full((3, 4), 0.5))
-        w2 = params.add("w2", np.full((3, 4), -0.5))
+        params = ParamSet({"w1": np.full((3, 4), 0.5), "w2": np.full((3, 4), -0.5)})
+        w1, w2 = params["w1"], params["w2"]
         slots = {"w1": w1.grad, "w2": w2.grad}
         with Tape() as tape:
             loss = sum_(add(w1, w2))
