@@ -1,6 +1,6 @@
 """The differentiation engine behind the model zoo: tapes, gradients,
 gradient checking, and the fusion primitives (outer product, low-rank
-contraction, cross-modal attention).
+contraction, cross-modal attention, lockstep LSTMs).
 """
 
 import numpy as np
@@ -8,7 +8,7 @@ import numpy as np
 from msa_forge import ParamSet, Tape, Tensor, backward, grad_check
 from msa_forge.autodiff import (
     l1_loss,
-    lstm_cell_step,
+    lstm_sequence,
     masked_mean,
     matmul,
     outer_fusion,
@@ -53,14 +53,23 @@ print(f"\nmasked mean pools (2,5,3) -> {pooled.shape}, ignoring padding")
 q = Tensor(rng.normal(size=(4, 8)))
 k = Tensor(rng.normal(size=(6, 8)))
 v = Tensor(np.eye(6))
-weights = scaled_dot_attention(q, k, v, mask=np.array([1, 1, 0, 1, 1, 0], dtype=bool))
+with Tape() as tape:
+    weights = scaled_dot_attention(q, k, v, mask=np.array([1, 1, 0, 1, 1, 0], dtype=bool))
 print(f"attention weights per query sum to {weights.data.sum(axis=1)} "
       "over the unmasked keys")
+print(f"the whole attention (scores, mask, softmax, sum) is {len(tape)} tape record")
 
-# --- one recurrent step ------------------------------------------------------
-lstm = ParamSet({"wx": rng.normal(size=(3, 8)) * 0.3,
-                 "wh": rng.normal(size=(2, 8)) * 0.3,
-                 "b": np.zeros(8)})
-h, c = lstm_cell_step(Tensor(rng.normal(size=(1, 3))),
-                      Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), lstm)
-print(f"\nlstm step: h {h.data.round(3)}, c {c.data.round(3)}")
+# --- two LSTMs in lockstep ---------------------------------------------------
+# each group has its own input, mask and weights; row 1 of the second group
+# never steps, so its state stays zero
+lstms = [ParamSet({"wx": rng.normal(size=(3, 8)) * 0.3, "wh": rng.normal(size=(2, 8)) * 0.3,
+                   "b": np.zeros(8)}),
+         ParamSet({"wx": rng.normal(size=(2, 12)) * 0.3, "wh": rng.normal(size=(3, 12)) * 0.3,
+                   "b": np.zeros(12)})]
+xs = [Tensor(rng.normal(size=(2, 4, 3))), Tensor(rng.normal(size=(2, 4, 2)))]
+masks = [np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=bool),
+         np.array([[1, 1, 1, 1], [0, 0, 0, 0]], dtype=bool)]
+with Tape() as tape:
+    states = lstm_sequence(xs, masks, lstms)
+print(f"\ntwo LSTMs (h = 2 and 3) in lockstep: states {states.shape}, {len(tape)} tape record")
+print(f"h after the last step, units side by side:\n{states.data[:, -1, 0].round(3)}")

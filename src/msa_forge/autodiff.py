@@ -59,6 +59,7 @@ __all__ = [
     "mse_loss",
     "lstm_cell_step",
     "lstm_sequence",
+    "linear_recurrence",
     "scaled_dot_attention",
     "outer_fusion",
 ]
@@ -245,14 +246,19 @@ def matmul(a, b) -> Tensor:
     if active_tape() is not None:
         ad_, bd = a.data, b.data
         def bwd(g):
-            batch = g.shape[:-2]
-            a_full = np.broadcast_to(ad_, batch + ad_.shape[-2:])
-            b_full = np.broadcast_to(bd, batch + bd.shape[-2:])
-            ga = _unbroadcast(g @ b_full.swapaxes(-1, -2), ad_.shape)
-            gb = _unbroadcast(a_full.swapaxes(-1, -2) @ g, bd.shape)
+            ga, gb = _matmul_adjoints(g, ad_, bd)
             return ((a, ga), (b, gb))
         _record("matmul", out, bwd)
     return out
+
+
+def _matmul_adjoints(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjoints of a and b in a @ b, given the adjoint g of the product."""
+    batch = g.shape[:-2]
+    a_full = np.broadcast_to(a, batch + a.shape[-2:])
+    b_full = np.broadcast_to(b, batch + b.shape[-2:])
+    return (_unbroadcast(g @ b_full.swapaxes(-1, -2), a.shape),
+            _unbroadcast(a_full.swapaxes(-1, -2) @ g, b.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -623,121 +629,215 @@ def _lstm_weights(params: Mapping[str, Tensor]) -> tuple[Tensor, Tensor, Tensor]
     return wx, wh, b
 
 
-def _lstm_gates(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Activate the pre-activations ``z`` (N, 4h) in place into the gates
-    input, forget, cell, output, and return (h_t, c_t)."""
-    hid = z.shape[1] // 4
-    expit(z[:, :2 * hid], out=z[:, :2 * hid])
-    np.tanh(z[:, 2 * hid:3 * hid], out=z[:, 2 * hid:3 * hid])
-    expit(z[:, 3 * hid:], out=z[:, 3 * hid:])
-    i, f, g, o = z[:, :hid], z[:, hid:2 * hid], z[:, 2 * hid:3 * hid], z[:, 3 * hid:]
-    c_t = f * c_prev + i * g
-    return o * np.tanh(c_t), c_t
-
-
-def _lstm_gates_backward(gates: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray,
-                         dh: np.ndarray, dc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoints of one step: from the activated ``gates`` (N, 4h), c_{t-1},
-    tanh(c_t) and the adjoints of h_t and c_t, return the adjoint of the
-    pre-activations (N, 4h) and that of c_{t-1}."""
-    hid = gates.shape[1] // 4
-    i, f, g, o = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
-    dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-    dz = np.empty_like(gates)
-    dz[:, :hid] = dc * g * i * (1.0 - i)
-    dz[:, hid:2 * hid] = dc * c_prev * f * (1.0 - f)
-    dz[:, 2 * hid:3 * hid] = dc * i * (1.0 - g * g)
-    dz[:, 3 * hid:] = dh * tanh_c * o * (1.0 - o)
-    return dz, dc * f
-
-
 def lstm_cell_step(x_t, h_prev, c_prev, params: Mapping[str, Tensor]) -> tuple[Tensor, Tensor]:
     """One LSTM step with standard gates.
 
     ``params`` maps ``wx`` (d, 4h), ``wh`` (h, 4h) and ``b`` (4h,); gate
     slices are ordered input, forget, cell, output. Returns (h_t, c_t).
     Under a tape the step is one record, plus one slice per returned state.
+    It shares no gate code with :func:`lstm_sequence`, so it serves as
+    that kernel's per-step reference.
     """
     x_t = _as_tensor(x_t)
     h_prev = _as_tensor(h_prev)
     c_prev = _as_tensor(c_prev)
     wx, wh, b = _lstm_weights(params)
+    hid = wh.shape[0]
     z = x_t.data @ wx.data + h_prev.data @ wh.data + b.data
-    h_t, c_t = _lstm_gates(z, c_prev.data)
-    out = Tensor(np.stack([h_t, c_t], axis=1))
+    i, f = expit(z[:, :hid]), expit(z[:, hid:2 * hid])
+    g, o = np.tanh(z[:, 2 * hid:3 * hid]), expit(z[:, 3 * hid:])
+    c_t = f * c_prev.data + i * g
+    tanh_c = np.tanh(c_t)
+    out = Tensor(np.stack([o * tanh_c, c_t], axis=1))
     if active_tape() is not None:
-        def bwd(g):
-            dz, dc_prev = _lstm_gates_backward(z, c_prev.data, np.tanh(c_t), g[:, 0], g[:, 1])
-            return ((x_t, dz @ wx.data.T), (h_prev, dz @ wh.data.T), (c_prev, dc_prev),
+        def bwd(grad):
+            dh = grad[:, 0]
+            dc = grad[:, 1] + dh * o * (1.0 - tanh_c * tanh_c)
+            dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev.data * f * (1.0 - f),
+                                 dc * i * (1.0 - g * g), dh * tanh_c * o * (1.0 - o)], axis=1)
+            return ((x_t, dz @ wx.data.T), (h_prev, dz @ wh.data.T), (c_prev, dc * f),
                     (wx, x_t.data.T @ dz), (wh, h_prev.data.T @ dz), (b, dz.sum(axis=0)))
         _record("lstm_cell_step", out, bwd)
     return slice_(out, (slice(None), 0)), slice_(out, (slice(None), 1))
 
 
-def lstm_sequence(x, mask: np.ndarray, params: Mapping[str, Tensor]) -> Tensor:
-    """An LSTM (gates as in :func:`lstm_cell_step`) run from zero state
-    over ``x`` (B, T, d).
+def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
+                  params: Sequence[Mapping[str, Tensor]]) -> Tensor:
+    """Independent LSTMs (gates as in :func:`lstm_cell_step`), one per group
+    (``xs[k]``, ``masks[k]``, ``params[k]``), run in lockstep from zero state.
 
-    Step t updates only the rows where ``mask[:, t]`` is true; the other
-    rows carry their state. Returns the state after every step as one
-    (B, T, 2, h) tensor: ``[:, t, 0]`` is h_t and ``[:, t, 1]`` is c_t.
-    Under a tape the whole pass is one record whose backward runs BPTT
-    for x, ``wx``, ``wh`` and ``b``, and X @ Wx + b is one GEMM over all
-    B*T rows. Without a tape x is projected one step at a time and
-    nothing is kept for a backward.
+    Every x is (B, T, d_k) and every mask (B, T); step t updates group k's
+    state only in the rows where ``masks[k][:, t]`` is true, elsewhere the
+    state carries. Returns the states after every step as one (B, T, 2, H)
+    tensor, H the sum of the hidden sizes: ``[:, t, 0]`` holds each group's
+    h_t and ``[:, t, 1]`` its c_t, side by side in group order.
+
+    The gates live gate-major, (B, 4, H) per step, and a per-unit mask
+    blends the states, so each elementwise step is one numpy call for all
+    groups; each group keeps its own x @ Wx + b and h @ Wh GEMMs. Steps
+    whose mask is true everywhere skip the blend. Under a tape the pass is
+    one record: X @ Wx + b is one GEMM per group over all B*T rows, and the
+    backward (BPTT) builds every factor that does not depend on the
+    recurrence before it walks back through the steps; it frees the gate
+    cache, so the record is replayed once. Without a tape x is projected
+    one step at a time and nothing is kept for a backward.
     """
-    x = _as_tensor(x)
-    wx, wh, b = _lstm_weights(params)
-    if x.ndim != 3 or x.shape[2] != wx.shape[0]:
-        raise ShapeError(f"lstm_sequence input {x.shape} does not fit wx {wx.shape}")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.shape[:2]:
-        raise ShapeError(f"lstm_sequence mask {mask.shape} does not match input {x.shape}")
-    n, steps, d = x.shape
-    hid = wh.shape[0]
-    xd, wxd, whd = x.data, wx.data, wh.data
-    dtype = np.result_type(xd, wxd)
-    states = np.empty((n, steps, 2, hid), dtype=dtype)
+    if not xs or not len(xs) == len(masks) == len(params):
+        raise ShapeError(f"lstm_sequence needs one mask and one parameter set per input, got "
+                         f"{len(xs)} inputs, {len(masks)} masks, {len(params)} parameter sets")
+    xs = [_as_tensor(x) for x in xs]
+    weights = [_lstm_weights(p) for p in params]
+    for x, (wx, _, _) in zip(xs, weights):
+        if x.ndim != 3 or x.shape[2] != wx.shape[0]:
+            raise ShapeError(f"lstm_sequence input {x.shape} does not fit wx {wx.shape}")
+    n, steps = xs[0].shape[:2]
+    if any(x.shape[:2] != (n, steps) for x in xs):
+        raise ShapeError(f"lstm_sequence inputs disagree on (batch, steps): "
+                         f"{[x.shape for x in xs]}")
+    masks = [np.asarray(m, dtype=bool) for m in masks]
+    for x, m in zip(xs, masks):
+        if m.shape != x.shape[:2]:
+            raise ShapeError(f"lstm_sequence mask {m.shape} does not match input {x.shape}")
+    hids = [wh.shape[0] for _, wh, _ in weights]
+    bounds = np.cumsum([0] + hids).tolist()
+    groups = [(x.data, wx.data, wh.data, b.data.reshape(4, hid), lo, lo + hid)
+              for x, (wx, wh, b), hid, lo in zip(xs, weights, hids, bounds)]
+    width = bounds[-1]
+    group_mask = np.stack(masks, axis=2)          # (B, T, groups)
+    any_step = group_mask.any(axis=(0, 2))
+    full_step = group_mask.all(axis=(0, 2))
+
+    def unit_mask(t):  # (B, H): group k's mask repeated over its units; one group broadcasts
+        return group_mask[:, t] if len(hids) == 1 else np.repeat(group_mask[:, t], hids, axis=1)
+
+    dtype = np.result_type(*(x.data for x in xs), *(wx.data for wx, _, _ in weights))
+    states = np.empty((n, steps, 2, width), dtype=dtype)
     taped = active_tape() is not None
-    if taped:  # holds the activated gates for the backward
-        gates = (xd.reshape(n * steps, d) @ wxd + b.data).reshape(n, steps, 4 * hid)
-    h = c = np.zeros((n, hid), dtype=dtype)
+    if taped:  # the gates of every step, kept for the backward
+        gates = np.empty((n, steps, 4, width), dtype=dtype)
+        for xd, wxd, _, b4, lo, hi in groups:
+            xw = xd.reshape(n * steps, -1) @ wxd
+            np.add(xw.reshape(n, steps, 4, hi - lo), b4, out=gates[..., lo:hi])
+    else:
+        z = np.empty((n, 4, width), dtype=dtype)
+    h = c = np.zeros((n, width), dtype=dtype)
     for t in range(steps):
-        m = mask[:, t, None]
-        if m.any():
-            z = gates[:, t] if taped else xd[:, t] @ wxd + b.data
-            z += h @ whd
-            h_new, c_new = _lstm_gates(z, c)
-            h, c = np.where(m, h_new, h), np.where(m, c_new, c)
+        if any_step[t]:
+            if taped:
+                z = gates[:, t]
+            for xd, wxd, whd, b4, lo, hi in groups:
+                z_k = z[..., lo:hi]
+                if not taped:
+                    np.add((xd[:, t] @ wxd).reshape(z_k.shape), b4, out=z_k)
+                z_k += (h[:, lo:hi] @ whd).reshape(z_k.shape)
+            expit(z[:, :2], out=z[:, :2])
+            np.tanh(z[:, 2], out=z[:, 2])
+            expit(z[:, 3], out=z[:, 3])
+            c_new = z[:, 1] * c + z[:, 0] * z[:, 2]
+            h_new = z[:, 3] * np.tanh(c_new)
+            if full_step[t]:
+                h, c = h_new, c_new
+            else:
+                m = unit_mask(t)
+                h, c = np.where(m, h_new, h), np.where(m, c_new, c)
         states[:, t, 0] = h
         states[:, t, 1] = c
     out = Tensor(states)
     if taped:
         def bwd(g):
-            dz_all = np.zeros_like(gates)
+            nonlocal gates
+            if gates is None:
+                raise RuntimeError("lstm_sequence's backward frees its gate cache; "
+                                   "replay a tape once")
+            # in the per-step formula's order, the input, forget and output gates'
+            # dz are ((a * p) * gate) * (1 - gate), with (a, p) = (dc, g), (dc,
+            # c_{t-1}), (dh, tanh c_t), and the cell gate's is (dc * i) * (1 - g^2);
+            # dz_all holds the (1 - .) factors until step t overwrites them with dz
             tanh_c = np.tanh(states[:, :, 1])
-            dh = np.zeros_like(h)
-            dc = np.zeros_like(c)
+            one_minus_tanh2 = tanh_c * tanh_c
+            np.subtract(1.0, one_minus_tanh2, out=one_minus_tanh2)
+            dz_all = np.subtract(1.0, gates)
+            cell = dz_all[:, :, 2]
+            np.multiply(gates[:, :, 2], gates[:, :, 2], out=cell)
+            np.subtract(1.0, cell, out=cell)
+            c_zero = np.zeros((n, width), dtype=dtype)
+            dz = np.empty((n, 4, width), dtype=dtype)
+            dh = np.zeros((n, width), dtype=dtype)
+            dc = np.zeros_like(dh)
             for t in range(steps - 1, -1, -1):
                 dh = dh + g[:, t, 0]
                 dc = dc + g[:, t, 1]
-                m = mask[:, t, None]
-                if not m.any():
+                if not any_step[t]:
+                    dz_all[:, t] = 0.0
                     continue
-                c_prev = states[:, t - 1, 1] if t else np.zeros_like(dc)
-                dz, dc_prev = _lstm_gates_backward(gates[:, t], c_prev, tanh_c[:, t], dh, dc)
-                dz = np.where(m, dz, 0.0)
-                dz_all[:, t] = dz
-                dh = np.where(m, dz @ whd.T, dh)
-                dc = np.where(m, dc_prev, dc)
-            dz_flat = dz_all.reshape(n * steps, 4 * hid)
-            h_prev = np.zeros((n, steps, hid), dtype=states.dtype)
-            h_prev[:, 1:] = states[:, :-1, 0]
-            return ((x, (dz_flat @ wxd.T).reshape(xd.shape)),
-                    (wx, xd.reshape(n * steps, d).T @ dz_flat),
-                    (wh, h_prev.reshape(n * steps, hid).T @ dz_flat),
-                    (b, dz_flat.sum(axis=0)))
+                gates_t = gates[:, t]
+                dc_in = dh * gates_t[:, 3]
+                dc_in *= one_minus_tanh2[:, t]
+                np.add(dc, dc_in, out=dc_in)
+                np.multiply(dc_in[:, None], gates_t[:, 2::-2], out=dz[:, 0:3:2])
+                np.multiply(dc_in, states[:, t - 1, 1] if t else c_zero, out=dz[:, 1])
+                np.multiply(dh, tanh_c[:, t], out=dz[:, 3])
+                dz[:, :2] *= gates_t[:, :2]
+                dz[:, 3] *= gates_t[:, 3]
+                dz_t = np.multiply(dz, dz_all[:, t], out=dz_all[:, t])
+                dh_new = np.empty_like(dh)
+                if not full_step[t]:
+                    m = unit_mask(t)
+                    dz_t[...] = np.where(m[:, None], dz_t, 0.0)
+                for _, _, whd, _, lo, hi in groups:
+                    np.matmul(dz_t[..., lo:hi].reshape(n, 4 * (hi - lo)), whd.T,
+                              out=dh_new[:, lo:hi])
+                dc_prev = dc_in * gates_t[:, 1]
+                if full_step[t]:
+                    dh, dc = dh_new, dc_prev
+                else:
+                    dh, dc = np.where(m, dh_new, dh), np.where(m, dc_prev, dc)
+            # the weight gradients read only dz_all and the states: free the rest
+            del tanh_c, one_minus_tanh2, cell, dz
+            gates = gates_t = None
+            adjoints = []
+            for x, (wx, wh, b), (xd, wxd, whd, _, lo, hi) in zip(xs, weights, groups):
+                dz_flat = dz_all[..., lo:hi].reshape(n * steps, 4 * (hi - lo))
+                h_prev = np.zeros((n, steps, hi - lo), dtype=dtype)
+                h_prev[:, 1:] = states[:, :-1, 0, lo:hi]
+                adjoints += [(x, (dz_flat @ wxd.T).reshape(xd.shape)),
+                             (wx, xd.reshape(n * steps, -1).T @ dz_flat),
+                             (wh, h_prev.reshape(n * steps, hi - lo).T @ dz_flat),
+                             (b, dz_flat.sum(axis=0))]
+            return adjoints
         _record("lstm_sequence", out, bwd)
+    return out
+
+
+def linear_recurrence(keep, write, u0) -> Tensor:
+    """u_t = keep_t * u_{t-1} + write_t over the steps (axis 1) of ``keep``
+    and ``write`` (B, T, D), from ``u0`` (B, D); returns u_T.
+
+    Under a tape the whole recurrence is one record; its backward walks the
+    steps in reverse with the same products the stepped ``mul``/``add``
+    chain would form.
+    """
+    keep = _as_tensor(keep)
+    write = _as_tensor(write)
+    u0 = _as_tensor(u0)
+    if keep.ndim != 3 or write.shape != keep.shape or u0.shape != (keep.shape[0], keep.shape[2]):
+        raise ShapeError(f"linear_recurrence shapes disagree: keep {keep.shape}, "
+                         f"write {write.shape}, u0 {u0.shape}")
+    kd, wd = keep.data, write.data
+    us = [u0.data]  # us[t] is u_{t-1} of step t
+    for t in range(kd.shape[1]):
+        us.append(kd[:, t] * us[-1] + wd[:, t])
+    out = Tensor(us[-1])
+    if active_tape() is not None:
+        def bwd(g):
+            d_keep = np.empty_like(kd)
+            d_write = np.empty_like(wd)
+            for t in range(kd.shape[1] - 1, -1, -1):
+                d_write[:, t] = g
+                np.multiply(g, us[t], out=d_keep[:, t])
+                g = g * kd[:, t]
+            return ((keep, d_keep), (write, d_write), (u0, g))
+        _record("linear_recurrence", out, bwd)
     return out
 
 
@@ -748,7 +848,8 @@ def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None) -> Tensor:
     with q's leading axes, and is broadcast over the query axis; masked
     positions receive a -1e9 additive bias. A row whose keys are all
     masked returns zeros, which is what the fusion models use when a whole
-    modality has been dropped.
+    modality has been dropped. Under a tape the whole attention is one
+    record with a hand-written backward.
     """
     q = _as_tensor(q)
     k = _as_tensor(k)
@@ -757,20 +858,37 @@ def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None) -> Tensor:
         raise ShapeError(f"attention q/k dims disagree: {q.shape} vs {k.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention k/v lengths disagree: {k.shape} vs {v.shape}")
-    k_t = transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
-    scores = mul(matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
-    if mask is None:
-        return matmul(softmax(scores, axis=-1), v)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape[-1] != k.shape[-2]:
-        raise ShapeError(f"attention mask {mask.shape} does not cover keys {k.shape}")
-    mask = mask[..., None, :]  # the query axis
-    bias = np.where(mask, 0.0, MASK_BIAS).astype(q.data.dtype)
-    out = matmul(softmax(add(scores, bias), axis=-1), v)
-    keep = mask.any(axis=-1, keepdims=True)
-    if keep.all():
-        return out
-    return mul(out, keep.astype(q.data.dtype))
+    keep = None
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape[-1] != k.shape[-2]:
+            raise ShapeError(f"attention mask {mask.shape} does not cover keys {k.shape}")
+        mask = mask[..., None, :]  # the query axis
+        keep = mask.any(axis=-1, keepdims=True)
+        keep = None if keep.all() else keep.astype(q.data.dtype)
+    k_t = k.data.swapaxes(-1, -2)
+    scores = q.data @ k_t
+    qk_shape = scores.shape
+    scale = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=scores.dtype)
+    scores *= scale
+    if mask is not None:
+        scores = scores + np.where(mask, 0.0, MASK_BIAS).astype(q.data.dtype)
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores, out=scores)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    att = weights @ v.data
+    out = Tensor(att if keep is None else att * keep)
+    if active_tape() is not None:
+        def bwd(g):
+            if keep is not None:
+                g = _unbroadcast(g * keep, att.shape)
+            d_weights, dv = _matmul_adjoints(g, weights, v.data)
+            d_scores = (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * weights
+            d_qk = _unbroadcast(d_scores, qk_shape) * scale
+            dq, dk_t = _matmul_adjoints(d_qk, q.data, k_t)
+            return ((q, dq), (k, dk_t.swapaxes(-1, -2)), (v, dv))
+        _record("scaled_dot_attention", out, bwd)
+    return out
 
 
 def outer_fusion(vectors: Sequence, augment: bool = True) -> Tensor:

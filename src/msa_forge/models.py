@@ -355,7 +355,7 @@ class EFLSTM(Model):
         pieces, _, union = _pad_to_common(batch, self.modalities(), self.dtype)
         x = Tensor(np.concatenate(pieces, axis=2))
         del pieces
-        states = ad.lstm_sequence(x, union, _lstm_params(self.params, "lstm"))
+        states = ad.lstm_sequence([x], [union], [_lstm_params(self.params, "lstm")])
         pred, hidden = self._head("head", ad.slice_(states, (slice(None), -1, 0)), train)
         return ModelOutput(pred=pred, fusion_rep=hidden)
 
@@ -446,9 +446,10 @@ def lmf_full_tensor_expand(model: Model) -> np.ndarray:
 
 
 class MFN(Model):
-    """One LSTM per modality over the common length; at each step,
-    attention over the memory delta [c_{t-1}; c_t] of the concatenated
-    cell states writes a gated memory u_t = g1 * u_{t-1} + g2 * tanh(candidate)."""
+    """One LSTM per modality over the common length, all run in lockstep by
+    one lstm_sequence call; at each step, attention over the memory delta
+    [c_{t-1}; c_t] of the concatenated cell states writes a gated memory
+    u_t = g1 * u_{t-1} + g2 * tanh(candidate)."""
 
     def __init__(self, config: ModelConfig):
         super().__init__(config)
@@ -468,7 +469,8 @@ class MFN(Model):
                 u: Tensor) -> Tensor:
         """Steps start..stop-1 of the gated memory, from u_{start-1}. The
         memory reads only the cell states, so attention and gates run over
-        all these steps at once; only u_t = a_t * u_{t-1} + b_t is stepped."""
+        all these steps at once; only u_t = a_t * u_{t-1} + b_t is stepped,
+        inside one linear_recurrence."""
         b, n = c_pad.shape[0], stop - start
         delta = ad.concat([ad.slice_(c_pad, (slice(None), slice(start, stop))),
                            ad.slice_(c_pad, (slice(None), slice(start + 1, stop + 1)))], axis=2)
@@ -485,10 +487,7 @@ class MFN(Model):
         del g1
         write = ad.reshape(ad.mul(ad.mul(g2, cand), step), (b, n, -1))
         del g2, cand
-        for t in range(n):
-            u = ad.add(ad.mul(ad.slice_(keep, (slice(None), t)), u),
-                       ad.slice_(write, (slice(None), t)))
-        return u
+        return ad.linear_recurrence(keep, write, u)
 
     def forward(self, batch: Batch, train: bool = False) -> ModelOutput:
         self._check_batch(batch)
@@ -497,14 +496,18 @@ class MFN(Model):
         # a shorter modality is padded with masked steps, so its state carries
         xs, masks, union = _pad_to_common(batch, mods, self.dtype)
         t_common = union.shape[1]
-        h, cells = {}, []
-        for m, x, mask in zip(mods, xs, masks):
-            states = ad.lstm_sequence(Tensor(x), mask, _lstm_params(self.params, f"lstm.{m}"))
-            h[m] = ad.slice_(states, (slice(None), -1, 0))
-            cells.append(ad.slice_(states, (slice(None), slice(None), 1)))
-        del xs, x, states
-        c_all = ad.concat(cells, axis=2)                                 # (B, T, sum h)
-        del cells
+        # the modalities' LSTMs run in lockstep, their states side by side
+        states = ad.lstm_sequence([Tensor(x) for x in xs], masks,
+                                  [_lstm_params(self.params, f"lstm.{m}") for m in mods])
+        del xs
+        h_last = ad.slice_(states, (slice(None), -1, 0))                 # (B, sum h)
+        h, lo = {}, 0
+        for m in mods:
+            hi = lo + self.config.hidden_dims[m]
+            h[m] = ad.slice_(h_last, (slice(None), slice(lo, hi)))
+            lo = hi
+        c_all = ad.slice_(states, (slice(None), slice(None), 1))         # (B, T, sum h)
+        del states
         # c_pad[:, t] is c_{t-1}, so the memory delta at step t is [c_pad[:, t]; c_pad[:, t + 1]]
         c_pad = ad.concat([Tensor(np.zeros((b, 1, c_all.shape[2]), dtype=self.dtype)), c_all],
                           axis=1)

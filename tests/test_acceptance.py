@@ -22,6 +22,7 @@ from msa_forge.autodiff import (
     dropout,
     grad_check,
     l1_loss,
+    linear_recurrence,
     lstm_cell_step,
     lstm_sequence,
     masked_mean,
@@ -217,7 +218,7 @@ def test_criterion_01_gradient_suite(acceptance_record):
             {"a": rng.normal(size=(2, 2)), "b": rng.normal(size=(2, 3))}),
         "lstm_sequence": (
             lambda p, _w=Tensor(rng.normal(size=(2, 3, 2, 2))):
-                sum_(mul(lstm_sequence(p["x"], mask23, p), _w)),
+                sum_(mul(lstm_sequence([p["x"]], [mask23], [p]), _w)),
             {"x": rng.normal(size=(2, 3, 2)), "wx": rng.normal(size=(2, 8)),
              "wh": rng.normal(size=(2, 8)), "b": rng.normal(size=(8,))}),
         "outer_fusion_3way": (
@@ -225,6 +226,20 @@ def test_criterion_01_gradient_suite(acceptance_record):
                                outer_fusion([p["a"], p["b"], p["c"]], augment=True))),
             {"a": rng.normal(size=(2, 2)), "b": rng.normal(size=(2, 3)),
              "c": rng.normal(size=(2, 2))}),
+        "linear_recurrence": (
+            lambda p: sum_(mul(linear_recurrence(p["keep"], p["write"], p["u0"]),
+                               linear_recurrence(p["keep"], p["write"], p["u0"]))),
+            {"keep": rng.uniform(0.2, 1.0, size=(2, 3, 2)), "write": rng.normal(size=(2, 3, 2)),
+             "u0": rng.normal(size=(2, 2))}),
+        "lstm_sequence_2groups": (
+            lambda p, _w=Tensor(rng.normal(size=(2, 3, 2, 5))),
+            _m=[mask23, np.array([[False, True, True], [False, False, False]])]:
+                sum_(mul(lstm_sequence([p["x"], p["x2"]], _m,
+                                       [p, {"wx": p["wx2"], "wh": p["wh2"], "b": p["b2"]}]), _w)),
+            {"x": rng.normal(size=(2, 3, 2)), "wx": rng.normal(size=(2, 8)),
+             "wh": rng.normal(size=(2, 8)), "b": rng.normal(size=(8,)),
+             "x2": rng.normal(size=(2, 3, 1)), "wx2": rng.normal(size=(1, 12)),
+             "wh2": rng.normal(size=(3, 12)), "b2": rng.normal(size=(12,))}),
     }
     for name, (fn, arrays) in primitive_cases.items():
         report = grad_check(fn, ps(**arrays), eps=1e-5, tol=1e-4)

@@ -5,6 +5,7 @@ loop) and a finite-difference gradient check on randomized small shapes.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from msa_forge.autodiff import (
     dropout,
     grad_check,
     l1_loss,
+    linear_recurrence,
     lstm_cell_step,
     lstm_sequence,
     masked_mean,
@@ -40,6 +42,7 @@ from msa_forge.autodiff import (
     transpose,
 )
 from msa_forge.errors import ShapeError
+from reference_kernels import attention_per_op, lstm_single, memory_stepped
 
 
 def _params_from(arrays: dict) -> ParamSet:
@@ -382,7 +385,8 @@ class TestLstmSequence:
         rng = np.random.default_rng(30)
         ps = self._params(rng)
         weights = Tensor(rng.normal(size=(3, 6, 2, 3)))
-        report = grad_check(lambda p: sum_(mul(lstm_sequence(p["x"], self.MASK, p), weights)), ps)
+        report = grad_check(
+            lambda p: sum_(mul(lstm_sequence([p["x"]], [self.MASK], [p]), weights)), ps)
         assert report.passed, repr(report)
 
     def test_matches_stepped_cells(self):
@@ -390,7 +394,7 @@ class TestLstmSequence:
         ps = self._params(rng)
         weights = rng.normal(size=(3, 6, 2, 3))
         with Tape() as tape:
-            states = lstm_sequence(ps["x"], self.MASK, ps)
+            states = lstm_sequence([ps["x"]], [self.MASK], [ps])
             loss = sum_(mul(states, Tensor(weights)))
         backward(tape, loss, ps)
         assert len(tape) == 3
@@ -413,18 +417,154 @@ class TestLstmSequence:
     def test_taped_and_untaped_forwards_agree(self):
         rng = np.random.default_rng(32)
         ps = self._params(rng)
-        untaped = lstm_sequence(ps["x"], self.MASK, ps).data
+        untaped = lstm_sequence([ps["x"]], [self.MASK], [ps]).data
         with Tape():
-            taped = lstm_sequence(ps["x"], self.MASK, ps).data
+            taped = lstm_sequence([ps["x"]], [self.MASK], [ps]).data
         np.testing.assert_allclose(taped, untaped, rtol=0, atol=1e-12)
 
     def test_shape_errors(self):
         rng = np.random.default_rng(33)
         ps = self._params(rng)
         with pytest.raises(ShapeError, match="mask"):
-            lstm_sequence(ps["x"], self.MASK[:, :5], ps)
+            lstm_sequence([ps["x"]], [self.MASK[:, :5]], [ps])
         with pytest.raises(ShapeError, match="wx"):
-            lstm_sequence(Tensor(np.zeros((3, 6, 5))), self.MASK, ps)
+            lstm_sequence([Tensor(np.zeros((3, 6, 5)))], [self.MASK], [ps])
+        with pytest.raises(ShapeError, match="one mask and one parameter set per input"):
+            lstm_sequence([ps["x"], ps["x"]], [self.MASK], [ps, ps])
+        with pytest.raises(ShapeError, match="one mask and one parameter set per input"):
+            lstm_sequence([], [], [])
+        with pytest.raises(ShapeError, match=r"\(batch, steps\)"):
+            lstm_sequence([ps["x"], Tensor(np.zeros((3, 5, 2)))], [self.MASK, self.MASK[:, :5]],
+                          [ps, ps])
+
+
+def _taped(fn, params: ParamSet, weights: np.ndarray):
+    """The output of ``fn(params)``, the gradients of sum(out * weights),
+    and the number of tape records."""
+    with Tape() as tape:
+        out = fn(params)
+        loss = sum_(mul(out, Tensor(weights)))
+    backward(tape, loss, params)
+    return out.data, {name: p.grad.copy() for name, p in params.items()}, len(tape) - 2
+
+
+def _assert_grads_close(grads, ref_grads):
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, ref_grads[name], rtol=1e-12, atol=1e-300, err_msg=name)
+        assert np.abs(g).max() > 0, name
+
+
+class TestLockstepLstm:
+    """Two or three LSTMs in one lstm_sequence call equal separate passes of
+    the single-LSTM reference: f32 states bit for bit, with and without a
+    tape, and f64 gradients within 1e-12."""
+
+    HIDDEN, DIMS = (3, 2, 4), (2, 3, 1)
+    # group 0 never takes row 1 and nothing takes step 3; at step 4 only
+    # group 1 (and group 2) step; at step 1 only row 0 of group 0 steps
+    RAGGED = [np.array([[1, 1, 1, 0, 0, 1, 1], [0, 0, 0, 0, 0, 0, 0], [1, 0, 1, 0, 0, 1, 1]]),
+              np.array([[0, 1, 1, 0, 1, 1, 1], [1, 1, 1, 0, 1, 1, 1], [0, 0, 1, 0, 1, 1, 1]]),
+              np.array([[1, 1, 1, 0, 1, 1, 1], [1, 1, 1, 0, 1, 0, 1], [1, 1, 1, 0, 1, 1, 0]])]
+    # steps 1-3 are taken by every row of every group, so they skip the blends
+    DENSE = [np.array([[1, 1, 1, 1, 1], [1, 1, 1, 1, 1], [1, 1, 1, 1, 0]]),
+             np.ones((3, 5)),
+             np.array([[0, 1, 1, 1, 1], [1, 1, 1, 1, 1], [1, 1, 1, 1, 1]])]
+
+    def _params(self, groups, steps, dtype, seed=40):
+        rng = np.random.default_rng(seed)
+        arrays = {}
+        for k, (hid, d) in enumerate(zip(self.HIDDEN[:groups], self.DIMS[:groups])):
+            arrays.update({f"x{k}": rng.normal(size=(3, steps, d)),
+                           f"wx{k}": rng.normal(size=(d, 4 * hid)) * 0.6,
+                           f"wh{k}": rng.normal(size=(hid, 4 * hid)) * 0.6,
+                           f"b{k}": rng.normal(size=(4 * hid,))})
+        return ParamSet({name: a.astype(dtype) for name, a in arrays.items()})
+
+    @staticmethod
+    def _group(p, k):
+        return {"wx": p[f"wx{k}"], "wh": p[f"wh{k}"], "b": p[f"b{k}"]}
+
+    def _fused(self, masks):
+        return lambda p: lstm_sequence([p[f"x{k}"] for k in range(len(masks))],
+                                       [m.astype(bool) for m in masks],
+                                       [self._group(p, k) for k in range(len(masks))])
+
+    def _separate(self, masks):
+        return lambda p: concat([lstm_single(p[f"x{k}"], m.astype(bool), self._group(p, k))
+                                 for k, m in enumerate(masks)], axis=-1)
+
+    @pytest.mark.parametrize("groups", [2, 3])
+    @pytest.mark.parametrize("masks", [RAGGED, DENSE], ids=["ragged", "dense"])
+    def test_f32_states_bit_equal_to_separate_passes(self, groups, masks):
+        masks = masks[:groups]
+        p = self._params(groups, masks[0].shape[1], np.float32)
+        fused, separate = self._fused(masks), self._separate(masks)
+        assert fused(p).data.tobytes() == separate(p).data.tobytes()
+        with Tape() as tape:
+            taped = fused(p)
+        assert len(tape) == 1
+        with Tape():
+            assert taped.data.tobytes() == separate(p).data.tobytes()
+
+    @pytest.mark.parametrize("groups", [2, 3])
+    @pytest.mark.parametrize("masks", [RAGGED, DENSE], ids=["ragged", "dense"])
+    def test_f64_gradients_match_separate_passes(self, groups, masks):
+        masks = masks[:groups]
+        p = self._params(groups, masks[0].shape[1], np.float64)
+        weights = np.random.default_rng(41).normal(
+            size=(3, masks[0].shape[1], 2, sum(self.HIDDEN[:groups])))
+        out, grads, records = _taped(self._fused(masks), p, weights)
+        ref_out, ref_grads, _ = _taped(self._separate(masks), p, weights)
+        assert records == 1
+        np.testing.assert_array_equal(out, ref_out)
+        _assert_grads_close(grads, ref_grads)
+
+    def test_masked_rows_carry_per_group(self):
+        p = self._params(2, 7, np.float64)
+        states = self._fused(self.RAGGED[:2])(p).data
+        np.testing.assert_array_equal(states[1, :, :, :3], 0.0)    # group 0 never takes row 1
+        np.testing.assert_array_equal(states[:, 3], states[:, 2])  # nothing takes step 3
+        np.testing.assert_array_equal(states[:, 4, :, :3], states[:, 2, :, :3])
+        assert np.abs(states[:, 4, :, 3:] - states[:, 3, :, 3:]).max() > 0
+
+    def test_second_replay_raises(self):
+        # the backward frees the gate cache before the weight gradients
+        p = self._params(2, 5, np.float64)
+        with Tape() as tape:
+            loss = sum_(self._fused(self.DENSE[:2])(p))
+        backward(tape, loss, p)
+        with pytest.raises(RuntimeError, match="replay a tape once"):
+            backward(tape, loss, p)
+
+    def test_no_step_taken(self):
+        p = self._params(2, 3, np.float64)
+        masks = [np.zeros((3, 3), dtype=bool)] * 2
+        out, grads, records = _taped(self._fused(masks), p,
+                                     np.ones((3, 3, 2, sum(self.HIDDEN[:2]))))
+        np.testing.assert_array_equal(out, 0.0)
+        assert records == 1
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, 0.0, err_msg=name)
+
+    def test_untaped_pass_projects_one_step_at_a_time(self):
+        # no (B, T, 4, H) gate buffer and no whole-sequence projection: the
+        # pass allocates little beyond its (B, T, 2, H) result
+        steps, hid = 400, 8
+        rng = np.random.default_rng(42)
+        ps = [{"wx": Tensor(rng.normal(size=(2, 4 * hid))),
+               "wh": Tensor(rng.normal(size=(hid, 4 * hid))),
+               "b": Tensor(rng.normal(size=(4 * hid,)))} for _ in range(2)]
+        xs = [Tensor(rng.normal(size=(4, steps, 2))) for _ in range(2)]
+        masks = [rng.random((4, steps)) < 0.8 for _ in range(2)]
+        tracemalloc.start()
+        try:
+            states = lstm_sequence(xs, masks, ps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gate_buffer = 4 * steps * 4 * (2 * hid) * 8
+        assert peak - states.data.nbytes < gate_buffer / 4, (peak, states.data.nbytes)
 
 
 class TestAttention:
@@ -514,6 +654,99 @@ class TestAttention:
             return sum_(mul(out, out))
 
         assert grad_check(f, ps).passed
+
+
+class TestFusedAttention:
+    """scaled_dot_attention is one record; it equals the per-op reference:
+    f32 outputs bit for bit, f64 gradients within 1e-12."""
+
+    EMPTY_ROW = np.array([[True, True, False, True, False], [False] * 5])
+
+    @staticmethod
+    def _arrays(case):
+        rng = np.random.default_rng(16)
+        lead, mask = (3, 2), np.array([[1, 1, 0, 1, 0, 0], [0] * 6, [1] * 6], dtype=bool)[:, None]
+        if case != "heads":
+            lead = (2,)
+            mask = {"unmasked": None, "all_valid": np.ones((2, 5), dtype=bool),
+                    "empty_row": TestFusedAttention.EMPTY_ROW}[case]
+        tk = 6 if case == "heads" else 5
+        arrays = {"q": rng.normal(size=lead + (4, 5)), "k": rng.normal(size=lead + (tk, 5)),
+                  "v": rng.normal(size=lead + (tk, 3))}
+        return arrays, mask, rng.normal(size=lead + (4, 3))
+
+    CASES = ["unmasked", "all_valid", "empty_row", "heads"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_f32_output_bit_equal_to_per_op(self, case):
+        arrays, mask, _ = self._arrays(case)
+        q, k, v = (Tensor(arrays[n].astype(np.float32)) for n in "qkv")
+        ref = attention_per_op(q, k, v, mask).data
+        assert scaled_dot_attention(q, k, v, mask=mask).data.tobytes() == ref.tobytes()
+        with Tape() as tape:
+            out = scaled_dot_attention(q, k, v, mask=mask)
+        assert len(tape) == 1
+        assert out.data.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_f64_gradients_match_per_op(self, case):
+        arrays, mask, weights = self._arrays(case)
+        ps = _params_from(arrays)
+        out, grads, records = _taped(
+            lambda p: scaled_dot_attention(p["q"], p["k"], p["v"], mask=mask), ps, weights)
+        ref_out, ref_grads, _ = _taped(
+            lambda p: attention_per_op(p["q"], p["k"], p["v"], mask), ps, weights)
+        assert records == 1
+        np.testing.assert_array_equal(out, ref_out)
+        _assert_grads_close(grads, ref_grads)
+        if case in ("empty_row", "heads"):
+            np.testing.assert_array_equal(out[1], 0.0)
+            np.testing.assert_array_equal(grads["q"][1], 0.0)
+
+
+class TestLinearRecurrence:
+    """linear_recurrence is one record; it equals the stepped slice/mul/add
+    chain: f32 outputs bit for bit, f64 gradients within 1e-12."""
+
+    @staticmethod
+    def _arrays(steps=6):
+        rng = np.random.default_rng(50)
+        return {"keep": rng.uniform(0.2, 1.0, size=(3, steps, 4)),
+                "write": rng.normal(size=(3, steps, 4)), "u0": rng.normal(size=(3, 4))}
+
+    def test_f32_output_bit_equal_to_stepped(self):
+        keep, write, u0 = (Tensor(a.astype(np.float32)) for a in self._arrays().values())
+        ref = memory_stepped(keep, write, u0).data
+        assert linear_recurrence(keep, write, u0).data.tobytes() == ref.tobytes()
+        with Tape() as tape:
+            out = linear_recurrence(keep, write, u0)
+        assert len(tape) == 1
+        assert out.data.tobytes() == ref.tobytes()
+
+    def test_f64_gradients_match_stepped(self):
+        ps = _params_from(self._arrays())
+        weights = np.random.default_rng(51).normal(size=(3, 4))
+        out, grads, records = _taped(
+            lambda p: linear_recurrence(p["keep"], p["write"], p["u0"]), ps, weights)
+        ref_out, ref_grads, _ = _taped(
+            lambda p: memory_stepped(p["keep"], p["write"], p["u0"]), ps, weights)
+        assert records == 1
+        np.testing.assert_array_equal(out, ref_out)
+        _assert_grads_close(grads, ref_grads)
+
+    def test_grad_check(self):
+        ps = _params_from(self._arrays(steps=4))
+        report = grad_check(
+            lambda p: sum_(mul(linear_recurrence(p["keep"], p["write"], p["u0"]),
+                               linear_recurrence(p["keep"], p["write"], p["u0"]))), ps)
+        assert report.passed, repr(report)
+
+    def test_shape_errors(self):
+        keep, write, u0 = (Tensor(a) for a in self._arrays().values())
+        with pytest.raises(ShapeError, match="linear_recurrence"):
+            linear_recurrence(keep, slice_(write, (slice(None), slice(0, 5))), u0)
+        with pytest.raises(ShapeError, match="linear_recurrence"):
+            linear_recurrence(keep, write, slice_(u0, (slice(0, 2),)))
 
 
 class TestOuterFusion:
