@@ -20,6 +20,7 @@ byte-identical to direct library calls with the same arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -34,8 +35,7 @@ from .analysis import (
 )
 from .bundle import read_bundle, split_view, write_bundle
 from .errors import MsaForgeError, UsageError, ValidationError, parsing
-from .extractors import (WAV_KINDS, EmbeddingTable, ExtractorConfig, _extract_one, _wav_framing,
-                         resolve_config, run_dataset, stft)
+from .extractors import EmbeddingTable, ExtractorConfig, _extract_one, resolve_config, run_dataset
 from .models import Batch, ModalityInput, load_checkpoint
 from .robustness import (
     PerturbationSpec,
@@ -54,6 +54,7 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 _FMT = {"md": "markdown", "csv": "csv", "json": "json"}
+_CSV_BLOCK_VALUES = 4096    # values formatted per write by _write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +62,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="msa-forge",
                      description="Multimodal sentiment analysis benchmark toolkit")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
@@ -246,7 +249,7 @@ def _cmd_eval(args) -> int:
                                           snr_db=args.snr_db, seed=args.seed))
         if args.drop:
             specs.append(PerturbationSpec("modality_missing", args.drop, seed=args.seed))
-        report = evaluate_tagged(model, view, specs or None)
+        report = evaluate_tagged(model, view, specs or None, clean_preds=preds)
         (out_dir / "tagged_report.json").write_text(
             json.dumps({"model": manifest["model_name"], "report": report.as_dict()},
                        indent=2) + "\n", encoding="utf-8")
@@ -274,6 +277,18 @@ def _predict_configs(config_path, recorded) -> dict[str, ExtractorConfig]:
     return record
 
 
+def _write_csv(path, array: np.ndarray) -> None:
+    """A 2-D array as the bytes ``np.savetxt(path, array, delimiter=",",
+    fmt="%.6g")`` writes, formatted a block of rows at a time."""
+    n_rows, n_cols = array.shape
+    line = ",".join(["%.6g"] * n_cols) + "\n"
+    step = max(1, _CSV_BLOCK_VALUES // n_cols)
+    with open(path, "w", encoding="ascii") as fh:
+        for start in range(0, n_rows, step):
+            block = array[start:start + step]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 def _cmd_predict(args) -> int:
     model, manifest = load_checkpoint(args.checkpoint)
     configs = _predict_configs(args.config, manifest.get("extractors"))
@@ -295,20 +310,19 @@ def _cmd_predict(args) -> int:
             raise ValidationError(f"checkpoint expects a {m} modality; pass {flag}")
         if m not in configs:
             raise ValidationError(f"--config has no extractor for modality {m!r}")
-        seq = _extract_one(configs[m], source, table)
+        seq, spec = _extract_one(configs[m], source, table)
         if seq.shape[1] != dim:
             raise ValidationError(f"{m} features have dim {seq.shape[1]}, checkpoint expects {dim}")
-        if configs[m].kind in WAV_KINDS:
+        if spec is not None:
             stft_path = out_dir / "stft.csv"
-            np.savetxt(stft_path, stft(*_wav_framing(configs[m], source)), delimiter=",",
-                       fmt="%.6g")
+            _write_csv(stft_path, spec)
         mods[m] = ModalityInput(data=seq[None, ...].astype(model.dtype),
                                 mask=np.ones((1, seq.shape[0]), dtype=bool))
 
     batch = Batch(modalities=mods, labels={"m": np.zeros(1)})
     output = model.forward(batch, train=False)
     fusion_path = out_dir / "fusion_rep.csv"
-    np.savetxt(fusion_path, output.fusion_rep.data, delimiter=",", fmt="%.6g")
+    _write_csv(fusion_path, output.fusion_rep.data)
     result = {
         "pred": float(output.pred.data[0]),
         "fusion_rep_path": str(fusion_path),

@@ -13,6 +13,7 @@ ingestion kind.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import logging
 from dataclasses import dataclass, field
@@ -77,6 +78,9 @@ def read_wav(path, expected_rate: int | None = None) -> WaveBuffer:
         samples = data.astype(np.float64) / 2147483648.0
     elif data.dtype in (np.float32, np.float64):
         samples = data.astype(np.float64)
+        if not np.isfinite(samples).all():
+            bad = int(np.flatnonzero(~np.isfinite(samples))[0])
+            raise ExtractionError(f"{path}: non-finite sample value at index {bad}")
         peak = np.abs(samples).max()
         if peak > 1.0:
             samples = samples / peak
@@ -105,9 +109,7 @@ def stft(wave: WaveBuffer, n_fft: int, hop: int) -> np.ndarray:
     x = wave.samples
     if len(x) < n_fft:
         raise ExtractionError(f"signal of {len(x)} samples is shorter than one {n_fft} window")
-    n_frames = 1 + (len(x) - n_fft) // hop
-    win = _hann(n_fft)
-    frames = np.stack([x[i * hop:i * hop + n_fft] * win for i in range(n_frames)])
+    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop] * _hann(n_fft)
     return np.abs(np.fft.rfft(frames, axis=1))
 
 
@@ -133,18 +135,35 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return fb
 
 
+@functools.cache
+def _shared_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+    """mel_filterbank, built once per (n_mels, n_fft, rate) and read-only."""
+    fb = mel_filterbank(n_mels, n_fft, sample_rate)
+    fb.flags.writeable = False
+    return fb
+
+
+def _check_mfcc_dims(n_fft: int, n_mels: int, n_mfcc: int) -> None:
+    if not n_mfcc <= n_mels <= n_fft // 2 + 1:
+        raise ExtractionError(
+            f"need n_mfcc <= n_mels <= n_fft/2+1, got ({n_mfcc}, {n_mels}, {n_fft // 2 + 1})")
+
+
+def _cepstra(spec: np.ndarray, n_fft: int, sample_rate: int, n_mels: int,
+             n_mfcc: int) -> np.ndarray:
+    """The MFCCs of a magnitude spectrogram made with ``n_fft``."""
+    fb = _shared_filterbank(n_mels, n_fft, sample_rate)
+    mel = (spec ** 2) @ fb.T
+    logmel = np.log(mel + LOG_EPS)
+    return scipy.fft.dct(logmel, type=2, axis=1, norm="ortho")[:, :n_mfcc]
+
+
 def mfcc(wave: WaveBuffer, n_fft: int = 512, hop: int = 160,
          n_mels: int = 26, n_mfcc: int = 20) -> np.ndarray:
     """STFT -> mel filterbank -> log(x + eps) -> orthonormal DCT-II,
     keeping the first n_mfcc coefficients."""
-    if not n_mfcc <= n_mels <= n_fft // 2 + 1:
-        raise ExtractionError(
-            f"need n_mfcc <= n_mels <= n_fft/2+1, got ({n_mfcc}, {n_mels}, {n_fft // 2 + 1})")
-    spec = stft(wave, n_fft, hop)
-    fb = mel_filterbank(n_mels, n_fft, wave.sample_rate)
-    mel = (spec ** 2) @ fb.T
-    logmel = np.log(mel + LOG_EPS)
-    return scipy.fft.dct(logmel, type=2, axis=1, norm="ortho")[:, :n_mfcc]
+    _check_mfcc_dims(n_fft, n_mels, n_mfcc)
+    return _cepstra(stft(wave, n_fft, hop), n_fft, wave.sample_rate, n_mels, n_mfcc)
 
 
 def utterance_stats(seq: np.ndarray) -> np.ndarray:
@@ -306,28 +325,33 @@ def resolve_config(config: ExtractorConfig) -> ExtractorConfig:
 WAV_KINDS = ("stft", "mfcc", "hsf")
 
 
-def _wav_framing(config: ExtractorConfig, path) -> tuple[WaveBuffer, int, int]:
-    """The WAV a WAV-kind config reads, with its STFT size and hop."""
+def _wav_features(config: ExtractorConfig, path) -> tuple[np.ndarray, np.ndarray]:
+    """A WAV-kind sample's features and the magnitude spectrogram they were
+    computed from, reading the WAV and running the STFT once."""
     p = config.params
-    return read_wav(path, expected_rate=p.get("sample_rate")), p.get("n_fft", 512), p.get("hop", 160)
+    wave = read_wav(path, expected_rate=p.get("sample_rate"))
+    n_fft, hop = p.get("n_fft", 512), p.get("hop", 160)
+    lld = p.get("lld", "mfcc") if config.kind == "hsf" else config.kind
+    if lld not in ("mfcc", "stft"):
+        raise ExtractionError(f"hsf lld must be 'mfcc' or 'stft', got {lld!r}")
+    n_mels, n_mfcc = p.get("n_mels", 26), p.get("n_mfcc", 20)
+    if lld == "mfcc":
+        _check_mfcc_dims(n_fft, n_mels, n_mfcc)
+    spec = stft(wave, n_fft, hop)
+    seq = spec if lld == "stft" else _cepstra(spec, n_fft, wave.sample_rate, n_mels, n_mfcc)
+    return (utterance_stats(seq)[None, :] if config.kind == "hsf" else seq), spec
 
 
-def _extract_one(config: ExtractorConfig, sample, table: EmbeddingTable | None) -> np.ndarray:
-    """One sample's features. ``sample`` is the input file; glove also
-    takes a token list in its place."""
+def _extract_one(config: ExtractorConfig, sample,
+                 table: EmbeddingTable | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """One sample's features and, for a WAV kind, the magnitude spectrogram
+    they were computed from (None otherwise). ``sample`` is the input file;
+    glove also takes a token list in its place."""
     p = config.params
     if isinstance(sample, list) and config.kind != "glove":
         raise ExtractionError(f"extractor kind {config.kind!r} reads a file, not tokens")
     if config.kind in WAV_KINDS:
-        wave, n_fft, hop = _wav_framing(config, sample)
-        lld = p.get("lld", "mfcc") if config.kind == "hsf" else config.kind
-        if lld == "mfcc":
-            seq = mfcc(wave, n_fft, hop, p.get("n_mels", 26), p.get("n_mfcc", 20))
-        elif lld == "stft":
-            seq = stft(wave, n_fft, hop)
-        else:
-            raise ExtractionError(f"hsf lld must be 'mfcc' or 'stft', got {lld!r}")
-        return utterance_stats(seq)[None, :] if config.kind == "hsf" else seq
+        return _wav_features(config, sample)
     if config.kind == "glove":
         if table is None:
             raise ExtractionError("glove extractor needs an embedding table")
@@ -335,9 +359,9 @@ def _extract_one(config: ExtractorConfig, sample, table: EmbeddingTable | None) 
             encoding="utf-8").split()
         if p.get("corrupt_rate"):
             tokens = corrupt_tokens(tokens, p["corrupt_rate"], p.get("corrupt_seed", 0))
-        return text_embed_lookup(tokens, table)
+        return text_embed_lookup(tokens, table), None
     if config.kind == "ingest_csv":
-        return ingest_visual_csv(sample, p.get("columns"))
+        return ingest_visual_csv(sample, p.get("columns")), None
     raise ExtractionError(f"unhandled extractor kind {config.kind!r}")
 
 
@@ -423,7 +447,7 @@ def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
             for m, cfg in by_modality.items():
                 rel = paths[m]
                 sample_path = Path(rel) if Path(rel).is_absolute() else root / rel
-                per_mod[m] = np.asarray(_extract_one(cfg, sample_path, tables[m]),
+                per_mod[m] = np.asarray(_extract_one(cfg, sample_path, tables[m])[0],
                                         dtype=np.float64)
         except ExtractionError as exc:
             failures[meta.id] = str(exc)

@@ -241,7 +241,8 @@ def _predict(model: Model, bundle: FeatureBundle, idx: np.ndarray,
 
 
 def evaluate_tagged(model: Model, bundle: FeatureBundle,
-                    specs: Sequence[PerturbationSpec] | None = None) -> TaggedEvalReport:
+                    specs: Sequence[PerturbationSpec] | None = None,
+                    clean_preds: np.ndarray | None = None) -> TaggedEvalReport:
     """Type-stratified evaluation.
 
     Samples with instance_type tags are scored per tag on clean features.
@@ -251,6 +252,9 @@ def evaluate_tagged(model: Model, bundle: FeatureBundle,
     reported missing and excluded from the type-mean Avg. Like every eval
     pass it predicts in batches of EVAL_BATCH_SIZE rows; rows are scored
     with compute_metrics' defaults (non-negative Acc-2, weighted F1).
+    ``clean_preds``, the model's eval-mode predictions for every sample in
+    bundle order (as ``trainer._evaluate`` returns them), stand in for the
+    clean pass.
     """
     if bundle.n < 2:
         raise ValidationError("need at least 2 samples to evaluate")
@@ -263,7 +267,11 @@ def evaluate_tagged(model: Model, bundle: FeatureBundle,
     per_type: dict[str, tuple[list, list]] = {t: ([], []) for t in INSTANCE_TYPES}
 
     # clean pass over everything (tag rows + scenario breakdown)
-    clean_preds = _predict(model, bundle, np.arange(bundle.n))
+    if clean_preds is None:
+        clean_preds = _predict(model, bundle, np.arange(bundle.n))
+    elif np.shape(clean_preds) != (bundle.n,):
+        raise ValidationError(
+            f"clean_preds has shape {np.shape(clean_preds)}, expected ({bundle.n},)")
     for i, tag in enumerate(tags):
         if tag is not None:
             per_type[tag][0].append(clean_preds[i])

@@ -4,16 +4,19 @@ byte-parity with direct library calls."""
 import csv
 import json
 import shutil
+import sys
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from msa_forge import extractors
+from msa_forge import cli, extractors
 from msa_forge.bundle import read_bundle, write_bundle
 from msa_forge.cli import cli_main
-from msa_forge.models import batch_from_bundle, load_checkpoint
-from msa_forge.robustness import PerturbationSpec, perturb_batch
+from msa_forge.errors import UsageError
+from msa_forge.models import (ModelConfig, batch_from_bundle, build_model, load_checkpoint,
+                              save_checkpoint)
+from msa_forge.robustness import PerturbationSpec, evaluate_tagged, perturb_batch
 from msa_forge.synthetic import make_synthetic_bundle
 from msa_forge.trainer import EVAL_BATCH_SIZE, _evaluate, get_config_regression, multi_seed_run
 
@@ -713,3 +716,213 @@ class TestPredictReplaysExtraction:
                             "--config", str(tmp_path / "other.json")) == 2
         err = capsys.readouterr().err
         assert "'audio'" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the serving path does no repeated work, and predict replays extract exactly
+# ---------------------------------------------------------------------------
+
+def _spy_everywhere(monkeypatch, fn) -> list:
+    """Record the calls to ``fn`` under every msa_forge module name bound to it."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "msa_forge" or name.startswith("msa_forge."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
+def _forward_spy(monkeypatch, model_class) -> list:
+    """Record (batch, output) for every forward pass of ``model_class``."""
+    seen = []
+    forward = model_class.forward
+
+    def spy(self, batch, train=False):
+        out = forward(self, batch, train)
+        seen.append((batch, out))
+        return out
+
+    monkeypatch.setattr(model_class, "forward", spy)
+    return seen
+
+
+def _write_float_wav(path, bad_value=None):
+    samples = np.full(SR // 5, 0.1, dtype=np.float32)
+    if bad_value is not None:
+        samples[100] = bad_value
+    scipy.io.wavfile.write(path, SR, samples)
+    return path
+
+
+class TestServingPath:
+    def test_eval_tagged_sweeps_the_bundle_once_per_condition(self, tmp_path, tiny_bundle_dir,
+                                                              trained_run, monkeypatch):
+        ckpt = trained_run / "seed_1111" / "checkpoint"
+        model, _ = load_checkpoint(ckpt)
+        bundle = read_bundle(tiny_bundle_dir)
+        seen = _forward_spy(monkeypatch, type(model))
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--bundle", str(tiny_bundle_dir),
+                         "--out", str(tmp_path / "eval"), "--split", "all", "--tagged",
+                         "--snr-db", "0", "--drop", "vision"]) == 0
+        # clean, noise and missing; every sample is clean (tagged easy/common/difficult)
+        assert sum(batch.size for batch, _ in seen) == 3 * bundle.n
+        monkeypatch.undo()
+        specs = [PerturbationSpec("feature_noise", "audio", snr_db=0.0),
+                 PerturbationSpec("modality_missing", "vision")]
+        doc = json.loads((tmp_path / "eval" / "tagged_report.json").read_text())
+        assert doc["report"] == json.loads(json.dumps(
+            evaluate_tagged(model, bundle, specs).as_dict()))
+
+    def test_predict_runs_one_stft(self, tmp_path, audio_text_checkpoint, monkeypatch):
+        setup = audio_text_checkpoint
+        calls = _spy_everywhere(monkeypatch, extractors.stft)
+        assert cli_main(["predict", "--checkpoint", str(setup["checkpoint"]),
+                         "--sample", str(setup["data"] / "s2.wav"), "--tokens", "good",
+                         "--embedding", str(setup["data"] / "emb.txt"),
+                         "--out", str(tmp_path / "p")]) == 0
+        assert len(calls) == 1
+
+    def test_bad_mfcc_dims_exit_2_before_the_stft(self, tmp_path, audio_text_checkpoint,
+                                                  monkeypatch, capsys):
+        setup = audio_text_checkpoint
+        bad = {"audio": {"kind": "mfcc", "params": {"n_fft": 256, "n_mels": 12, "n_mfcc": 20}}}
+        message = "need n_mfcc <= n_mels <= n_fft/2+1, got (20, 12, 129)"
+        (tmp_path / "bad.json").write_text(json.dumps(bad))
+        model = build_model(ModelConfig("lf_dnn", feature_dims={"audio": 20}))
+        save_checkpoint(model, tmp_path / "ckpt", extractors=bad)
+        calls = _spy_everywhere(monkeypatch, extractors.stft)
+        assert cli_main(["extract", "--data", str(setup["data"]),
+                         "--labels", str(setup["root"] / "labels.csv"),
+                         "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "b"),
+                         "--label-range=-1,1"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert cli_main(["predict", "--checkpoint", str(tmp_path / "ckpt"),
+                         "--sample", str(setup["data"] / "s0.wav"),
+                         "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert calls == []
+
+
+class TestNonFiniteWav:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_predict_exits_2_and_writes_no_prediction(self, tmp_path, audio_text_checkpoint,
+                                                      capsys, bad):
+        setup = audio_text_checkpoint
+        wav = _write_float_wav(tmp_path / "broken.wav", bad)
+        out = tmp_path / "p"
+        assert cli_main(["predict", "--checkpoint", str(setup["checkpoint"]),
+                         "--sample", str(wav), "--tokens", "good",
+                         "--embedding", str(setup["data"] / "emb.txt"),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "broken.wav" in captured.err
+        assert captured.out == "" and not (out / "prediction.json").exists()
+
+    def test_extract_strict_names_the_wav_and_lenient_drops_it(self, tmp_path,
+                                                               audio_text_checkpoint,
+                                                               capsys, caplog):
+        setup = audio_text_checkpoint
+        data = tmp_path / "data"
+        shutil.copytree(setup["data"], data)
+        _write_float_wav(data / "s3.wav", np.nan)
+        argv = ["extract", "--data", str(data), "--labels", str(setup["root"] / "labels.csv"),
+                "--config", str(setup["extract_cfg"]), "--label-range=-1,1"]
+        assert cli_main([*argv, "--out", str(tmp_path / "strict")]) == 2
+        err = capsys.readouterr().err
+        assert "1/16 samples failed" in err and "s3.wav" in err and "Traceback" not in err
+        assert cli_main([*argv, "--out", str(tmp_path / "lenient"), "--lenient", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 15
+        assert "s3" not in read_bundle(tmp_path / "lenient").ids
+        assert "dropped 1 failed sample(s): s3:" in caplog.text
+
+
+WAV_KIND_CONFIGS = {
+    "stft": {"kind": "stft", "params": {"n_fft": 64, "hop": 32}},
+    "mfcc": {"kind": "mfcc", "params": {"n_fft": 256, "hop": 128, "n_mels": 12, "n_mfcc": 6}},
+    "hsf_mfcc": {"kind": "hsf", "params": {"lld": "mfcc"}},
+    "hsf_stft": {"kind": "hsf", "params": {"lld": "stft", "n_fft": 128, "hop": 64}},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(WAV_KIND_CONFIGS))
+def wav_kind_setup(request, tmp_path_factory, audio_text_checkpoint):
+    """The toy clips extracted into an audio-only bundle with one WAV kind,
+    and an untrained lf_dnn checkpoint that records that extractor."""
+    setup = audio_text_checkpoint
+    root = tmp_path_factory.mktemp(f"wav_{request.param}")
+    config = WAV_KIND_CONFIGS[request.param]
+    (root / "extract.json").write_text(json.dumps({"audio": config}))
+    assert cli_main(["extract", "--data", str(setup["data"]),
+                     "--labels", str(setup["root"] / "labels.csv"),
+                     "--config", str(root / "extract.json"), "--out", str(root / "bundle"),
+                     "--label-range=-1,1"]) == 0
+    bundle = read_bundle(root / "bundle")
+    model = build_model(ModelConfig("lf_dnn", feature_dims={
+        "audio": bundle.blocks["audio"].feature_dim}))
+    save_checkpoint(model, root / "checkpoint", extractors=bundle.manifest.extractors)
+    return {"data": setup["data"], "bundle": bundle, "params": config["params"],
+            "checkpoint": root / "checkpoint"}
+
+
+class TestOneExtractionPath:
+    def test_predict_features_and_dumps_match_extract(self, tmp_path, wav_kind_setup,
+                                                      monkeypatch):
+        setup = wav_kind_setup
+        model, _ = load_checkpoint(setup["checkpoint"])
+        seen = _forward_spy(monkeypatch, type(model))
+        block = setup["bundle"].blocks["audio"]
+        n_fft, hop = setup["params"].get("n_fft", 512), setup["params"].get("hop", 160)
+        for i in (0, 7, 15):
+            assert setup["bundle"].ids[i] == f"s{i}"
+            wav = setup["data"] / f"s{i}.wav"
+            out = tmp_path / f"p{i}"
+            assert cli_main(["predict", "--checkpoint", str(setup["checkpoint"]),
+                             "--sample", str(wav), "--out", str(out)]) == 0
+            batch, output = seen.pop()
+            got = batch.modalities["audio"].data
+            want = block.data[i:i + 1, :block.lengths[i]]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            # the dumps are the bytes np.savetxt writes for the reference arrays
+            spec = extractors.stft(extractors.read_wav(wav), n_fft, hop)
+            np.savetxt(tmp_path / "stft_ref.csv", spec, delimiter=",", fmt="%.6g")
+            np.savetxt(tmp_path / "fusion_ref.csv", output.fusion_rep.data, delimiter=",",
+                       fmt="%.6g")
+            assert (out / "stft.csv").read_bytes() == (tmp_path / "stft_ref.csv").read_bytes()
+            assert ((out / "fusion_rep.csv").read_bytes()
+                    == (tmp_path / "fusion_ref.csv").read_bytes())
+
+
+class TestCachedParser:
+    def test_calls_in_one_process_do_not_leak(self, tmp_path, tiny_bundle_dir, monkeypatch):
+        assert cli._build_parser() is cli._build_parser()
+        seen = []
+
+        def stop(pairs):
+            seen.append(list(pairs))
+            raise UsageError("stopped before training")
+
+        monkeypatch.setattr(cli, "_parse_set", stop)
+        train = ["train", "--bundle", str(tiny_bundle_dir), "--model", "lf_dnn",
+                 "--out", str(tmp_path / "runs")]
+        assert cli_main([*train, "--set", "max_epochs=1", "--set", "dropout=0.0"]) == 1
+        assert cli_main(train) == 1
+        assert seen == [["max_epochs=1", "dropout=0.0"], []]
+        monkeypatch.undo()
+
+        perturb = ["perturb", "--bundle", str(tiny_bundle_dir), "--drop", "vision"]
+        assert cli_main([*perturb, "--out", str(tmp_path / "a")]) == 0
+        assert cli_main(perturb) == 1                      # --out is required
+        assert cli_main(["train", "--help"]) == 0
+        assert cli_main(["--help"]) == 0
+        assert cli_main([*perturb, "--out", str(tmp_path / "b")]) == 0
+        for name in ("manifest.json", "vision.bin"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -79,6 +79,16 @@ class TestReadWav:
         with pytest.raises(ExtractionError):
             read_wav(path)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_non_finite_float_sample_rejected(self, tmp_path, bad, channels):
+        samples = np.full((50, channels), 0.25, dtype=np.float32)
+        samples[17, 0] = bad
+        path = tmp_path / "bad.wav"
+        scipy.io.wavfile.write(path, SR, samples[:, 0] if channels == 1 else samples)
+        with pytest.raises(ExtractionError, match="bad.wav.*non-finite.*index 17"):
+            read_wav(path)
+
 
 class TestStft:
     def test_frame_count_formula(self):
@@ -121,6 +131,19 @@ class TestStft:
     def test_too_short_signal_rejected(self):
         with pytest.raises(ExtractionError):
             stft(WaveBuffer(SR, np.zeros(100)), 256, 128)
+
+    def test_strided_frames_match_per_frame_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n_fft = int(2 ** rng.integers(0, 10))
+            hop = int(rng.integers(1, n_fft + 1))
+            x = rng.normal(size=int(rng.integers(n_fft, n_fft * 6 + 20)))
+            win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+            frames = np.stack([x[i:i + n_fft] * win
+                               for i in range(0, len(x) - n_fft + 1, hop)])
+            want = np.abs(np.fft.rfft(frames, axis=1))
+            got = stft(WaveBuffer(SR, x), n_fft, hop)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ExtractionError):
@@ -186,6 +209,16 @@ class TestMfcc:
         wave = WaveBuffer(SR, np.zeros(2048))
         with pytest.raises(ExtractionError):
             mfcc(wave, n_fft=256, hop=128, n_mels=4, n_mfcc=10)
+
+    def test_filterbank_is_fresh_and_mfcc_unaffected_by_edits(self):
+        wave = WaveBuffer(SR, np.random.default_rng(3).normal(size=4000))
+        before = mfcc(wave, n_fft=256, hop=128, n_mels=12, n_mfcc=6)
+        fb = mel_filterbank(12, 256, SR)
+        assert fb.flags.writeable
+        fb[:] = 7.0
+        assert not np.array_equal(mel_filterbank(12, 256, SR), fb)
+        after = mfcc(wave, n_fft=256, hop=128, n_mels=12, n_mfcc=6)
+        assert before.tobytes() == after.tobytes()
 
     def test_filterbank_shape(self):
         fb = mel_filterbank(26, 512, SR)
@@ -375,6 +408,24 @@ class TestRunDataset:
                              max_failure_fraction=0.5)
         assert bundle.n == 2
         assert "s1" not in bundle.ids
+
+    def _non_finite_clip(self, tmp_path):
+        root = build_toy_dataset(tmp_path / "data", n=3)
+        samples = np.full(SR // 4, 0.1, dtype=np.float32)
+        samples[100] = np.nan
+        scipy.io.wavfile.write(root / "s1.wav", SR, samples)
+        return root
+
+    def test_non_finite_wav_strict_mode_names_the_wav(self, tmp_path):
+        root = self._non_finite_clip(tmp_path)
+        with pytest.raises(ExtractionError, match=r"1/3 samples failed.*s1: .*s1\.wav"):
+            run_dataset(root, self._configs(), root / "labels.csv")
+
+    def test_non_finite_wav_lenient_mode_drops_it(self, tmp_path):
+        root = self._non_finite_clip(tmp_path)
+        bundle = run_dataset(root, self._configs(), root / "labels.csv",
+                             max_failure_fraction=0.5)
+        assert bundle.ids == ["s0", "s2"]
 
     def test_rerun_is_bit_identical(self, tmp_path):
         root = build_toy_dataset(tmp_path / "data", n=3)

@@ -21,6 +21,7 @@ from msa_forge.robustness import (
     render_tagged_reports,
 )
 from msa_forge.synthetic import make_synthetic_bundle
+from msa_forge.trainer import _evaluate
 from msa_forge.analysis import compute_metrics
 
 
@@ -285,6 +286,29 @@ class TestEvaluateTagged:
         bundle = self._bundle()
         report = evaluate_tagged(_ConstantModel(), bundle)
         assert set(report.scenarios) == {"Films(TV)", "Variety Show", "Life(Vlog)"}
+
+    def test_clean_preds_stand_in_for_the_clean_pass(self, monkeypatch):
+        bundle = self._bundle()
+        model = build_model(ModelConfig("lf_dnn", feature_dims={
+            m: b.feature_dim for m, b in bundle.blocks.items()}))
+        specs = [PerturbationSpec("feature_noise", "audio", snr_db=0.0, seed=2),
+                 PerturbationSpec("modality_missing", "vision")]
+        _, preds, _ = _evaluate(model, bundle)
+        rows = []
+        forward = type(model).forward
+
+        def spy(self, batch, train=False):
+            rows.append(batch.size)
+            return forward(self, batch, train)
+
+        monkeypatch.setattr(type(model), "forward", spy)
+        given = evaluate_tagged(model, bundle, specs, clean_preds=preds)
+        assert sum(rows) == 2 * bundle.n   # the two specs' sweeps, no clean sweep
+        computed = evaluate_tagged(model, bundle, specs)
+        assert sum(rows) == 5 * bundle.n
+        assert given.as_dict() == computed.as_dict()
+        with pytest.raises(ValidationError, match="clean_preds"):
+            evaluate_tagged(model, bundle, specs, clean_preds=preds[1:])
 
     def test_untagged_bundle_without_specs_is_error(self):
         bundle = split_view(
