@@ -1,6 +1,13 @@
 """msa_forge: a self-contained multimodal sentiment analysis benchmark
 toolkit: feature extraction, feature bundles, fusion-model training,
-metric/representation analysis, and robustness testing."""
+metric/representation analysis, and robustness testing.
+
+No module of the package imports scipy at module level. Each function that
+calls it (``autodiff.sigmoid``, ``lstm_sequence`` and ``lstm_cell_step`` for
+``expit``; ``extractors.read_wav`` and the MFCC's DCT) imports it where it is
+used, because loading any scipy submodule takes ~0.25 s and most work (the
+pooled models, ``perturb``, ``report``, ``--help``) never calls it.
+"""
 
 import logging
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ShapeError
 
@@ -324,6 +323,8 @@ def transpose(x, axes: Sequence[int] | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def sigmoid(x) -> Tensor:
+    from scipy.special import expit
+
     x = _as_tensor(x)
     y = expit(x.data)
     out = Tensor(y)
@@ -638,6 +639,8 @@ def lstm_cell_step(x_t, h_prev, c_prev, params: Mapping[str, Tensor]) -> tuple[T
     It shares no gate code with :func:`lstm_sequence`, so it serves as
     that kernel's per-step reference.
     """
+    from scipy.special import expit
+
     x_t = _as_tensor(x_t)
     h_prev = _as_tensor(h_prev)
     c_prev = _as_tensor(c_prev)
@@ -685,6 +688,8 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
     if not xs or not len(xs) == len(masks) == len(params):
         raise ShapeError(f"lstm_sequence needs one mask and one parameter set per input, got "
                          f"{len(xs)} inputs, {len(masks)} masks, {len(params)} parameter sets")
+    from scipy.special import expit
+
     xs = [_as_tensor(x) for x in xs]
     weights = [_lstm_weights(p) for p in params]
     for x, (wx, _, _) in zip(xs, weights):

@@ -268,7 +268,8 @@ def _predict_configs(config_path, recorded) -> dict[str, ExtractorConfig]:
         if given is None:
             raise ValidationError("checkpoint records no extractor config; pass --config")
         return given
-    record = {m: ExtractorConfig(m, e["kind"], e["params"]) for m, e in recorded.items()}
+    record = {m: resolve_config(ExtractorConfig(m, e["kind"], e["params"]))
+              for m, e in recorded.items()}
     for m, cfg in (given or {}).items():
         if record.get(m) != cfg:
             raise ValidationError(

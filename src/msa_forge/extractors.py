@@ -18,10 +18,9 @@ import hashlib
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
-import scipy.fft
-import scipy.io.wavfile
 
 from .bundle import FeatureBundle, Manifest, ModalityBlock, SampleMeta, validate_bundle
 from .errors import ExtractionError
@@ -48,6 +47,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 LOG_EPS = 1e-10
+_PCM_FULL_SCALE = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0}
 
 
 @dataclass
@@ -59,8 +59,10 @@ class WaveBuffer:
 
 
 def read_wav(path, expected_rate: int | None = None) -> WaveBuffer:
-    """Read a PCM WAV (int16/int32/float32), downmix stereo by averaging,
-    and scale integer samples to [-1, 1]."""
+    """Read a PCM WAV (int16/int32/float32), scale integer samples to
+    [-1, 1] and downmix stereo by averaging."""
+    import scipy.io.wavfile
+
     try:
         rate, data = scipy.io.wavfile.read(path)
     except FileNotFoundError:
@@ -69,23 +71,21 @@ def read_wav(path, expected_rate: int | None = None) -> WaveBuffer:
         raise ExtractionError(f"{path}: not a readable WAV ({exc})") from exc
     if data.size == 0:
         raise ExtractionError(f"{path}: zero-length audio")
+    full_scale = _PCM_FULL_SCALE.get(data.dtype)
+    if full_scale is not None:  # per channel, before the downmix; the division is exact
+        data = data.astype(np.float64) / full_scale
+    elif data.dtype not in (np.float32, np.float64):
+        raise ExtractionError(f"{path}: unsupported sample format {data.dtype}")
     if data.ndim == 2:
         data = data.mean(axis=1)
-    data = np.asarray(data)
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        samples = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
+    samples = data.astype(np.float64)
+    if full_scale is None:
         if not np.isfinite(samples).all():
             bad = int(np.flatnonzero(~np.isfinite(samples))[0])
             raise ExtractionError(f"{path}: non-finite sample value at index {bad}")
         peak = np.abs(samples).max()
         if peak > 1.0:
             samples = samples / peak
-    else:
-        raise ExtractionError(f"{path}: unsupported sample format {data.dtype}")
     if expected_rate is not None and rate != expected_rate:
         raise ExtractionError(
             f"{path}: sample rate {rate} Hz != expected {expected_rate} Hz "
@@ -152,10 +152,12 @@ def _check_mfcc_dims(n_fft: int, n_mels: int, n_mfcc: int) -> None:
 def _cepstra(spec: np.ndarray, n_fft: int, sample_rate: int, n_mels: int,
              n_mfcc: int) -> np.ndarray:
     """The MFCCs of a magnitude spectrogram made with ``n_fft``."""
+    from scipy.fft import dct
+
     fb = _shared_filterbank(n_mels, n_fft, sample_rate)
     mel = (spec ** 2) @ fb.T
     logmel = np.log(mel + LOG_EPS)
-    return scipy.fft.dct(logmel, type=2, axis=1, norm="ortho")[:, :n_mfcc]
+    return dct(logmel, type=2, axis=1, norm="ortho")[:, :n_mfcc]
 
 
 def mfcc(wave: WaveBuffer, n_fft: int = 512, hop: int = 160,
@@ -308,8 +310,35 @@ FEATURE_CODES: dict[str, tuple[str, dict]] = {
 EXTRACTOR_KINDS = ("stft", "mfcc", "hsf", "glove", "ingest_csv")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what each known param must hold, as read from a JSON config; None is
+# allowed only where it is the param's default
+_PARAM_TYPES: dict[str, tuple[str, Callable[[object], bool]]] = {
+    **{name: ("an integer", _is_int)
+       for name in ("n_fft", "hop", "n_mels", "n_mfcc", "corrupt_seed")},
+    "sample_rate": ("an integer", lambda v: v is None or _is_int(v)),
+    "corrupt_rate": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "lld": ("a string", lambda v: isinstance(v, str)),
+    "table": ("a string", lambda v: isinstance(v, str)),
+    "columns": ("a list of strings", lambda v: v is None or (
+        isinstance(v, list) and all(isinstance(c, str) for c in v))),
+}
+
+
 def resolve_config(config: ExtractorConfig) -> ExtractorConfig:
-    """Expand a feature code into its concrete kind; validate the kind."""
+    """Expand a feature code into its concrete kind; validate the kind and
+    the type of every known param."""
+    if not isinstance(config.params, dict):
+        raise ExtractionError(f"modality {config.modality!r}: params must be an object, "
+                              f"got {config.params!r}")
+    for name, value in config.params.items():
+        expected, ok = _PARAM_TYPES.get(name, (None, None))
+        if ok is not None and not ok(value):
+            raise ExtractionError(f"modality {config.modality!r}: param {name!r} must be "
+                                  f"{expected}, got {value!r}")
     if config.kind in FEATURE_CODES:
         kind, defaults = FEATURE_CODES[config.kind]
         params = dict(defaults)

@@ -37,12 +37,13 @@ def make_synthetic_bundle(n_train: int = 700, n_valid: int = 150, n_test: int = 
     blocks: dict[str, ModalityBlock] = {}
     for m in MODALITIES:
         lengths = rng.integers(max(1, seq_len // 2), seq_len + 1, size=n)
+        valid = np.arange(seq_len)[None, :] < lengths[:, None]
         data = np.zeros((n, seq_len, feature_dim), dtype=np.float32)
-        for i in range(n):
-            ln = int(lengths[i])
-            data[i, :ln, 0] = latents[m][i]
-            if feature_dim > 1:
-                data[i, :ln, 1:] = rng.uniform(-0.5, 0.5, size=(ln, feature_dim - 1))
+        data[..., 0] = np.where(valid, latents[m][:, None], 0.0)
+        if feature_dim > 1:
+            # one draw in the mask's sample-then-frame order: the stream
+            # that one draw per sample would consume, value for value
+            data[valid, 1:] = rng.uniform(-0.5, 0.5, size=(int(lengths.sum()), feature_dim - 1))
         blocks[m] = ModalityBlock(feature_dim=feature_dim, max_len=seq_len,
                                   data=data, lengths=lengths.astype(np.int64))
 

@@ -718,6 +718,60 @@ class TestPredictReplaysExtraction:
         assert "'audio'" in err and "Traceback" not in err
 
 
+BAD_PARAMS = [("n_fft", 512.0), ("hop", "160"), ("n_mfcc", True)]
+
+
+class TestExtractorParamTypes:
+    """A param of the wrong JSON type is a validation error (exit 2) that
+    names it, whichever subcommand reads the extractor config."""
+
+    def bad_config(self, tmp_path, setup, name, value) -> str:
+        config = json.loads(setup["extract_cfg"].read_text())
+        config["audio"]["params"][name] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    @pytest.mark.parametrize("name, value", BAD_PARAMS)
+    def test_extract(self, tmp_path, audio_text_checkpoint, capsys, name, value):
+        setup = audio_text_checkpoint
+        code = cli_main(["extract", "--data", str(setup["data"]),
+                         "--labels", str(setup["root"] / "labels.csv"),
+                         "--config", self.bad_config(tmp_path, setup, name, value),
+                         "--out", str(tmp_path / "bundle"), "--label-range=-1,1"])
+        err = capsys.readouterr().err
+        assert code == 2 and f"param '{name}'" in err and "Traceback" not in err
+        assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize("name, value", BAD_PARAMS)
+    def test_predict_on_a_checkpoint_without_a_record(self, tmp_path, trained_run,
+                                                      audio_text_checkpoint, capsys,
+                                                      name, value):
+        setup = audio_text_checkpoint
+        assert load_checkpoint(trained_run / "seed_1111" / "checkpoint")[1].get(
+            "extractors") is None
+        code = cli_main(["predict", "--checkpoint", str(trained_run / "seed_1111" / "checkpoint"),
+                         "--sample", str(setup["data"] / "s0.wav"), "--tokens", "good",
+                         "--config", self.bad_config(tmp_path, setup, name, value),
+                         "--out", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert code == 2 and f"param '{name}'" in err and "Traceback" not in err
+
+    def test_predict_on_a_record_edited_by_hand(self, tmp_path, audio_text_checkpoint, capsys):
+        setup = audio_text_checkpoint
+        checkpoint = tmp_path / "checkpoint"
+        shutil.copytree(setup["checkpoint"], checkpoint)
+        manifest = json.loads((checkpoint / "manifest.json").read_text())
+        manifest["extractors"]["audio"]["params"]["n_fft"] = 256.0
+        (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+        code = cli_main(["predict", "--checkpoint", str(checkpoint),
+                         "--sample", str(setup["data"] / "s0.wav"), "--tokens", "good",
+                         "--embedding", str(setup["data"] / "emb.txt"),
+                         "--out", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert code == 2 and "param 'n_fft'" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # the serving path does no repeated work, and predict replays extract exactly
 # ---------------------------------------------------------------------------

@@ -68,6 +68,43 @@ class TestReadWav:
         wave = read_wav(path)
         np.testing.assert_allclose(wave.samples, 0.2, atol=1e-7)
 
+    def test_float_stereo_is_the_float32_mean(self, tmp_path):
+        stereo = np.random.default_rng(2).uniform(-1, 1, size=(300, 2)).astype(np.float32)
+        path = tmp_path / "st.wav"
+        scipy.io.wavfile.write(path, SR, stereo)
+        np.testing.assert_array_equal(read_wav(path).samples,
+                                      stereo.mean(axis=1).astype(np.float64))
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_integer_stereo_is_scaled_not_peak_normalised(self, tmp_path, dtype):
+        full_scale = float(np.iinfo(dtype).max) + 1.0
+        lo, hi = (1000, 3000) if dtype == np.int16 else (1000 << 16, 3000 << 16)
+        stereo = np.stack([np.full(100, lo), np.full(100, hi)], axis=1).astype(dtype)
+        path = tmp_path / "st.wav"
+        scipy.io.wavfile.write(path, SR, stereo)
+        np.testing.assert_array_equal(read_wav(path).samples, (lo + hi) / 2 / full_scale)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_integer_stereo_reads_back_exactly(self, tmp_path, dtype):
+        info = np.iinfo(dtype)
+        pcm = np.random.default_rng(3).integers(info.min, info.max, size=(257, 2),
+                                                endpoint=True, dtype=dtype)
+        path = tmp_path / "st.wav"
+        scipy.io.wavfile.write(path, SR, pcm)
+        # the sum of two channels and the power-of-two division are exact in f64
+        want = (pcm[:, 0].astype(np.float64) + pcm[:, 1]) / (2.0 * (info.max + 1.0))
+        np.testing.assert_array_equal(read_wav(path).samples, want)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_integer_mono_is_divided_by_full_scale(self, tmp_path, dtype):
+        info = np.iinfo(dtype)
+        pcm = np.random.default_rng(4).integers(info.min, info.max, size=300,
+                                                endpoint=True, dtype=dtype)
+        path = tmp_path / "mono.wav"
+        scipy.io.wavfile.write(path, SR, pcm)
+        np.testing.assert_array_equal(read_wav(path).samples,
+                                      pcm.astype(np.float64) / (info.max + 1.0))
+
     def test_rate_mismatch_rejected(self, tmp_path):
         path = write_wav(tmp_path / "slow.wav", np.zeros(100) + 0.1, rate=8000)
         with pytest.raises(ExtractionError):
@@ -442,3 +479,27 @@ class TestRunDataset:
         assert cfg.params["columns"] == ["x_", "y_", "AU"]
         with pytest.raises(ExtractionError):
             resolve_config(ExtractorConfig("audio", "quantum"))
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_fft", 512.0), ("hop", "160"), ("n_mels", None), ("n_mfcc", True),
+        ("sample_rate", 16000.0), ("corrupt_seed", False), ("corrupt_rate", "0.5"),
+        ("corrupt_rate", True), ("lld", 3), ("table", ["emb.txt"]), ("columns", "AU"),
+        ("columns", ["AU", 1]),
+    ])
+    def test_param_of_the_wrong_type_is_named(self, name, value):
+        for kind in ("mfcc", "A2"):
+            with pytest.raises(ExtractionError, match=f"'audio'.*param '{name}'"):
+                resolve_config(ExtractorConfig("audio", kind, {name: value}))
+
+    def test_params_must_be_an_object(self):
+        with pytest.raises(ExtractionError, match="params must be an object"):
+            resolve_config(ExtractorConfig("audio", "mfcc", [512]))
+
+    def test_well_typed_params_pass(self):
+        params = {"n_fft": 256, "hop": 128, "n_mels": 12, "n_mfcc": 6, "sample_rate": None,
+                  "corrupt_seed": 0, "corrupt_rate": 0, "lld": "stft", "table": "emb.txt",
+                  "columns": None, "unknown": 1.5}
+        assert resolve_config(ExtractorConfig("audio", "hsf", params)).params == params
+        cfg = resolve_config(ExtractorConfig("text", "glove", {"corrupt_rate": 0.25,
+                                                               "columns": ["x_"]}))
+        assert cfg.params == {"corrupt_rate": 0.25, "columns": ["x_"]}
