@@ -81,8 +81,8 @@ class Tensor:
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr

@@ -35,7 +35,14 @@ from .analysis import (
 )
 from .bundle import read_bundle, split_view, write_bundle
 from .errors import MsaForgeError, UsageError, ValidationError, parsing
-from .extractors import EmbeddingTable, ExtractorConfig, _extract_one, resolve_config, run_dataset
+from .extractors import (
+    EmbeddingTable,
+    ExtractorConfig,
+    _extract_one,
+    filled_params,
+    resolve_config,
+    run_dataset,
+)
 from .models import Batch, ModalityInput, load_checkpoint
 from .robustness import (
     PerturbationSpec,
@@ -260,7 +267,8 @@ def _cmd_eval(args) -> int:
 
 def _predict_configs(config_path, recorded) -> dict[str, ExtractorConfig]:
     """Each modality's extractor: the checkpoint's record, which --config
-    must agree with, or --config for a checkpoint without a record."""
+    must agree with (the same kind and, defaults filled in, the same params),
+    or --config for a checkpoint without a record."""
     given = None
     if config_path:
         given = {c.modality: resolve_config(c) for c in _read_extractor_configs(config_path)}
@@ -271,7 +279,8 @@ def _predict_configs(config_path, recorded) -> dict[str, ExtractorConfig]:
     record = {m: resolve_config(ExtractorConfig(m, e["kind"], e["params"]))
               for m, e in recorded.items()}
     for m, cfg in (given or {}).items():
-        if record.get(m) != cfg:
+        want = record.get(m)
+        if want is None or (want.kind, filled_params(want)) != (cfg.kind, filled_params(cfg)):
             raise ValidationError(
                 f"--config for modality {m!r} ({cfg.kind}, {cfg.params}) disagrees with the "
                 f"checkpoint's recorded extractor {recorded.get(m)}")

@@ -15,10 +15,11 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,9 @@ __all__ = [
     "ingest_visual_csv",
     "run_dataset",
     "resolve_config",
+    "filled_params",
     "FEATURE_CODES",
-    "EXTRACTOR_KINDS",
+    "EXTRACTOR_PARAMS",
     "WAV_KINDS",
 ]
 
@@ -48,6 +50,52 @@ log = logging.getLogger(__name__)
 
 LOG_EPS = 1e-10
 _PCM_FULL_SCALE = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0}
+
+
+class Param(NamedTuple):
+    """One extractor param: its default and the JSON type a config gives it."""
+
+    default: object
+    json_type: str
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# each JSON type's check on a value read from a config; null is allowed
+# only where it is the param's default
+_JSON_TYPES: dict[str, Callable[[object], bool]] = {
+    "an integer": _is_int,
+    "a number": lambda v: _is_int(v) or isinstance(v, float),
+    "a string": lambda v: isinstance(v, str),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+}
+
+_STFT_PARAMS = {"n_fft": Param(512, "an integer"), "hop": Param(160, "an integer"),
+                "sample_rate": Param(None, "an integer")}
+_MFCC_PARAMS = {**_STFT_PARAMS, "n_mels": Param(26, "an integer"),
+                "n_mfcc": Param(20, "an integer")}
+
+# every param each extractor kind reads; a config may set these and no others
+EXTRACTOR_PARAMS: dict[str, dict[str, Param]] = {
+    "stft": _STFT_PARAMS,
+    "mfcc": _MFCC_PARAMS,
+    "hsf": {**_MFCC_PARAMS, "lld": Param("mfcc", "a string")},
+    "glove": {"table": Param(None, "a string"), "corrupt_rate": Param(0, "a number"),
+              "corrupt_seed": Param(0, "an integer")},
+    "ingest_csv": {"columns": Param(None, "a list of strings")},
+}
+
+
+def _read_text(path, newline: str | None = None) -> str:
+    """A UTF-8 text input's contents; one that cannot be read as such is an
+    ExtractionError."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8, NUL in the path
+        raise ExtractionError(f"{path}: not a readable UTF-8 text file ({exc})") from None
 
 
 @dataclass
@@ -97,15 +145,19 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+def _check_stft_dims(n_fft: int, hop: int) -> None:
+    if n_fft <= 0 or (n_fft & (n_fft - 1)) != 0:
+        raise ExtractionError(f"n_fft must be a power of two, got {n_fft}")
+    if not 1 <= hop <= n_fft:
+        raise ExtractionError(f"hop must be in [1, n_fft], got {hop}")
+
+
 def stft(wave: WaveBuffer, n_fft: int, hop: int) -> np.ndarray:
     """Hann-windowed magnitude spectrogram, frames x (n_fft/2 + 1).
 
     No padding or centering: F = 1 + floor((len - n_fft) / hop).
     """
-    if n_fft <= 0 or (n_fft & (n_fft - 1)) != 0:
-        raise ExtractionError(f"n_fft must be a power of two, got {n_fft}")
-    if not 1 <= hop <= n_fft:
-        raise ExtractionError(f"hop must be in [1, n_fft], got {hop}")
+    _check_stft_dims(n_fft, hop)
     x = wave.samples
     if len(x) < n_fft:
         raise ExtractionError(f"signal of {len(x)} samples is shorter than one {n_fft} window")
@@ -144,6 +196,8 @@ def _shared_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
 
 
 def _check_mfcc_dims(n_fft: int, n_mels: int, n_mfcc: int) -> None:
+    if n_mfcc < 1:
+        raise ExtractionError(f"n_mfcc must be at least 1, got {n_mfcc}")
     if not n_mfcc <= n_mels <= n_fft // 2 + 1:
         raise ExtractionError(
             f"need n_mfcc <= n_mels <= n_fft/2+1, got ({n_mfcc}, {n_mels}, {n_fft // 2 + 1})")
@@ -160,8 +214,9 @@ def _cepstra(spec: np.ndarray, n_fft: int, sample_rate: int, n_mels: int,
     return dct(logmel, type=2, axis=1, norm="ortho")[:, :n_mfcc]
 
 
-def mfcc(wave: WaveBuffer, n_fft: int = 512, hop: int = 160,
-         n_mels: int = 26, n_mfcc: int = 20) -> np.ndarray:
+def mfcc(wave: WaveBuffer, n_fft: int = _MFCC_PARAMS["n_fft"].default,
+         hop: int = _MFCC_PARAMS["hop"].default, n_mels: int = _MFCC_PARAMS["n_mels"].default,
+         n_mfcc: int = _MFCC_PARAMS["n_mfcc"].default) -> np.ndarray:
     """STFT -> mel filterbank -> log(x + eps) -> orthonormal DCT-II,
     keeping the first n_mfcc coefficients."""
     _check_mfcc_dims(n_fft, n_mels, n_mfcc)
@@ -198,21 +253,20 @@ class EmbeddingTable:
         vector's decimal floats, space-separated."""
         vectors: dict[str, np.ndarray] = {}
         dim = None
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                parts = line.split()
-                if not parts:
-                    continue
-                tok, values = parts[0], parts[1:]
-                if dim is None:
-                    dim = len(values)
-                elif len(values) != dim:
-                    raise ExtractionError(
-                        f"{path} line {lineno}: {len(values)} values, expected {dim}")
-                try:
-                    vectors[tok] = np.array([float(v) for v in values], dtype=np.float64)
-                except ValueError as exc:
-                    raise ExtractionError(f"{path} line {lineno}: {exc}") from exc
+        for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+            parts = line.split()
+            if not parts:
+                continue
+            tok, values = parts[0], parts[1:]
+            if dim is None:
+                dim = len(values)
+            elif len(values) != dim:
+                raise ExtractionError(
+                    f"{path} line {lineno}: {len(values)} values, expected {dim}")
+            try:
+                vectors[tok] = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError as exc:
+                raise ExtractionError(f"{path} line {lineno}: {exc}") from exc
         if dim is None:
             raise ExtractionError(f"{path}: empty embedding table")
         return cls(vectors=vectors, dim=dim)
@@ -226,12 +280,18 @@ def text_embed_lookup(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
     return np.stack([table.vectors.get(tok, unk) for tok in tokens])
 
 
+def _check_corruption(rate: float, seed: int) -> None:
+    if not 0.0 <= rate <= 1.0:
+        raise ExtractionError(f"corruption rate must be in [0, 1], got {rate}")
+    if seed < 0:
+        raise ExtractionError(f"corruption seed must be non-negative, got {seed}")
+
+
 def corrupt_tokens(tokens: list[str], rate: float, seed: int) -> list[str]:
     """Replace each token with "<unk>" with probability ``rate`` (the text
     analog of feature noise, before embedding), drawn from an RNG keyed on
     (seed, sentence digest): sentences differ, and extract and predict agree."""
-    if not 0.0 <= rate <= 1.0:
-        raise ExtractionError(f"corruption rate must be in [0, 1], got {rate}")
+    _check_corruption(rate, seed)
     digest = hashlib.sha256(" ".join(tokens).encode("utf-8")).digest()
     rng = np.random.default_rng([seed, int.from_bytes(digest[:8], "little")])
     return ["<unk>" if rng.random() < rate else tok for tok in tokens]
@@ -248,13 +308,14 @@ def ingest_visual_csv(path, columns: list[str] | None = None) -> np.ndarray:
     path = Path(path)
     if not path.exists():
         raise ExtractionError(f"csv not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ExtractionError(f"{path}: empty csv") from None
+    reader = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
+    try:
+        header = [h.strip() for h in next(reader)]
         rows = [row for row in reader if row]
+    except StopIteration:
+        raise ExtractionError(f"{path}: empty csv") from None
+    except csv.Error as exc:
+        raise ExtractionError(f"{path}: not a readable csv ({exc})") from None
     if columns is None:
         selected = list(range(len(header)))
     else:
@@ -307,91 +368,88 @@ FEATURE_CODES: dict[str, tuple[str, dict]] = {
     "V3": ("ingest_csv", {"columns": ["x_", "y_", "AU"]}),  # landmarks + AUs
 }
 
-EXTRACTOR_KINDS = ("stft", "mfcc", "hsf", "glove", "ingest_csv")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# what each known param must hold, as read from a JSON config; None is
-# allowed only where it is the param's default
-_PARAM_TYPES: dict[str, tuple[str, Callable[[object], bool]]] = {
-    **{name: ("an integer", _is_int)
-       for name in ("n_fft", "hop", "n_mels", "n_mfcc", "corrupt_seed")},
-    "sample_rate": ("an integer", lambda v: v is None or _is_int(v)),
-    "corrupt_rate": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    "lld": ("a string", lambda v: isinstance(v, str)),
-    "table": ("a string", lambda v: isinstance(v, str)),
-    "columns": ("a list of strings", lambda v: v is None or (
-        isinstance(v, list) and all(isinstance(c, str) for c in v))),
-}
-
-
-def resolve_config(config: ExtractorConfig) -> ExtractorConfig:
-    """Expand a feature code into its concrete kind; validate the kind and
-    the type of every known param."""
-    if not isinstance(config.params, dict):
-        raise ExtractionError(f"modality {config.modality!r}: params must be an object, "
-                              f"got {config.params!r}")
-    for name, value in config.params.items():
-        expected, ok = _PARAM_TYPES.get(name, (None, None))
-        if ok is not None and not ok(value):
-            raise ExtractionError(f"modality {config.modality!r}: param {name!r} must be "
-                                  f"{expected}, got {value!r}")
-    if config.kind in FEATURE_CODES:
-        kind, defaults = FEATURE_CODES[config.kind]
-        params = dict(defaults)
-        params.update(config.params)
-        return ExtractorConfig(config.modality, kind, params)
-    if config.kind not in EXTRACTOR_KINDS:
-        raise ExtractionError(
-            f"unknown extractor kind {config.kind!r}; "
-            f"known kinds {EXTRACTOR_KINDS} and codes {tuple(FEATURE_CODES)}")
-    return config
-
-
 WAV_KINDS = ("stft", "mfcc", "hsf")
 
 
-def _wav_features(config: ExtractorConfig, path) -> tuple[np.ndarray, np.ndarray]:
+def filled_params(config: ExtractorConfig) -> dict:
+    """Every param a resolved config's kind reads: as given, else its default."""
+    return {name: config.params.get(name, param.default)
+            for name, param in EXTRACTOR_PARAMS[config.kind].items()}
+
+
+def resolve_config(config: ExtractorConfig) -> ExtractorConfig:
+    """Expand a feature code into its concrete kind, and check the config
+    before any clip is read: the kind reads every param, each param has its
+    JSON type, and the settings, defaults filled in, can be run. Params are
+    returned as given."""
+    where = f"modality {config.modality!r}"
+    if not isinstance(config.params, dict):
+        raise ExtractionError(f"{where}: params must be an object, got {config.params!r}")
+    if not (isinstance(config.kind, str) and (config.kind in EXTRACTOR_PARAMS
+                                              or config.kind in FEATURE_CODES)):
+        raise ExtractionError(
+            f"unknown extractor kind {config.kind!r}; "
+            f"known kinds {tuple(EXTRACTOR_PARAMS)} and codes {tuple(FEATURE_CODES)}")
+    kind, params = config.kind, config.params
+    if kind in FEATURE_CODES:
+        kind, code_params = FEATURE_CODES[kind]
+        params = {**code_params, **params}
+    table = EXTRACTOR_PARAMS[kind]
+    for name, value in params.items():
+        if name not in table:
+            raise ExtractionError(f"{where}: param {name!r} is not read by extractor kind "
+                                  f"{kind!r}, which takes {', '.join(table)}")
+        default, json_type = table[name]
+        if not (value is None and default is None or _JSON_TYPES[json_type](value)):
+            raise ExtractionError(f"{where}: param {name!r} must be {json_type}, "
+                                  f"got {value!r}")
+    resolved = ExtractorConfig(config.modality, kind, params)
+    s = filled_params(resolved)
+    try:
+        if kind in WAV_KINDS:
+            _check_stft_dims(s["n_fft"], s["hop"])
+            lld = s["lld"] if kind == "hsf" else kind
+            if lld not in ("mfcc", "stft"):
+                raise ExtractionError(f"param 'lld' must be 'mfcc' or 'stft', got {lld!r}")
+            if lld == "mfcc":
+                _check_mfcc_dims(s["n_fft"], s["n_mels"], s["n_mfcc"])
+        elif kind == "glove":
+            _check_corruption(s["corrupt_rate"], s["corrupt_seed"])
+    except ExtractionError as exc:
+        raise ExtractionError(f"{where}: {exc}") from None
+    return resolved
+
+
+def _wav_features(kind: str, s: dict, path) -> tuple[np.ndarray, np.ndarray]:
     """A WAV-kind sample's features and the magnitude spectrogram they were
     computed from, reading the WAV and running the STFT once."""
-    p = config.params
-    wave = read_wav(path, expected_rate=p.get("sample_rate"))
-    n_fft, hop = p.get("n_fft", 512), p.get("hop", 160)
-    lld = p.get("lld", "mfcc") if config.kind == "hsf" else config.kind
-    if lld not in ("mfcc", "stft"):
-        raise ExtractionError(f"hsf lld must be 'mfcc' or 'stft', got {lld!r}")
-    n_mels, n_mfcc = p.get("n_mels", 26), p.get("n_mfcc", 20)
-    if lld == "mfcc":
-        _check_mfcc_dims(n_fft, n_mels, n_mfcc)
-    spec = stft(wave, n_fft, hop)
-    seq = spec if lld == "stft" else _cepstra(spec, n_fft, wave.sample_rate, n_mels, n_mfcc)
-    return (utterance_stats(seq)[None, :] if config.kind == "hsf" else seq), spec
+    wave = read_wav(path, expected_rate=s["sample_rate"])
+    spec = stft(wave, s["n_fft"], s["hop"])
+    if (s["lld"] if kind == "hsf" else kind) == "stft":
+        seq = spec
+    else:
+        seq = _cepstra(spec, s["n_fft"], wave.sample_rate, s["n_mels"], s["n_mfcc"])
+    return (utterance_stats(seq)[None, :] if kind == "hsf" else seq), spec
 
 
 def _extract_one(config: ExtractorConfig, sample,
                  table: EmbeddingTable | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """One sample's features and, for a WAV kind, the magnitude spectrogram
-    they were computed from (None otherwise). ``sample`` is the input file;
-    glove also takes a token list in its place."""
-    p = config.params
+    """One sample's features under a resolved config and, for a WAV kind,
+    the magnitude spectrogram they were computed from (None otherwise).
+    ``sample`` is the input file; glove also takes a token list in its place."""
     if isinstance(sample, list) and config.kind != "glove":
         raise ExtractionError(f"extractor kind {config.kind!r} reads a file, not tokens")
+    s = filled_params(config)
     if config.kind in WAV_KINDS:
-        return _wav_features(config, sample)
+        return _wav_features(config.kind, s, sample)
     if config.kind == "glove":
         if table is None:
             raise ExtractionError("glove extractor needs an embedding table")
-        tokens = sample if isinstance(sample, list) else Path(sample).read_text(
-            encoding="utf-8").split()
-        if p.get("corrupt_rate"):
-            tokens = corrupt_tokens(tokens, p["corrupt_rate"], p.get("corrupt_seed", 0))
+        tokens = sample if isinstance(sample, list) else _read_text(sample).split()
+        if s["corrupt_rate"]:
+            tokens = corrupt_tokens(tokens, s["corrupt_rate"], s["corrupt_seed"])
         return text_embed_lookup(tokens, table), None
-    if config.kind == "ingest_csv":
-        return ingest_visual_csv(sample, p.get("columns")), None
-    raise ExtractionError(f"unhandled extractor kind {config.kind!r}")
+    return ingest_visual_csv(sample, s["columns"]), None
 
 
 def _read_label_csv(label_file, modalities: list[str]) -> list[tuple[SampleMeta, dict]]:
@@ -457,7 +515,7 @@ def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
     tables: dict[str, EmbeddingTable | None] = {}
     for m, cfg in by_modality.items():
         if cfg.kind == "glove":
-            table_path = cfg.params.get("table")
+            table_path = filled_params(cfg)["table"]
             if not table_path:
                 raise ExtractionError("glove extractor needs params['table'] = path")
             tables[m] = EmbeddingTable.load(

@@ -728,16 +728,15 @@ def build_model(config: ModelConfig) -> Model:
 # checkpoints: manifest.json + params.bin (named MSAB blocks, see bundle)
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(model: Model, path, seed: int | None = None,
-                    extractors: dict[str, dict] | None = None) -> None:
-    """Persist model_name, config, seed, the training bundle's extractor
-    record (when it has one), and all parameters (float32)."""
+def save_checkpoint(model: Model, path, extractors: dict[str, dict] | None = None) -> None:
+    """Persist model_name, config, seed (the config's), the training bundle's
+    extractor record (when it has one), and all parameters (float32)."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     manifest = {
         "model_name": model.name,
         "config": asdict(model.config),
-        "seed": seed if seed is not None else model.config.seed,
+        "seed": model.config.seed,
         "params": [{"name": n, "shape": list(p.data.shape)} for n, p in model.params.items()],
     }
     if extractors is not None:

@@ -351,8 +351,7 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
             for rec in history:
                 fh.write(rec.to_json() + "\n")
         checkpoint_path = str(run_dir / "checkpoint")
-        save_checkpoint(model, checkpoint_path, seed=seed,
-                        extractors=bundle.manifest.extractors)
+        save_checkpoint(model, checkpoint_path, extractors=bundle.manifest.extractors)
         write_named_arrays(run_dir / "reps.bin", reps)
 
     return RunResult(seed=seed, best_epoch=best_epoch, test_metrics=test_metrics,

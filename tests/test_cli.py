@@ -13,7 +13,7 @@ import scipy.io.wavfile
 from msa_forge import cli, extractors
 from msa_forge.bundle import read_bundle, write_bundle
 from msa_forge.cli import cli_main
-from msa_forge.errors import UsageError
+from msa_forge.errors import UsageError, ValidationError
 from msa_forge.models import (ModelConfig, batch_from_bundle, build_model, load_checkpoint,
                               save_checkpoint)
 from msa_forge.robustness import PerturbationSpec, evaluate_tagged, perturb_batch
@@ -770,6 +770,90 @@ class TestExtractorParamTypes:
                          "--out", str(tmp_path / "p")])
         err = capsys.readouterr().err
         assert code == 2 and "param 'n_fft'" in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("kind, name", [("mfcc", "nfft"), ("hsf", "corrupt_seed")])
+    def test_param_the_kind_does_not_read(self, tmp_path, audio_text_checkpoint, trained_run,
+                                          capsys, kind, name):
+        setup = audio_text_checkpoint
+        config = {"audio": {"kind": kind, "params": {name: 256}}}
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        model = build_model(ModelConfig("lf_dnn", feature_dims={"audio": 20}))
+        save_checkpoint(model, tmp_path / "recorded", extractors=config)
+        message = f"modality 'audio': param '{name}' is not read by extractor kind '{kind}'"
+        runs = [
+            ["extract", "--data", str(setup["data"]), "--labels", str(setup["root"] / "labels.csv"),
+             "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "b"),
+             "--label-range=-1,1"],
+            ["predict", "--checkpoint", str(trained_run / "seed_1111" / "checkpoint"),
+             "--sample", str(setup["data"] / "s0.wav"), "--config", str(tmp_path / "c.json"),
+             "--out", str(tmp_path / "p")],
+            # a checkpoint whose record holds the param
+            ["predict", "--checkpoint", str(tmp_path / "recorded"),
+             "--sample", str(setup["data"] / "s0.wav"), "--out", str(tmp_path / "p")],
+        ]
+        for argv in runs:
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+        assert not (tmp_path / "b").exists() and not (tmp_path / "p").exists()
+
+
+class TestConfigRulesOnce:
+    """Settings that no clip can run exit 2 with one message, before any WAV is read."""
+
+    @pytest.mark.parametrize("params, named", [({"lld": "foo"}, "'lld'"),
+                                               ({"n_fft": 500}, "n_fft"),
+                                               ({"n_mels": 300}, "n_mels")])
+    def test_extract_and_predict(self, tmp_path, audio_text_checkpoint, trained_run,
+                                 monkeypatch, capsys, params, named):
+        setup = audio_text_checkpoint
+        (tmp_path / "hsf.json").write_text(json.dumps({"audio": {"kind": "hsf",
+                                                                  "params": params}}))
+        reads = _spy_everywhere(monkeypatch, extractors.read_wav)
+        extract = ["extract", "--data", str(setup["data"]),
+                   "--labels", str(setup["root"] / "labels.csv"),
+                   "--config", str(tmp_path / "hsf.json"), "--out", str(tmp_path / "b"),
+                   "--label-range=-1,1"]
+        predict = ["predict", "--checkpoint", str(trained_run / "seed_1111" / "checkpoint"),
+                   "--sample", str(setup["data"] / "s0.wav"),
+                   "--config", str(tmp_path / "hsf.json"), "--out", str(tmp_path / "p")]
+        for argv in (extract, [*extract, "--lenient", "1.0"], predict):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("modality 'audio'") == 1 and named in err
+            assert "samples failed" not in err and "Traceback" not in err
+        assert reads == []
+
+
+class TestPredictConfigAgreement:
+    """--config agrees with the checkpoint's record when the kinds match and
+    the params, defaults filled in, are equal."""
+
+    def configs(self, tmp_path, given, recorded):
+        (tmp_path / "c.json").write_text(json.dumps({"audio": given}))
+        return cli._predict_configs(str(tmp_path / "c.json"), {"audio": recorded})
+
+    @pytest.mark.parametrize("given, recorded", [
+        ({"kind": "mfcc", "params": {}}, {"kind": "mfcc", "params": {"n_mfcc": 20}}),
+        ({"kind": "A2"}, {"kind": "mfcc", "params": {}}),
+        ({"kind": "mfcc", "params": {"n_fft": 512, "hop": 160, "sample_rate": None}},
+         {"kind": "mfcc", "params": {}}),
+        ({"kind": "glove", "params": {"table": "emb.txt", "corrupt_rate": 0.0}},
+         {"kind": "glove", "params": {"table": "emb.txt"}}),
+    ])
+    def test_same_settings_agree(self, tmp_path, given, recorded):
+        (cfg,) = self.configs(tmp_path, given, recorded).values()
+        assert (cfg.kind, cfg.params) == (recorded["kind"], recorded["params"])
+
+    @pytest.mark.parametrize("given, recorded", [
+        ({"kind": "mfcc", "params": {"n_fft": 256}}, {"kind": "mfcc", "params": {}}),
+        ({"kind": "hsf", "params": {}}, {"kind": "mfcc", "params": {}}),
+        ({"kind": "hsf", "params": {"lld": "stft"}}, {"kind": "hsf", "params": {}}),
+    ])
+    def test_different_settings_disagree(self, tmp_path, given, recorded):
+        with pytest.raises(ValidationError, match="'audio'.*disagrees"):
+            self.configs(tmp_path, given, recorded)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ whole-dataset runs."""
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ import scipy.io.wavfile
 from msa_forge.bundle import bundle_equal
 from msa_forge.errors import ExtractionError
 from msa_forge.extractors import (
+    EXTRACTOR_PARAMS,
     EmbeddingTable,
+    FEATURE_CODES,
     ExtractorConfig,
     WaveBuffer,
     corrupt_tokens,
@@ -417,6 +420,16 @@ def build_toy_dataset(root, n=2, corrupt=None):
     return root
 
 
+# the kinds that read each param, by kind and by feature code
+READERS = {
+    **{name: ("mfcc", "A2", "hsf") for name in ("n_fft", "hop", "n_mels", "n_mfcc",
+                                                "sample_rate")},
+    "lld": ("hsf",),
+    **{name: ("glove", "T2") for name in ("table", "corrupt_rate", "corrupt_seed")},
+    "columns": ("ingest_csv", "V1"),
+}
+
+
 class TestRunDataset:
     def _configs(self):
         return [
@@ -487,19 +500,91 @@ class TestRunDataset:
         ("columns", ["AU", 1]),
     ])
     def test_param_of_the_wrong_type_is_named(self, name, value):
-        for kind in ("mfcc", "A2"):
-            with pytest.raises(ExtractionError, match=f"'audio'.*param '{name}'"):
+        for kind in READERS[name]:
+            with pytest.raises(ExtractionError, match=f"'audio'.*param '{name}' must be"):
                 resolve_config(ExtractorConfig("audio", kind, {name: value}))
+
+    @pytest.mark.parametrize("kind, name", [("mfcc", "nfft"), ("A2", "nfft"),
+                                            ("hsf", "corrupt_seed"), ("stft", "n_mels"),
+                                            ("glove", "columns"), ("V1", "table")])
+    def test_param_the_kind_does_not_read_is_named(self, kind, name):
+        resolved = FEATURE_CODES.get(kind, (kind,))[0]
+        takes = ", ".join(EXTRACTOR_PARAMS[resolved])
+        with pytest.raises(ExtractionError) as exc:
+            resolve_config(ExtractorConfig("audio", kind, {name: 256}))
+        assert str(exc.value) == (f"modality 'audio': param {name!r} is not read by "
+                                  f"extractor kind {resolved!r}, which takes {takes}")
 
     def test_params_must_be_an_object(self):
         with pytest.raises(ExtractionError, match="params must be an object"):
             resolve_config(ExtractorConfig("audio", "mfcc", [512]))
 
     def test_well_typed_params_pass(self):
-        params = {"n_fft": 256, "hop": 128, "n_mels": 12, "n_mfcc": 6, "sample_rate": None,
-                  "corrupt_seed": 0, "corrupt_rate": 0, "lld": "stft", "table": "emb.txt",
-                  "columns": None, "unknown": 1.5}
-        assert resolve_config(ExtractorConfig("audio", "hsf", params)).params == params
-        cfg = resolve_config(ExtractorConfig("text", "glove", {"corrupt_rate": 0.25,
-                                                               "columns": ["x_"]}))
-        assert cfg.params == {"corrupt_rate": 0.25, "columns": ["x_"]}
+        for kind, params in [
+            ("stft", {"n_fft": 256, "hop": 128, "sample_rate": None}),
+            ("mfcc", {"n_fft": 256, "hop": 128, "sample_rate": 16000, "n_mels": 12,
+                      "n_mfcc": 6}),
+            ("hsf", {"n_fft": 256, "hop": 128, "sample_rate": None, "n_mels": 12, "n_mfcc": 6,
+                     "lld": "stft"}),
+            ("glove", {"table": "emb.txt", "corrupt_rate": 0.25, "corrupt_seed": 3}),
+            ("glove", {"table": None, "corrupt_rate": 0, "corrupt_seed": 0}),
+            ("ingest_csv", {"columns": ["x_"]}),
+            ("ingest_csv", {"columns": None}),
+        ]:
+            assert set(params) == set(EXTRACTOR_PARAMS[kind])  # every param the kind reads
+            assert resolve_config(ExtractorConfig("audio", kind, params)).params == params
+
+
+# settings that no clip can run; each is reported once, before any clip is read
+UNRUNNABLE = [
+    ("hsf", {"lld": "foo"}, "param 'lld' must be 'mfcc' or 'stft', got 'foo'"),
+    ("hsf", {"n_fft": 500}, "n_fft must be a power of two, got 500"),
+    ("stft", {"hop": 0}, "hop must be in [1, n_fft], got 0"),
+    ("stft", {"n_fft": 64}, "hop must be in [1, n_fft], got 160"),
+    ("hsf", {"n_mels": 300}, "need n_mfcc <= n_mels <= n_fft/2+1, got (20, 300, 257)"),
+    ("mfcc", {"n_mels": 0, "n_mfcc": 0}, "n_mfcc must be at least 1, got 0"),
+    ("mfcc", {"n_mels": -5, "n_mfcc": -10}, "n_mfcc must be at least 1, got -10"),
+]
+
+
+class TestConfigCheckedOnce:
+    @pytest.mark.parametrize("kind, params, message", UNRUNNABLE)
+    def test_reported_once_before_any_clip(self, tmp_path, monkeypatch, kind, params, message):
+        root = build_toy_dataset(tmp_path / "data", n=3)
+        monkeypatch.setattr("msa_forge.extractors.read_wav", None)  # any clip read fails
+        configs = [ExtractorConfig("audio", kind, params),
+                   ExtractorConfig("text", "glove", {"table": "emb.txt"})]
+        for lenient in (0.0, 1.0):
+            with pytest.raises(ExtractionError) as exc:
+                run_dataset(root, configs, root / "labels.csv", max_failure_fraction=lenient)
+            assert str(exc.value) == f"modality 'audio': {message}"
+
+    @pytest.mark.parametrize("params, message", [
+        ({"corrupt_rate": 1.5}, "corruption rate must be in [0, 1], got 1.5"),
+        ({"corrupt_rate": 0.5, "corrupt_seed": -1}, "corruption seed must be non-negative, got -1"),
+    ])
+    def test_corruption_settings(self, params, message):
+        with pytest.raises(ExtractionError) as exc:
+            resolve_config(ExtractorConfig("text", "glove", params))
+        assert str(exc.value) == f"modality 'text': {message}"
+        with pytest.raises(ExtractionError, match=re.escape(message)):
+            corrupt_tokens(["a"], params["corrupt_rate"], params.get("corrupt_seed", 0))
+
+    @pytest.mark.parametrize("kind", ["glove", "ingest_csv"])
+    def test_text_kind_on_a_wav_fails_the_clip(self, tmp_path, kind):
+        root = build_toy_dataset(tmp_path / "data", n=2)
+        params = {"table": "emb.txt"} if kind == "glove" else {}
+        with pytest.raises(ExtractionError, match=r"2/2 samples failed.*s0\.wav.*UTF-8"):
+            run_dataset(root, [ExtractorConfig("audio", kind, params)], root / "labels.csv")
+
+    @pytest.mark.parametrize("table", [".", "s0.wav", "no\x00such.txt"])
+    def test_unreadable_embedding_table(self, tmp_path, table):
+        root = build_toy_dataset(tmp_path / "data", n=2)
+        with pytest.raises(ExtractionError, match="not a readable UTF-8 text file"):
+            run_dataset(root, [ExtractorConfig("text", "glove", {"table": table})],
+                        root / "labels.csv")
+
+    @pytest.mark.parametrize("kind", [["mfcc"], 3, None])
+    def test_kind_that_is_not_a_string(self, kind):
+        with pytest.raises(ExtractionError, match="unknown extractor kind"):
+            resolve_config(ExtractorConfig("audio", kind, {}))

@@ -332,7 +332,7 @@ class TestMultitask:
         # hold the base's name in config.model_name
         cfg = toy_config("mtfn")
         model = build_model(cfg)
-        save_checkpoint(model, tmp_path / "ckpt", seed=cfg.seed)
+        save_checkpoint(model, tmp_path / "ckpt")
         path = tmp_path / "ckpt" / "manifest.json"
         manifest = json.loads(path.read_text())
         assert manifest["config"]["model_name"] == manifest["model_name"] == "mtfn"
@@ -566,7 +566,7 @@ class TestCheckpoints:
         model = build_model(cfg)
         batch = toy_batch(cfg, b=2)
         before = model.forward(batch).pred.data
-        save_checkpoint(model, tmp_path / "ckpt", seed=cfg.seed)
+        save_checkpoint(model, tmp_path / "ckpt")
         restored, manifest = load_checkpoint(tmp_path / "ckpt")
         assert manifest["model_name"] == "mtfn"
         after = restored.forward(batch).pred.data
@@ -576,7 +576,7 @@ class TestCheckpoints:
         # older checkpoints record the bundle's padded lengths, which no model reads
         cfg = toy_config("lf_dnn")
         model = build_model(cfg)
-        save_checkpoint(model, tmp_path / "ckpt", seed=cfg.seed)
+        save_checkpoint(model, tmp_path / "ckpt")
         path = tmp_path / "ckpt" / "manifest.json"
         manifest = json.loads(path.read_text())
         assert "seq_lens" not in manifest["config"]
