@@ -2,11 +2,10 @@
 toolkit: feature extraction, feature bundles, fusion-model training,
 metric/representation analysis, and robustness testing.
 
-No module of the package imports scipy at module level. Each function that
-calls it (``autodiff.sigmoid``, ``lstm_sequence`` and ``lstm_cell_step`` for
-``expit``; ``extractors.read_wav`` and the MFCC's DCT) imports it where it is
-used, because loading any scipy submodule takes ~0.25 s and most work (the
-pooled models, ``perturb``, ``report``, ``--help``) never calls it.
+No module of the package imports scipy at module level. The two functions
+that call it (``extractors.read_wav`` and the MFCC's DCT) import it where it
+is used, because loading any scipy submodule takes ~0.25 s and most work
+(training, ``perturb``, ``report``, ``--help``) never calls it.
 """
 
 import logging

@@ -42,6 +42,7 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
+    "linear",
     "concat",
     "slice_",
     "reshape",
@@ -254,10 +255,37 @@ def matmul(a, b) -> Tensor:
 def _matmul_adjoints(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The adjoints of a and b in a @ b, given the adjoint g of the product."""
     batch = g.shape[:-2]
+    if a.shape[:-2] == batch and b.shape[:-2] == batch:  # nothing was broadcast
+        return g @ b.swapaxes(-1, -2), a.swapaxes(-1, -2) @ g
     a_full = np.broadcast_to(a, batch + a.shape[-2:])
     b_full = np.broadcast_to(b, batch + b.shape[-2:])
     return (_unbroadcast(g @ b_full.swapaxes(-1, -2), a.shape),
             _unbroadcast(a_full.swapaxes(-1, -2) @ g, b.shape))
+
+
+def linear(x, w, b) -> Tensor:
+    """The affine layer x @ w + b, for x (..., d_in), w (d_in, d_out) and
+    b (d_out,), as one record. x's leading axes are flattened into rows, so
+    the product and each adjoint is one 2-D GEMM."""
+    x = _as_tensor(x)
+    w = _as_tensor(w)
+    b = _as_tensor(b)
+    if w.ndim != 2:
+        raise ShapeError(f"linear needs a 2-D weight, got x {x.shape} and w {w.shape}")
+    if x.ndim == 0 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear input {x.shape} does not fit w {w.shape}")
+    if b.shape != w.shape[1:]:
+        raise ShapeError(f"linear bias {b.shape} does not fit w {w.shape}")
+    d_in, d_out = w.shape
+    x2, wd = x.data.reshape(-1, d_in), w.data
+    out = Tensor((x2 @ wd + b.data).reshape(x.shape[:-1] + (d_out,)))
+    if active_tape() is not None:
+        def bwd(g):
+            g2 = g.reshape(-1, d_out)
+            return ((x, (g2 @ wd.T).reshape(x.shape)),
+                    (w, x2.T @ g2), (b, g2.sum(axis=0)))
+        _record("linear", out, bwd)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +350,20 @@ def transpose(x, axes: Sequence[int] | None = None) -> Tensor:
 # nonlinearities
 # ---------------------------------------------------------------------------
 
-def sigmoid(x) -> Tensor:
-    from scipy.special import expit
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) in x's dtype, written into ``out`` when given. For
+    very negative x, exp(-x) overflows to inf and the result is its limit 0;
+    callers silence that warning with ``np.errstate(over="ignore")``."""
+    y = np.negative(x, out=out)
+    np.exp(y, out=y)
+    y += 1.0
+    return np.divide(1.0, y, out=y)
 
+
+def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    y = expit(x.data)
+    with np.errstate(over="ignore"):
+        y = _sigmoid(x.data)
     out = Tensor(y)
     if active_tape() is not None:
         def bwd(g):
@@ -636,19 +673,18 @@ def lstm_cell_step(x_t, h_prev, c_prev, params: Mapping[str, Tensor]) -> tuple[T
     ``params`` maps ``wx`` (d, 4h), ``wh`` (h, 4h) and ``b`` (4h,); gate
     slices are ordered input, forget, cell, output. Returns (h_t, c_t).
     Under a tape the step is one record, plus one slice per returned state.
-    It shares no gate code with :func:`lstm_sequence`, so it serves as
-    that kernel's per-step reference.
+    It shares no gate code with :func:`lstm_sequence` beyond the sigmoid,
+    so it serves as that kernel's per-step reference.
     """
-    from scipy.special import expit
-
     x_t = _as_tensor(x_t)
     h_prev = _as_tensor(h_prev)
     c_prev = _as_tensor(c_prev)
     wx, wh, b = _lstm_weights(params)
     hid = wh.shape[0]
     z = x_t.data @ wx.data + h_prev.data @ wh.data + b.data
-    i, f = expit(z[:, :hid]), expit(z[:, hid:2 * hid])
-    g, o = np.tanh(z[:, 2 * hid:3 * hid]), expit(z[:, 3 * hid:])
+    with np.errstate(over="ignore"):
+        i, f = _sigmoid(z[:, :hid]), _sigmoid(z[:, hid:2 * hid])
+        g, o = np.tanh(z[:, 2 * hid:3 * hid]), _sigmoid(z[:, 3 * hid:])
     c_t = f * c_prev.data + i * g
     tanh_c = np.tanh(c_t)
     out = Tensor(np.stack([o * tanh_c, c_t], axis=1))
@@ -688,8 +724,6 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
     if not xs or not len(xs) == len(masks) == len(params):
         raise ShapeError(f"lstm_sequence needs one mask and one parameter set per input, got "
                          f"{len(xs)} inputs, {len(masks)} masks, {len(params)} parameter sets")
-    from scipy.special import expit
-
     xs = [_as_tensor(x) for x in xs]
     weights = [_lstm_weights(p) for p in params]
     for x, (wx, _, _) in zip(xs, weights):
@@ -726,27 +760,30 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
     else:
         z = np.empty((n, 4, width), dtype=dtype)
     h = c = np.zeros((n, width), dtype=dtype)
-    for t in range(steps):
-        if any_step[t]:
-            if taped:
-                z = gates[:, t]
-            for xd, wxd, whd, b4, lo, hi in groups:
-                z_k = z[..., lo:hi]
-                if not taped:
-                    np.add((xd[:, t] @ wxd).reshape(z_k.shape), b4, out=z_k)
-                z_k += (h[:, lo:hi] @ whd).reshape(z_k.shape)
-            expit(z[:, :2], out=z[:, :2])
-            np.tanh(z[:, 2], out=z[:, 2])
-            expit(z[:, 3], out=z[:, 3])
-            c_new = z[:, 1] * c + z[:, 0] * z[:, 2]
-            h_new = z[:, 3] * np.tanh(c_new)
-            if full_step[t]:
-                h, c = h_new, c_new
-            else:
-                m = unit_mask(t)
-                h, c = np.where(m, h_new, h), np.where(m, c_new, c)
-        states[:, t, 0] = h
-        states[:, t, 1] = c
+    with np.errstate(over="ignore"):  # for _sigmoid
+        for t in range(steps):
+            if any_step[t]:
+                if taped:
+                    z = gates[:, t]
+                for xd, wxd, whd, b4, lo, hi in groups:
+                    z_k = z[..., lo:hi]
+                    if not taped:
+                        np.add((xd[:, t] @ wxd).reshape(z_k.shape), b4, out=z_k)
+                    z_k += (h[:, lo:hi] @ whd).reshape(z_k.shape)
+                # the cell gate's tanh first, so that one sigmoid call covers the
+                # step (two calls on the strided gate views cost more)
+                cell = np.tanh(z[:, 2])
+                _sigmoid(z, out=z)
+                z[:, 2] = cell
+                c_new = z[:, 1] * c + z[:, 0] * z[:, 2]
+                h_new = z[:, 3] * np.tanh(c_new)
+                if full_step[t]:
+                    h, c = h_new, c_new
+                else:
+                    m = unit_mask(t)
+                    h, c = np.where(m, h_new, h), np.where(m, c_new, c)
+            states[:, t, 0] = h
+            states[:, t, 1] = c
     out = Tensor(states)
     if taped:
         def bwd(g):

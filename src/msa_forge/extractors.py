@@ -53,10 +53,13 @@ _PCM_FULL_SCALE = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0
 
 
 class Param(NamedTuple):
-    """One extractor param: its default and the JSON type a config gives it."""
+    """One extractor param: its default, the JSON type a config gives it,
+    and, for a param read only under one value of another param, that
+    (param, value) pair."""
 
     default: object
     json_type: str
+    read_if: tuple[str, object] | None = None
 
 
 def _is_int(value) -> bool:
@@ -78,10 +81,14 @@ _MFCC_PARAMS = {**_STFT_PARAMS, "n_mels": Param(26, "an integer"),
                 "n_mfcc": Param(20, "an integer")}
 
 # every param each extractor kind reads; a config may set these and no others
+# (a read_if param only under its setting)
 EXTRACTOR_PARAMS: dict[str, dict[str, Param]] = {
     "stft": _STFT_PARAMS,
     "mfcc": _MFCC_PARAMS,
-    "hsf": {**_MFCC_PARAMS, "lld": Param("mfcc", "a string")},
+    "hsf": {**_MFCC_PARAMS,
+            **{name: _MFCC_PARAMS[name]._replace(read_if=("lld", "mfcc"))
+               for name in ("n_mels", "n_mfcc")},
+            "lld": Param("mfcc", "a string")},
     "glove": {"table": Param(None, "a string"), "corrupt_rate": Param(0, "a number"),
               "corrupt_seed": Param(0, "an integer")},
     "ingest_csv": {"columns": Param(None, "a list of strings")},
@@ -372,16 +379,22 @@ WAV_KINDS = ("stft", "mfcc", "hsf")
 
 
 def filled_params(config: ExtractorConfig) -> dict:
-    """Every param a resolved config's kind reads: as given, else its default."""
-    return {name: config.params.get(name, param.default)
-            for name, param in EXTRACTOR_PARAMS[config.kind].items()}
+    """Every param a resolved config reads: as given, else its default. A
+    ``read_if`` param is left out unless its setting holds."""
+    table = EXTRACTOR_PARAMS[config.kind]
+
+    def value(name):
+        return config.params.get(name, table[name].default)
+
+    return {name: value(name) for name, param in table.items()
+            if param.read_if is None or value(param.read_if[0]) == param.read_if[1]}
 
 
 def resolve_config(config: ExtractorConfig) -> ExtractorConfig:
     """Expand a feature code into its concrete kind, and check the config
-    before any clip is read: the kind reads every param, each param has its
-    JSON type, and the settings, defaults filled in, can be run. Params are
-    returned as given."""
+    before any clip is read: the kind reads every param under the given
+    settings, each param has its JSON type, and the settings, defaults
+    filled in, can be run. Params are returned as given."""
     where = f"modality {config.modality!r}"
     if not isinstance(config.params, dict):
         raise ExtractionError(f"{where}: params must be an object, got {config.params!r}")
@@ -399,12 +412,17 @@ def resolve_config(config: ExtractorConfig) -> ExtractorConfig:
         if name not in table:
             raise ExtractionError(f"{where}: param {name!r} is not read by extractor kind "
                                   f"{kind!r}, which takes {', '.join(table)}")
-        default, json_type = table[name]
-        if not (value is None and default is None or _JSON_TYPES[json_type](value)):
-            raise ExtractionError(f"{where}: param {name!r} must be {json_type}, "
+        param = table[name]
+        if not (value is None and param.default is None or _JSON_TYPES[param.json_type](value)):
+            raise ExtractionError(f"{where}: param {name!r} must be {param.json_type}, "
                                   f"got {value!r}")
     resolved = ExtractorConfig(config.modality, kind, params)
     s = filled_params(resolved)
+    for name in params:
+        if name not in s:
+            setting, value = table[name].read_if
+            raise ExtractionError(f"{where}: param {name!r} is read by extractor kind "
+                                  f"{kind!r} only when {setting!r} is {value!r}")
     try:
         if kind in WAV_KINDS:
             _check_stft_dims(s["n_fft"], s["hop"])

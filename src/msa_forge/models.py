@@ -162,21 +162,23 @@ class Batch:
 
 def batch_from_bundle(bundle: FeatureBundle, indices=None,
                       dtype=np.float32) -> Batch:
-    """Padded model input for the given sample indices (all by default)."""
+    """Padded model input for the given sample indices (all by default).
+    Only those rows are read: each mask comes from their lengths."""
     if indices is None:
         indices = np.arange(bundle.n)
     indices = np.asarray(indices, dtype=np.int64)
     mods = {}
     for name, block in bundle.blocks.items():
-        mask = block.mask()[indices]
-        mods[name] = ModalityInput(data=block.data[indices].astype(dtype), mask=mask)
-    samples = [bundle.manifest.samples[i] for i in indices]
+        mask = np.arange(block.max_len) < block.lengths[indices][:, None]
+        mods[name] = ModalityInput(data=block.data[indices].astype(dtype, copy=False), mask=mask)
+    every = bundle.manifest.samples
+    samples = [every[i] for i in indices.tolist()]
     labels: dict[str, np.ndarray] = {
         "m": np.array([s.label_m for s in samples], dtype=np.float64)}
     for mod, key in UNI_LABEL_KEYS.items():
         if mod in bundle.blocks:
-            vals = [s.unimodal_label(mod) for s in samples]
-            if all(v is not None for v in vals):
+            vals = [getattr(s, f"label_{key}") for s in samples]
+            if None not in vals:
                 labels[key] = np.array(vals, dtype=np.float64)
     return Batch(modalities=mods, labels=labels, ids=[s.id for s in samples])
 
@@ -195,7 +197,7 @@ class ModelOutput:
 # ---------------------------------------------------------------------------
 
 def _affine(params: ParamSet, name: str, x: Tensor) -> Tensor:
-    return ad.add(ad.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
+    return ad.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def _lstm_params(params: ParamSet, name: str) -> dict[str, Tensor]:

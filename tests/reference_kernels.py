@@ -1,28 +1,34 @@
-"""Reference formulations of the fused recurrent and attention kernels.
+"""Reference formulations of the fused layer, recurrent and attention kernels.
 
 Each function here is the plainer formulation that a fused primitive of
-:mod:`msa_forge.autodiff` replaced: one LSTM per call with its BPTT written
-gate by gate, attention built from per-op tape records, and the gated
-memory stepped with ``slice_``/``mul``/``add``. The tests hold the fused
-kernels to them: f32 forwards bit for bit, f64 gradients within 1e-12.
+:mod:`msa_forge.autodiff` replaced: the affine layer as a ``matmul`` and an
+``add`` record, one LSTM per call with its BPTT written gate by gate,
+attention built from per-op tape records, and the gated memory stepped with
+``slice_``/``mul``/``add``. The tests hold the fused kernels to them: f32
+forwards bit for bit, f64 gradients within 1e-12. The LSTM reference shares
+only the package's sigmoid helper with ``lstm_sequence``.
 """
 
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from msa_forge import autodiff as ad
 from msa_forge.autodiff import MASK_BIAS, Tensor
+
+
+def affine_per_op(x, w, b):
+    """x @ w + b as a ``matmul`` and an ``add`` record."""
+    return ad.add(ad.matmul(x, w), b)
 
 
 def _gates(z, c_prev):
     """Activate the pre-activations ``z`` (N, 4h) in place into the gates
     input, forget, cell, output, and return (h_t, c_t)."""
     hid = z.shape[1] // 4
-    expit(z[:, :2 * hid], out=z[:, :2 * hid])
+    ad._sigmoid(z[:, :2 * hid], out=z[:, :2 * hid])
     np.tanh(z[:, 2 * hid:3 * hid], out=z[:, 2 * hid:3 * hid])
-    expit(z[:, 3 * hid:], out=z[:, 3 * hid:])
+    ad._sigmoid(z[:, 3 * hid:], out=z[:, 3 * hid:])
     i, f, g, o = z[:, :hid], z[:, hid:2 * hid], z[:, 2 * hid:3 * hid], z[:, 3 * hid:]
     c_t = f * c_prev + i * g
     return o * np.tanh(c_t), c_t

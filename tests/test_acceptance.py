@@ -22,6 +22,7 @@ from msa_forge.autodiff import (
     dropout,
     grad_check,
     l1_loss,
+    linear,
     linear_recurrence,
     lstm_cell_step,
     lstm_sequence,
@@ -240,6 +241,10 @@ def test_criterion_01_gradient_suite(acceptance_record):
              "wh": rng.normal(size=(2, 8)), "b": rng.normal(size=(8,)),
              "x2": rng.normal(size=(2, 3, 1)), "wx2": rng.normal(size=(1, 12)),
              "wh2": rng.normal(size=(3, 12)), "b2": rng.normal(size=(12,))}),
+        "linear_3d": (
+            lambda p: sum_(mul(linear(p["x"], p["w"], p["b"]), linear(p["x"], p["w"], p["b"]))),
+            {"x": rng.normal(size=(2, 3, 2)), "w": rng.normal(size=(2, 3)),
+             "b": rng.normal(size=(3,))}),
     }
     for name, (fn, arrays) in primitive_cases.items():
         report = grad_check(fn, ps(**arrays), eps=1e-5, tol=1e-4)

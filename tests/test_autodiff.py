@@ -21,6 +21,7 @@ from msa_forge.autodiff import (
     dropout,
     grad_check,
     l1_loss,
+    linear,
     linear_recurrence,
     lstm_cell_step,
     lstm_sequence,
@@ -41,8 +42,9 @@ from msa_forge.autodiff import (
     tanh,
     transpose,
 )
+from msa_forge import autodiff as ad
 from msa_forge.errors import ShapeError
-from reference_kernels import attention_per_op, lstm_single, memory_stepped
+from reference_kernels import affine_per_op, attention_per_op, lstm_single, memory_stepped
 
 
 def _params_from(arrays: dict) -> ParamSet:
@@ -702,6 +704,122 @@ class TestFusedAttention:
         if case in ("empty_row", "heads"):
             np.testing.assert_array_equal(out[1], 0.0)
             np.testing.assert_array_equal(grads["q"][1], 0.0)
+
+
+class TestLinear:
+    """linear is one record; it equals the matmul + add pair it replaced:
+    f32 outputs bit for bit, 2-D f32 gradients bit for bit, and 3-D f64
+    gradients within 1e-12 (flattening the rows changes their summation)."""
+
+    # (x shape, d_out): a pooled head's 2-D input, and the (B, T, d) inputs
+    # of mult's projections, with T > 1 (a one-step batch is a matrix-vector
+    # product per row, which BLAS sums in another order)
+    SHAPES = [((5, 4), 3), ((32, 16), 1), ((3, 6, 4), 5), ((32, 20, 16), 16)]
+
+    @staticmethod
+    def _arrays(x_shape, d_out, seed=60):
+        rng = np.random.default_rng(seed)
+        return {"x": rng.normal(size=x_shape), "w": rng.normal(size=(x_shape[-1], d_out)),
+                "b": rng.normal(size=(d_out,))}, rng.normal(size=x_shape[:-1] + (d_out,))
+
+    @pytest.mark.parametrize("x_shape,d_out", SHAPES)
+    def test_f32_output_bit_equal_to_per_op(self, x_shape, d_out):
+        arrays, _ = self._arrays(x_shape, d_out)
+        x, w, b = (Tensor(arrays[n].astype(np.float32)) for n in "xwb")
+        ref = affine_per_op(x, w, b).data
+        assert linear(x, w, b).data.tobytes() == ref.tobytes()
+        with Tape() as tape:
+            out = linear(x, w, b)
+        assert len(tape) == 1 and tape.records[0].op == "linear"
+        assert out.data.dtype == np.float32 and out.data.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("x_shape,d_out", [s for s in SHAPES if len(s[0]) == 2])
+    def test_2d_f32_gradients_bit_equal_to_per_op(self, x_shape, d_out):
+        arrays, weights = self._arrays(x_shape, d_out)
+        ps = ParamSet({n: a.astype(np.float32) for n, a in arrays.items()})
+        weights = weights.astype(np.float32)
+        out, grads, records = _taped(lambda p: linear(p["x"], p["w"], p["b"]), ps, weights)
+        ref_out, ref_grads, _ = _taped(lambda p: affine_per_op(p["x"], p["w"], p["b"]),
+                                       ps, weights)
+        assert records == 1
+        assert out.tobytes() == ref_out.tobytes()
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("x_shape,d_out", [s for s in SHAPES if len(s[0]) == 3])
+    def test_3d_f64_gradients_match_per_op(self, x_shape, d_out):
+        arrays, weights = self._arrays(x_shape, d_out)
+        ps = _params_from(arrays)
+        out, grads, records = _taped(lambda p: linear(p["x"], p["w"], p["b"]), ps, weights)
+        ref_out, ref_grads, _ = _taped(lambda p: affine_per_op(p["x"], p["w"], p["b"]),
+                                       ps, weights)
+        assert records == 1
+        np.testing.assert_array_equal(out, ref_out)
+        _assert_grads_close(grads, ref_grads)
+
+    @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+    def test_grad_check(self, x_shape):
+        arrays, weights = self._arrays(x_shape, 2, seed=61)
+        report = grad_check(lambda p: sum_(mul(linear(p["x"], p["w"], p["b"]), Tensor(weights))),
+                            _params_from(arrays), eps=1e-5, tol=1e-4)
+        assert report.passed, repr(report)
+
+    def test_shape_errors_name_both_shapes(self):
+        x, w, b = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 5))), Tensor(np.ones(5))
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(4, 5, 1\)"):
+            linear(x, Tensor(np.ones((4, 5, 1))), b)
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(5,\)"):
+            linear(x, Tensor(np.ones(5)), b)
+        with pytest.raises(ShapeError, match=r"\(2, 3, 5\).*\(4, 5\)"):
+            linear(Tensor(np.ones((2, 3, 5))), w, b)
+        with pytest.raises(ShapeError, match=r"\(4,\).*\(4, 5\)"):
+            linear(x, w, Tensor(np.ones(4)))
+        with pytest.raises(ShapeError, match=r"\(1, 5\).*\(4, 5\)"):
+            linear(x, w, Tensor(np.ones((1, 5))))
+
+
+class TestMatmulAdjoints:
+    def test_same_batch_operands_match_per_slice_products(self):
+        """Operands that already have the product's batch shape take the
+        path without broadcast_to and _unbroadcast; it gives each slice's
+        2-D adjoints bit for bit."""
+        rng = np.random.default_rng(62)
+        a, b = (rng.normal(size=s).astype(np.float32) for s in ((2, 3, 4, 5), (2, 3, 5, 6)))
+        g = rng.normal(size=(2, 3, 4, 6)).astype(np.float32)
+        ga, gb = ad._matmul_adjoints(g, a, b)
+        for i in np.ndindex(2, 3):
+            assert ga[i].tobytes() == (g[i] @ b[i].T).tobytes()
+            assert gb[i].tobytes() == (a[i].T @ g[i]).tobytes()
+
+
+class TestSigmoidHelper:
+    def test_matches_the_formula_and_saturates_without_a_warning(self):
+        x = np.array([-1000.0, -100.0, -1.0, 0.0, 2.0, 100.0, 1000.0])
+        for dtype in (np.float32, np.float64):
+            xd = x.astype(dtype)
+            y = sigmoid(xd).data
+            assert y.dtype == dtype
+            with np.errstate(over="ignore"):
+                want = np.asarray(1.0, dtype) / (np.asarray(1.0, dtype) + np.exp(-xd))
+            assert y.tobytes() == want.tobytes()
+            assert y[0] == 0.0 and y[-1] == 1.0 and y[3] == 0.5
+
+    def test_out_is_written_in_place(self):
+        x = np.random.default_rng(63).normal(size=(4, 3)).astype(np.float32)
+        want = sigmoid(x).data
+        buf = x.copy()
+        assert ad._sigmoid(buf, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+
+    def test_lstm_step_saturates_without_a_warning(self):
+        b = np.zeros(8)
+        b[:2], b[6:] = -1000.0, 1000.0   # input gate 0, output gate 1
+        ps = ParamSet({"wx": np.zeros((1, 8)), "wh": np.zeros((2, 8)), "b": b})
+        h, c = lstm_cell_step(Tensor(np.ones((1, 1))), Tensor(np.zeros((1, 2))),
+                              Tensor(np.full((1, 2), 0.5)), ps)
+        np.testing.assert_array_equal(c.data, 0.25)
+        states = lstm_sequence([np.ones((1, 2, 1))], [np.ones((1, 2), dtype=bool)], [ps])
+        assert np.isfinite(states.data).all()
 
 
 class TestLinearRecurrence:

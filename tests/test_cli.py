@@ -804,7 +804,8 @@ class TestConfigRulesOnce:
 
     @pytest.mark.parametrize("params, named", [({"lld": "foo"}, "'lld'"),
                                                ({"n_fft": 500}, "n_fft"),
-                                               ({"n_mels": 300}, "n_mels")])
+                                               ({"n_mels": 300}, "n_mels"),
+                                               ({"lld": "stft", "n_mels": 12}, "n_mels")])
     def test_extract_and_predict(self, tmp_path, audio_text_checkpoint, trained_run,
                                  monkeypatch, capsys, params, named):
         setup = audio_text_checkpoint
@@ -826,6 +827,25 @@ class TestConfigRulesOnce:
         assert reads == []
 
 
+    def test_hsf_on_stft_extracts_and_predicts_with_its_config(self, tmp_path,
+                                                               audio_text_checkpoint):
+        setup = audio_text_checkpoint
+        config = tmp_path / "hsf.json"
+        config.write_text(json.dumps({"audio": {"kind": "hsf", "params": {"lld": "stft"}}}))
+        assert cli_main(["extract", "--data", str(setup["data"]),
+                         "--labels", str(setup["root"] / "labels.csv"), "--config", str(config),
+                         "--out", str(tmp_path / "b"), "--label-range=-1,1"]) == 0
+        bundle = read_bundle(tmp_path / "b")
+        assert bundle.manifest.extractors == {"audio": {"kind": "hsf",
+                                                        "params": {"lld": "stft"}}}
+        model = build_model(ModelConfig("lf_dnn", feature_dims={
+            "audio": bundle.blocks["audio"].feature_dim}))
+        save_checkpoint(model, tmp_path / "checkpoint", extractors=bundle.manifest.extractors)
+        assert cli_main(["predict", "--checkpoint", str(tmp_path / "checkpoint"),
+                         "--sample", str(setup["data"] / "s0.wav"), "--config", str(config),
+                         "--out", str(tmp_path / "p")]) == 0
+
+
 class TestPredictConfigAgreement:
     """--config agrees with the checkpoint's record when the kinds match and
     the params, defaults filled in, are equal."""
@@ -841,6 +861,8 @@ class TestPredictConfigAgreement:
          {"kind": "mfcc", "params": {}}),
         ({"kind": "glove", "params": {"table": "emb.txt", "corrupt_rate": 0.0}},
          {"kind": "glove", "params": {"table": "emb.txt"}}),
+        ({"kind": "hsf", "params": {"lld": "stft"}},
+         {"kind": "hsf", "params": {"lld": "stft", "n_fft": 512}}),
     ])
     def test_same_settings_agree(self, tmp_path, given, recorded):
         (cfg,) = self.configs(tmp_path, given, recorded).values()

@@ -110,6 +110,8 @@ def test_resolve_config_rejects_or_returns_well_typed_params(modality, entry):
     for name, value in cfg.params.items():
         assert name in ORACLE[cfg.kind], (cfg.kind, name)
         assert ORACLE[cfg.kind][name](value), (cfg.kind, name, value)
+    if cfg.kind == "hsf" and cfg.params.get("lld", "mfcc") != "mfcc":
+        assert not {"n_mels", "n_mfcc"} & set(cfg.params), cfg.params  # read on MFCCs only
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,7 @@ from msa_forge.extractors import (
     ExtractorConfig,
     WaveBuffer,
     corrupt_tokens,
+    filled_params,
     ingest_visual_csv,
     mel_filterbank,
     mfcc,
@@ -515,6 +516,24 @@ class TestRunDataset:
         assert str(exc.value) == (f"modality 'audio': param {name!r} is not read by "
                                   f"extractor kind {resolved!r}, which takes {takes}")
 
+    @pytest.mark.parametrize("params", [{"lld": "stft", "n_mels": 12},
+                                        {"n_mfcc": 6, "lld": "stft", "n_fft": 256},
+                                        {"lld": "foo", "n_mels": 12}])
+    def test_hsf_cepstral_params_are_unread_unless_lld_is_mfcc(self, params):
+        with pytest.raises(ExtractionError) as exc:
+            resolve_config(ExtractorConfig("audio", "hsf", params))
+        name = next(n for n in params if n in ("n_mels", "n_mfcc"))
+        assert str(exc.value) == (f"modality 'audio': param {name!r} is read by extractor "
+                                  "kind 'hsf' only when 'lld' is 'mfcc'")
+
+    def test_filled_params_hold_what_the_setting_reads(self):
+        on_stft = resolve_config(ExtractorConfig("audio", "hsf", {"lld": "stft", "hop": 64}))
+        assert filled_params(on_stft) == {"n_fft": 512, "hop": 64, "sample_rate": None,
+                                          "lld": "stft"}
+        for params in ({}, {"lld": "mfcc", "n_mels": 12, "n_mfcc": 6}):
+            cfg = resolve_config(ExtractorConfig("audio", "hsf", params))
+            assert set(filled_params(cfg)) == set(EXTRACTOR_PARAMS["hsf"])
+
     def test_params_must_be_an_object(self):
         with pytest.raises(ExtractionError, match="params must be an object"):
             resolve_config(ExtractorConfig("audio", "mfcc", [512]))
@@ -525,7 +544,7 @@ class TestRunDataset:
             ("mfcc", {"n_fft": 256, "hop": 128, "sample_rate": 16000, "n_mels": 12,
                       "n_mfcc": 6}),
             ("hsf", {"n_fft": 256, "hop": 128, "sample_rate": None, "n_mels": 12, "n_mfcc": 6,
-                     "lld": "stft"}),
+                     "lld": "mfcc"}),
             ("glove", {"table": "emb.txt", "corrupt_rate": 0.25, "corrupt_seed": 3}),
             ("glove", {"table": None, "corrupt_rate": 0, "corrupt_seed": 0}),
             ("ingest_csv", {"columns": ["x_"]}),

@@ -9,17 +9,20 @@ import pytest
 from msa_forge import autodiff as ad
 from msa_forge import models
 from msa_forge.autodiff import Tape, Tensor, backward, grad_check
+from msa_forge.bundle import split_view
 from msa_forge.errors import ModelError
 from msa_forge.models import (
     Batch,
     ModalityInput,
     ModelConfig,
     MultitaskWrapper,
+    batch_from_bundle,
     build_model,
     lmf_full_tensor_expand,
     load_checkpoint,
     save_checkpoint,
 )
+from msa_forge.synthetic import make_synthetic_bundle
 from reference_kernels import attention_per_op
 
 
@@ -66,6 +69,55 @@ def toy_batch(config, b=2, seed=3, with_uni_labels=True, seq_lens=TOY_SEQ_LENS):
 
 ALL_MODELS = ["lf_dnn", "ef_lstm", "tfn", "lmf", "mfn", "mult", "misa",
               "mlf_dnn", "mtfn", "mlmf"]
+
+
+def per_sample_batch(bundle, indices, dtype):
+    """batch_from_bundle's formulation over the whole split: every row's
+    mask built, then indexed, and the labels read one sample at a time."""
+    mods = {name: ModalityInput(data=block.data[indices].astype(dtype),
+                                mask=block.mask()[indices])
+            for name, block in bundle.blocks.items()}
+    samples = [bundle.manifest.samples[i] for i in indices]
+    labels = {"m": np.array([s.label_m for s in samples], dtype=np.float64)}
+    for mod, key in models.UNI_LABEL_KEYS.items():
+        vals = [s.unimodal_label(mod) for s in samples]
+        if mod in bundle.blocks and all(v is not None for v in vals):
+            labels[key] = np.array(vals, dtype=np.float64)
+    return Batch(modalities=mods, labels=labels, ids=[s.id for s in samples])
+
+
+def _batch_bytes(batch):
+    mods = {m: (x.data.dtype, x.data.shape, x.data.tobytes(), x.mask.dtype, x.mask.shape,
+                x.mask.tobytes()) for m, x in batch.modalities.items()}
+    labels = {k: (v.dtype, v.shape, v.tobytes()) for k, v in batch.labels.items()}
+    return mods, labels, batch.ids
+
+
+class TestBatchFromBundle:
+    @pytest.mark.parametrize("uni", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_byte_identical_to_per_sample_formulation(self, uni, dtype):
+        bundle = make_synthetic_bundle(n_train=40, n_valid=12, n_test=9, seq_len=7,
+                                       feature_dim=3, with_unimodal_labels=uni)
+        rng = np.random.default_rng(5)
+        for split in ("train", "valid", "test"):
+            view = split_view(bundle, split)
+            for idx in (np.arange(view.n), rng.permutation(view.n)[:5], [view.n - 1], []):
+                idx = np.asarray(idx, dtype=np.int64)
+                got = batch_from_bundle(view, idx, dtype)
+                assert _batch_bytes(got) == _batch_bytes(per_sample_batch(view, idx, dtype))
+                assert ("t" in got.labels) == (uni or not idx.size)
+            whole = batch_from_bundle(view, dtype=dtype)
+            assert _batch_bytes(whole) == _batch_bytes(
+                per_sample_batch(view, np.arange(view.n), dtype))
+
+    def test_one_sample_without_a_label_drops_that_label(self):
+        bundle = make_synthetic_bundle(n_train=6, n_valid=2, n_test=2, seq_len=4, feature_dim=2)
+        bundle.manifest.samples[3].label_a = None
+        for idx in ([0, 1, 2], [2, 3], [3]):
+            got = batch_from_bundle(bundle, idx)
+            assert _batch_bytes(got) == _batch_bytes(per_sample_batch(bundle, idx, np.float32))
+            assert ("a" in got.labels) == (3 not in idx) and "t" in got.labels
 
 
 class TestRegistry:

@@ -1,6 +1,7 @@
-"""Start-up cost guard: importing the package, and training a pooled model
-through the CLI, load no scipy module. Each case runs in a fresh
-interpreter, since this process has scipy loaded already."""
+"""Start-up cost guard: importing the package, calling the sigmoid, and
+training a pooled or a recurrent model through the CLI load no scipy
+module. Each case runs in a fresh interpreter, since this process has
+scipy loaded already."""
 
 import json
 import os
@@ -31,20 +32,26 @@ def test_import_loads_no_scipy(tmp_path):
     assert loaded_scipy("import msa_forge, msa_forge.cli", tmp_path) == []
 
 
-def test_pooled_training_through_the_cli_loads_no_scipy(tmp_path):
-    code = """
+TRAIN = """
 from msa_forge.bundle import write_bundle
 from msa_forge.cli import cli_main
 from msa_forge.synthetic import make_synthetic_bundle
 write_bundle(make_synthetic_bundle(n_train=16, n_valid=8, n_test=8, seq_len=4,
                                    feature_dim=3), "bundle")
-assert cli_main(["train", "--bundle", "bundle", "--model", "lf_dnn", "--seeds", "1",
-                 "--out", "runs", "--set", "max_epochs=1", "--set", "batch_size=8"]) == 0
+for model in {models!r}:
+    assert cli_main(["train", "--bundle", "bundle", "--model", model, "--seeds", "1",
+                     "--out", "runs", "--set", "max_epochs=1", "--set", "batch_size=8"]) == 0
 """
-    assert loaded_scipy(code, tmp_path) == []
+
+
+def test_pooled_training_through_the_cli_loads_no_scipy(tmp_path):
+    assert loaded_scipy(TRAIN.format(models=["lf_dnn"]), tmp_path) == []
     assert list((tmp_path / "runs" / "lf_dnn").glob("*/seed_1/checkpoint/params.bin"))
 
 
-def test_sigmoid_loads_scipy_special(tmp_path):
-    code = "import numpy as np\nfrom msa_forge import autodiff as ad\nad.sigmoid(np.zeros(3))"
-    assert "scipy.special" in loaded_scipy(code, tmp_path)
+def test_sigmoid_and_recurrent_training_load_no_scipy(tmp_path):
+    code = ("import numpy as np\nfrom msa_forge import autodiff as ad\n"
+            "ad.sigmoid(np.zeros(3))\n" + TRAIN.format(models=["ef_lstm", "mfn"]))
+    assert loaded_scipy(code, tmp_path) == []
+    for model in ("ef_lstm", "mfn"):
+        assert list((tmp_path / "runs" / model).glob("*/seed_1/checkpoint/params.bin"))

@@ -3,10 +3,15 @@ stopping, checkpoint restore, and multi-seed aggregation."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msa_forge
 from msa_forge.autodiff import ParamSet, Tape, Tensor, add, backward, sum_
 from msa_forge.errors import EmptySplitError, ModelError, ValidationError
 from msa_forge.models import load_checkpoint, read_named_arrays
@@ -352,3 +357,35 @@ class TestMultiSeed:
             ha = (tmp_path / "a" / f"seed_{seed}" / "history.jsonl").read_bytes()
             hb = (tmp_path / "b" / f"seed_{seed}" / "history.jsonl").read_bytes()
             assert ha == hb
+
+
+# one epoch of each model whose artifacts hold at any BLAS thread count
+THREAD_INVARIANT_RUNS = """
+import sys
+from msa_forge.synthetic import make_synthetic_bundle
+from msa_forge.trainer import get_config_regression, train_run
+bundle = make_synthetic_bundle()
+for model in ("lf_dnn", "lmf", "misa", "mult", "mlf_dnn", "mlmf"):
+    config = get_config_regression(model, "synthetic")
+    config["max_epochs"] = 1
+    train_run(config, bundle, 1111, run_dir=f"{sys.argv[1]}/{model}")
+"""
+
+
+class TestBlasThreadCount:
+    def test_artifacts_equal_at_one_and_two_threads(self, tmp_path):
+        """lf_dnn, lmf, misa, mult, mlf_dnn and mlmf write the same
+        history.jsonl, params.bin and reps.bin at 1 and at 2 OpenBLAS
+        threads. The two interpreters run one after the other."""
+        src = str(Path(msa_forge.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", THREAD_INVARIANT_RUNS,
+                                   str(tmp_path / threads)],
+                                  env=env, capture_output=True, text=True, timeout=600)
+            assert done.returncode == 0, done.stderr
+        for model in ("lf_dnn", "lmf", "misa", "mult", "mlf_dnn", "mlmf"):
+            for name in ("history.jsonl", "checkpoint/params.bin", "reps.bin"):
+                one, two = (tmp_path / t / model / name for t in ("1", "2"))
+                assert one.read_bytes() == two.read_bytes(), (model, name)
