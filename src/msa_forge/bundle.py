@@ -335,6 +335,22 @@ def _count(value) -> int:
     return value
 
 
+def read_json_object(path) -> dict:
+    """The JSON object a whole file holds, decoded as UTF-8. A file that is
+    not UTF-8 text, not JSON, or whose top level is not an object raises
+    ValueError; its message reads on from the file's name (``"is not valid
+    JSON: ..."``)."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"holds a JSON {type(doc).__name__}, not an object")
+    return doc
+
+
 def read_bundle(path) -> FeatureBundle:
     """Load and validate a bundle directory written by write_bundle."""
     root = Path(path)
@@ -342,9 +358,9 @@ def read_bundle(path) -> FeatureBundle:
     if not manifest_path.exists():
         raise BundleFormatError(f"no manifest.json under {root}")
     try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise BundleFormatError(f"manifest.json is not valid JSON: {exc}") from exc
+        doc = read_json_object(manifest_path)
+    except ValueError as exc:
+        raise BundleFormatError(f"manifest.json {exc}") from exc
     try:
         lo, hi = (_number(x) for x in doc["label_range"])
         samples = [

@@ -27,13 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvtext import write_csv
 from .analysis import (
     export_curves,
     export_projection_csv,
     make_benchmark_report,
     pca_project,
 )
-from .bundle import read_bundle, split_view, write_bundle
+from .bundle import read_bundle, read_json_object, split_view, write_bundle
 from .errors import MsaForgeError, UsageError, ValidationError, parsing
 from .extractors import (
     EmbeddingTable,
@@ -61,7 +62,6 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 _FMT = {"md": "markdown", "csv": "csv", "json": "json"}
-_CSV_BLOCK_VALUES = 4096    # values formatted per write by _write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,11 +152,11 @@ def _build_parser() -> _Parser:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _read_json(path, flag: str):
+def _read_json(path, flag: str) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return read_json_object(path)
     except ValueError as exc:
-        raise ValidationError(f"{flag} {path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{flag} {path} {exc}") from exc
 
 
 def _read_extractor_configs(path) -> list[ExtractorConfig]:
@@ -206,8 +206,6 @@ def _cmd_train(args) -> int:
     dataset = args.dataset or bundle.manifest.dataset_name
     config = get_config_regression(args.model, dataset)
     overrides = _read_json(args.config, "--config") if args.config else {}
-    if not isinstance(overrides, dict):
-        raise ValidationError(f"--config {args.config} must hold a JSON object")
     for key, value in [*overrides.items(), *_parse_set(args.set)]:
         try:
             config[key] = value
@@ -265,10 +263,19 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _served(config: ExtractorConfig) -> tuple[str, dict]:
+    """The kind and the params, defaults filled in, that predict's features
+    depend on: all but glove's ``table``, as predict reads --embedding."""
+    params = filled_params(config)
+    if config.kind == "glove":
+        del params["table"]
+    return config.kind, params
+
+
 def _predict_configs(config_path, recorded) -> dict[str, ExtractorConfig]:
     """Each modality's extractor: the checkpoint's record, which --config
-    must agree with (the same kind and, defaults filled in, the same params),
-    or --config for a checkpoint without a record."""
+    must agree with (the same ``_served`` kind and params), or --config for a
+    checkpoint without a record."""
     given = None
     if config_path:
         given = {c.modality: resolve_config(c) for c in _read_extractor_configs(config_path)}
@@ -280,23 +287,11 @@ def _predict_configs(config_path, recorded) -> dict[str, ExtractorConfig]:
               for m, e in recorded.items()}
     for m, cfg in (given or {}).items():
         want = record.get(m)
-        if want is None or (want.kind, filled_params(want)) != (cfg.kind, filled_params(cfg)):
+        if want is None or _served(want) != _served(cfg):
             raise ValidationError(
                 f"--config for modality {m!r} ({cfg.kind}, {cfg.params}) disagrees with the "
                 f"checkpoint's recorded extractor {recorded.get(m)}")
     return record
-
-
-def _write_csv(path, array: np.ndarray) -> None:
-    """A 2-D array as the bytes ``np.savetxt(path, array, delimiter=",",
-    fmt="%.6g")`` writes, formatted a block of rows at a time."""
-    n_rows, n_cols = array.shape
-    line = ",".join(["%.6g"] * n_cols) + "\n"
-    step = max(1, _CSV_BLOCK_VALUES // n_cols)
-    with open(path, "w", encoding="ascii") as fh:
-        for start in range(0, n_rows, step):
-            block = array[start:start + step]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _cmd_predict(args) -> int:
@@ -325,14 +320,14 @@ def _cmd_predict(args) -> int:
             raise ValidationError(f"{m} features have dim {seq.shape[1]}, checkpoint expects {dim}")
         if spec is not None:
             stft_path = out_dir / "stft.csv"
-            _write_csv(stft_path, spec)
+            write_csv(stft_path, spec)
         mods[m] = ModalityInput(data=seq[None, ...].astype(model.dtype),
                                 mask=np.ones((1, seq.shape[0]), dtype=bool))
 
     batch = Batch(modalities=mods, labels={"m": np.zeros(1)})
     output = model.forward(batch, train=False)
     fusion_path = out_dir / "fusion_rep.csv"
-    _write_csv(fusion_path, output.fusion_rep.data)
+    write_csv(fusion_path, output.fusion_rep.data)
     result = {
         "pred": float(output.pred.data[0]),
         "fusion_rep_path": str(fusion_path),
@@ -367,7 +362,7 @@ def _cmd_report(args) -> int:
         results: dict[str, dict[str, dict]] = {}
         for path in sorted(root.rglob("aggregate.json")):
             with parsing(path):
-                doc = json.loads(path.read_text(encoding="utf-8"))
+                doc = read_json_object(path)
                 metrics = {key: doc["metrics"][key]["mean"] for key in doc["metrics"]}
                 results.setdefault(doc["model"], {})[doc["dataset"]] = metrics
         if not results:
@@ -377,7 +372,7 @@ def _cmd_report(args) -> int:
         reports = {}
         for path in sorted(root.rglob("tagged_report.json")):
             with parsing(path):
-                doc = json.loads(path.read_text(encoding="utf-8"))
+                doc = read_json_object(path)
                 reports[doc["model"]] = tagged_report_from_dict(doc["report"])
         if not reports:
             raise ValidationError(f"no tagged_report.json found under {root}")

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamSet, Tensor
-from .bundle import MODALITIES, FeatureBundle, extractor_record, read_named_arrays, write_named_arrays
+from .bundle import (MODALITIES, FeatureBundle, extractor_record, read_json_object,
+                     read_named_arrays, write_named_arrays)
 from .errors import BundleFormatError, ModelError, ShapeError
 
 __all__ = [
@@ -755,9 +756,9 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     if not manifest_path.exists():
         raise ModelError(f"no checkpoint manifest under {root}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = read_json_object(manifest_path)
     except ValueError as exc:
-        raise ModelError(f"{manifest_path} is not valid JSON: {exc}") from exc
+        raise ModelError(f"{manifest_path} {exc}") from exc
     try:
         # the top-level name wins: older multi-task checkpoints hold the base's
         # name in config.model_name; older checkpoints also hold seq_lens

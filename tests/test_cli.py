@@ -496,6 +496,56 @@ class TestReportCli:
         assert "tagged_report.json" in err and "Traceback" not in err
 
 
+# invalid JSON, bytes that are not UTF-8 (a UTF-16 byte-order mark), and a
+# document whose top level is not an object
+BAD_JSON_DOCUMENTS = {"invalid": b"{not json", "not_utf8": b"\xff\xfe{\x00}\x00",
+                      "list": b"[1, 2]"}
+
+
+class TestJsonDocuments:
+    """Every file read as one JSON document exits 2 with no traceback when it
+    is not JSON, not UTF-8 or not a JSON object."""
+
+    @pytest.fixture(params=sorted(BAD_JSON_DOCUMENTS))
+    def bad(self, request):
+        return BAD_JSON_DOCUMENTS[request.param]
+
+    def exits_2(self, capsys, name, *argv):
+        assert cli_main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+    def test_bundle_manifest(self, tmp_path, tiny_bundle_dir, capsys, bad):
+        broken = tmp_path / "bundle"
+        shutil.copytree(tiny_bundle_dir, broken)
+        (broken / "manifest.json").write_bytes(bad)
+        self.exits_2(capsys, "manifest.json", "perturb", "--bundle", broken,
+                     "--out", tmp_path / "out", "--drop", "audio")
+
+    def test_checkpoint_manifest(self, tmp_path, tiny_bundle_dir, trained_run, capsys, bad):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_run / "seed_1111" / "checkpoint", ckpt)
+        (ckpt / "manifest.json").write_bytes(bad)
+        self.exits_2(capsys, "manifest.json", "eval", "--checkpoint", ckpt,
+                     "--bundle", tiny_bundle_dir, "--out", tmp_path / "eval")
+
+    def test_config_flag(self, tmp_path, tiny_bundle_dir, capsys, bad):
+        (tmp_path / "cfg.json").write_bytes(bad)
+        self.exits_2(capsys, "--config", "train", "--bundle", tiny_bundle_dir,
+                     "--model", "lf_dnn", "--config", tmp_path / "cfg.json",
+                     "--out", tmp_path / "runs")
+        self.exits_2(capsys, "--config", "extract", "--data", tmp_path,
+                     "--labels", tmp_path / "labels.csv", "--config", tmp_path / "cfg.json",
+                     "--out", tmp_path / "bundle")
+
+    @pytest.mark.parametrize("style, name", [("table4", "aggregate.json"),
+                                             ("table5", "tagged_report.json")])
+    def test_report_inputs(self, tmp_path, capsys, bad, style, name):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / name).write_bytes(bad)
+        self.exits_2(capsys, name, "report", "--runs", tmp_path, "--style", style)
+
+
 class TestPerturbCli:
     def test_noise_round_trip(self, tmp_path, tiny_bundle_dir):
         out = tmp_path / "noisy"
@@ -863,6 +913,10 @@ class TestPredictConfigAgreement:
          {"kind": "glove", "params": {"table": "emb.txt"}}),
         ({"kind": "hsf", "params": {"lld": "stft"}},
          {"kind": "hsf", "params": {"lld": "stft", "n_fft": 512}}),
+        # predict reads --embedding, not the table
+        ({"kind": "glove", "params": {"table": "/data/emb.txt"}},
+         {"kind": "glove", "params": {"table": "emb.txt"}}),
+        ({"kind": "glove", "params": {}}, {"kind": "glove", "params": {"table": "emb.txt"}}),
     ])
     def test_same_settings_agree(self, tmp_path, given, recorded):
         (cfg,) = self.configs(tmp_path, given, recorded).values()
@@ -872,10 +926,39 @@ class TestPredictConfigAgreement:
         ({"kind": "mfcc", "params": {"n_fft": 256}}, {"kind": "mfcc", "params": {}}),
         ({"kind": "hsf", "params": {}}, {"kind": "mfcc", "params": {}}),
         ({"kind": "hsf", "params": {"lld": "stft"}}, {"kind": "hsf", "params": {}}),
+        ({"kind": "glove", "params": {"table": "emb.txt", "corrupt_rate": 0.5}},
+         {"kind": "glove", "params": {"table": "emb.txt"}}),
     ])
     def test_different_settings_disagree(self, tmp_path, given, recorded):
         with pytest.raises(ValidationError, match="'audio'.*disagrees"):
             self.configs(tmp_path, given, recorded)
+
+    def test_table_by_its_absolute_path_predicts_the_same(self, tmp_path, audio_text_checkpoint,
+                                                          capsys):
+        setup = audio_text_checkpoint
+        config = json.loads(setup["extract_cfg"].read_text())
+        assert config["text"]["params"]["table"] == "emb.txt"
+
+        def predict(name, **text_params):
+            config["text"]["params"].update(text_params)
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            code = cli_main(["predict", "--checkpoint", str(setup["checkpoint"]),
+                             "--sample", str(setup["data"] / "s0.wav"), "--tokens", "good ok",
+                             "--embedding", str(setup["data"] / "emb.txt"),
+                             "--config", str(tmp_path / f"{name}.json"),
+                             "--out", str(tmp_path / name)])
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            return code, captured
+
+        code, recorded = predict("recorded")
+        assert code == 0
+        code, absolute = predict("absolute", table=str((setup["data"] / "emb.txt").resolve()))
+        assert code == 0
+        assert json.loads((tmp_path / "absolute" / "prediction.json").read_text())["pred"] == \
+            json.loads((tmp_path / "recorded" / "prediction.json").read_text())["pred"]
+        code, other_rate = predict("other_rate", corrupt_rate=0.5)
+        assert code == 2 and "'text'" in other_rate.err and "disagrees" in other_rate.err
 
 
 # ---------------------------------------------------------------------------
@@ -1059,6 +1142,24 @@ class TestOneExtractionPath:
             assert (out / "stft.csv").read_bytes() == (tmp_path / "stft_ref.csv").read_bytes()
             assert ((out / "fusion_rep.csv").read_bytes()
                     == (tmp_path / "fusion_ref.csv").read_bytes())
+
+    def test_quiet_clip_dump_is_all_exponent_form(self, tmp_path, wav_kind_setup):
+        """A clip so quiet that every spectrogram value is below 1e-4, so the
+        dump is written in exponent form only."""
+        setup = wav_kind_setup
+        n_fft, hop = setup["params"].get("n_fft", 512), setup["params"].get("hop", 160)
+        rng = np.random.default_rng(3)
+        wav = tmp_path / "quiet.wav"
+        scipy.io.wavfile.write(wav, SR, (1e-9 * rng.uniform(0.5, 1.0, SR // 4)
+                                         * rng.choice([-1.0, 1.0], SR // 4)).astype(np.float32))
+        assert cli_main(["predict", "--checkpoint", str(setup["checkpoint"]),
+                         "--sample", str(wav), "--out", str(tmp_path / "p")]) == 0
+        spec = extractors.stft(extractors.read_wav(wav), n_fft, hop)
+        np.savetxt(tmp_path / "stft_ref.csv", spec, delimiter=",", fmt="%.6g")
+        dump = (tmp_path / "p" / "stft.csv").read_bytes()
+        assert dump == (tmp_path / "stft_ref.csv").read_bytes()
+        fields = dump.replace(b"\n", b",").rstrip(b",").split(b",")
+        assert len(fields) == spec.size and all(b"e-" in f for f in fields)
 
 
 class TestCachedParser:
