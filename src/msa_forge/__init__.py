@@ -6,6 +6,9 @@ No module of the package imports scipy at module level. The two functions
 that call it (``extractors.read_wav`` and the MFCC's DCT) import it where it
 is used, because loading any scipy submodule takes ~0.25 s and most work
 (training, ``perturb``, ``report``, ``--help``) never calls it.
+
+``train_run`` and ``cli_main`` keep freed heap memory in the process on
+glibc (``_heap``); importing the package leaves the allocator alone.
 """
 
 import logging

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ._csvtext import write_csv
+from ._heap import keep_freed_memory
 from .analysis import (
     export_curves,
     export_projection_csv,
@@ -387,6 +388,7 @@ def _cmd_report(args) -> int:
 
 def cli_main(argv) -> int:
     """Dispatch argv (no program name) and map errors onto exit codes."""
+    keep_freed_memory()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from ._heap import keep_freed_memory
 from .analysis import METRIC_KEYS, MetricReport, compute_metrics
 from .bundle import FeatureBundle, split_view
 from .errors import ModelError, TrainingDivergedError, ValidationError
@@ -225,10 +226,16 @@ class Adam:
 
 def clip_global_norm(params: ad.ParamSet, max_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is at most
-    max_norm. The norm sums per parameter in float64."""
+    max_norm. The norm sums per parameter in float64: the flat gradient
+    is squared once, and each parameter's slice is summed pairwise and
+    added in declaration order."""
+    squares = np.square(params.grad, dtype=np.float64)
     total = 0.0
+    lo = 0
     for _, p in params.items():
-        total += float(np.sum(np.square(p.grad, dtype=np.float64)))
+        hi = lo + p.grad.size
+        total += float(np.add.reduce(squares[lo:hi]))
+        lo = hi
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         params.grad *= max_norm / norm
@@ -280,6 +287,7 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
     """One seeded training run: Adam on L1 (+ auxiliary) loss, early
     stopping on validation MAE, best-checkpoint restore, test evaluation,
     and representation capture."""
+    keep_freed_memory()
     config.validate()
     train = split_view(bundle, "train")
     valid = split_view(bundle, "valid")

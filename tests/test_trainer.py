@@ -154,6 +154,15 @@ def reference_clip(params, max_norm):
     return norm
 
 
+def many_small_shapes():
+    """Sixty parameters of odd sizes, so each parameter's slice of the flat
+    store starts at an odd offset, plus an empty one."""
+    rng = np.random.default_rng(41)
+    shapes = {f"p{i}": (int(rng.integers(1, 40)), int(rng.integers(1, 9))) for i in range(60)}
+    shapes["empty"] = (0, 3)
+    return shapes
+
+
 class TestInPlaceOptimizer:
     # tfn's post.l1.w, larger than ADAM_CHUNK, is updated in chunks
     SHAPES = {"w": (9537, 32), "b": (4,), "s": (1,)}
@@ -161,33 +170,42 @@ class TestInPlaceOptimizer:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
     def test_matches_allocating_reference(self, dtype, weight_decay):
+        self.check_against_reference(self.SHAPES, dtype, weight_decay)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_many_small_params_match_allocating_reference(self, dtype):
+        self.check_against_reference(many_small_shapes(), dtype, 0.0)
+
+    @staticmethod
+    def check_against_reference(shapes, dtype, weight_decay):
         rng = np.random.default_rng(40)
-        init = {n: rng.normal(size=s).astype(dtype) for n, s in self.SHAPES.items()}
+        init = {n: rng.normal(size=s).astype(dtype) for n, s in shapes.items()}
         new = ParamSet(init)
         ref = {n: Tensor(a.copy()) for n, a in init.items()}
         cfg = AdamConfig(lr=1e-2, weight_decay=weight_decay)
         opt = Adam(new, cfg)
         m = {n: np.zeros_like(a) for n, a in init.items()}
         v = {n: np.zeros_like(a) for n, a in init.items()}
-        draws = [{n: rng.normal(size=s).astype(dtype) for n, s in self.SHAPES.items()}
+        draws = [{n: rng.normal(size=s).astype(dtype) for n, s in shapes.items()}
                  for _ in range(3)]
         clipped = 0
         for t in range(1, 201):
             # odd steps stay under the clip norm, even steps go over it
             size = 0.1 if t % 2 == 0 else 1e-3
-            for n in self.SHAPES:
+            for n in shapes:
                 g = draws[t % 3][n] * size
                 new[n].grad[...] = g
                 ref[n].grad = g
             norm = clip_global_norm(new, 5.0)
             assert norm == reference_clip(ref, 5.0)
+            assert all(new[n].grad.tobytes() == ref[n].grad.tobytes() for n in shapes)
             clipped += norm > 5.0
             opt.step()
             reference_adam_step(ref, m, v, t, cfg)
         assert clipped == 100
 
         def flat(arrays):
-            return np.concatenate([arrays[n].reshape(-1) for n in self.SHAPES])
+            return np.concatenate([arrays[n].reshape(-1) for n in shapes])
         assert np.array_equal(new.data, flat({n: t.data for n, t in ref.items()}))
         assert np.array_equal(opt.m, flat(m))
         assert np.array_equal(opt.v, flat(v))
