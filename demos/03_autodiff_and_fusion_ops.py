@@ -7,6 +7,7 @@ import numpy as np
 
 from msa_forge import ParamSet, Tape, Tensor, backward, grad_check
 from msa_forge.autodiff import (
+    add,
     l1_loss,
     lstm_sequence,
     masked_mean,
@@ -25,7 +26,7 @@ x = Tensor(rng.normal(size=(16, 4)))
 y = Tensor(rng.normal(size=(16, 1)))
 
 with Tape() as tape:
-    pred = matmul(x, w) + b
+    pred = add(matmul(x, w), b)
     loss = l1_loss(pred, y)
 print(f"loss {float(loss.data):.4f}, tape recorded {len(tape)} primitive applications")
 
@@ -33,7 +34,7 @@ backward(tape, loss, params)
 print(f"dL/dw norm {np.linalg.norm(w.grad):.4f}, dL/db {b.grad}")
 
 # reverse-mode agrees with central differences
-report = grad_check(lambda p: l1_loss(matmul(x, p['w']) + p['b'], y), params)
+report = grad_check(lambda p: l1_loss(add(matmul(x, p['w']), p['b']), y), params)
 print(f"grad_check: max relative error {report.max_rel_error:.2e} "
       f"(tol {report.tol:.0e}) -> {'ok' if report.passed else 'FAIL'}")
 

@@ -52,7 +52,6 @@ __all__ = [
     "relu",
     "softmax",
     "dropout",
-    "sum_",
     "mean_",
     "masked_mean",
     "l1_loss",
@@ -104,31 +103,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    # operator sugar; all routing through the recorded primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 @dataclass
 class TapeRecord:
@@ -174,9 +148,8 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
 
 
 def _record(op: str, out: Tensor, backward_fn) -> None:
-    tape = active_tape()
-    if tape is not None:
-        tape.records.append(TapeRecord(op, out, backward_fn))
+    """Append to the innermost tape; callers record only while one is active."""
+    _TAPES[-1].records.append(TapeRecord(op, out, backward_fn))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -432,19 +405,6 @@ def dropout(x, p: float, train: bool, rng: np.random.Generator | None = None) ->
 # ---------------------------------------------------------------------------
 # reductions and losses
 # ---------------------------------------------------------------------------
-
-def sum_(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
-    if active_tape() is not None:
-        shape = x.data.shape
-        def bwd(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return ((x, np.broadcast_to(g, shape).astype(x.data.dtype, copy=False)),)
-        _record("sum", out, bwd)
-    return out
-
 
 def mean_(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)

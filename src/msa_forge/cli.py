@@ -69,6 +69,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits 2 natively; we reserve 2 for validation
         raise UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        # before Python 3.13, argparse drops a "--" value (--seed=--) and passes []
+        if action.nargs is None and arg_strings == ["--"]:
+            self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 @functools.cache
 def _build_parser() -> _Parser:

@@ -517,9 +517,13 @@ def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
     scenario, and instance_type. Failed samples are dropped and logged
     while their share of the rows is at most ``max_failure_fraction``;
     above it (by default, on any failure) the run aborts listing every
-    failed id. The manifest records each modality's resolved extractor,
-    params as given.
+    failed id; a ``max_failure_fraction`` outside [0, 1] is rejected before
+    any table or clip is read. The manifest records each modality's resolved
+    extractor, params as given.
     """
+    if not 0.0 <= max_failure_fraction <= 1.0:  # also false for NaN
+        raise ExtractionError("max_failure_fraction (--lenient) must be in [0, 1], "
+                              f"got {max_failure_fraction}")
     root = Path(dataset_dir)
     configs = [resolve_config(c) for c in configs]
     by_modality: dict[str, ExtractorConfig] = {}

@@ -45,6 +45,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 NO_NOISE = math.inf  # snr_db sentinel: no-noise mode
+_F32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103  # the least magnitude that casts to float32 inf
 
 
 @dataclass
@@ -64,8 +65,9 @@ class PerturbationSpec:
             raise ValidationError(
                 f"perturbation targets {self.modality!r}, which is not in the bundle")
         if self.kind == "feature_noise":
-            if self.snr_db is None or math.isnan(self.snr_db):
+            if self.snr_db is None:
                 raise ValidationError("feature_noise needs a finite snr_db (or +inf for none)")
+            _check_snr_db(self.snr_db)
         if self.seed < 0:
             raise ValidationError(f"perturbation seed must be >= 0, got {self.seed}")
 
@@ -74,10 +76,26 @@ class PerturbationSpec:
         return "noise" if self.kind == "feature_noise" else "missing"
 
 
+def _check_snr_db(snr_db: float) -> None:
+    """Reject an snr_db other than +inf (no noise) whose power ratio
+    10 ** (snr_db / 10) is NaN, 0 or not finite: about -3233 dB or less, or
+    3082 dB or more. No noise scale can be drawn from such a ratio."""
+    if snr_db == NO_NOISE:
+        return
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValidationError(f"snr_db {snr_db} has no finite, nonzero power ratio "
+                              "10 ** (snr_db / 10); give +inf for no noise")
+
+
 def _noisy_sample(frames: np.ndarray, snr_db: float, seed: int, sample_id) -> np.ndarray:
     """One sample's valid (frames, dim) slice plus Gaussian noise at the
     target SNR, drawn from an RNG keyed on (seed, sample id). The id enters
-    through a digest because Python's hash() of a str changes per process."""
+    through a digest because Python's hash() of a str changes per process.
+    Noise that takes a frame past float32's range raises a ValidationError."""
     power = float(np.mean(frames.astype(np.float64) ** 2))
     if power == 0.0:
         log.warning("sample %s: all-zero features, SNR undefined; left unchanged", sample_id)
@@ -86,7 +104,11 @@ def _noisy_sample(frames: np.ndarray, snr_db: float, seed: int, sample_id) -> np
     rng = np.random.default_rng([seed, int.from_bytes(digest[:8], "little")])
     sigma = math.sqrt(power / (10.0 ** (snr_db / 10.0)))
     noise = rng.normal(0.0, sigma, size=frames.shape)
-    return (frames.astype(np.float64) + noise).astype(np.float32)
+    noisy = frames.astype(np.float64) + noise
+    if not np.abs(noisy).max() < _F32_OVERFLOW:  # also false for NaN
+        raise ValidationError(f"snr_db {snr_db}: the noise takes sample {sample_id}'s "
+                              "features past the float32 range")
+    return noisy.astype(np.float32)
 
 
 def _add_noise_rows(data: np.ndarray, mask: np.ndarray, snr_db: float, seed: int, ids) -> None:
@@ -103,9 +125,10 @@ def add_feature_noise(block: ModalityBlock, snr_db: float, seed: int,
     """New block with per-sample Gaussian noise on unpadded frames such
     that 10*log10(signal_power / noise_power) == snr_db. ``ids`` key each
     sample's noise (default: the row index). Padding stays zero; snr_db ==
-    +inf is the identity; all-zero samples are skipped with a warning."""
-    if math.isnan(snr_db):
-        raise ValidationError("snr_db must not be NaN")
+    +inf is the identity; all-zero samples are skipped with a warning. An
+    snr_db that yields no finite noise, or float32 frames that are not
+    finite, is a ValidationError."""
+    _check_snr_db(snr_db)
     data = block.data.copy()
     if snr_db != NO_NOISE:
         _add_noise_rows(data, block.mask(), snr_db, seed, ids)

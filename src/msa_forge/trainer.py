@@ -352,6 +352,7 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
         cfg_dict = config.as_dict()
+        cfg_dict["model"] = asdict(model.config)  # as built: the seed and bundle's dims
         cfg_dict["seed"] = seed
         (run_dir / "config.json").write_text(json.dumps(cfg_dict, indent=2) + "\n",
                                              encoding="utf-8")

@@ -7,6 +7,9 @@ attention built from per-op tape records, and the gated memory stepped with
 ``slice_``/``mul``/``add``. The tests hold the fused kernels to them: f32
 forwards bit for bit, f64 gradients within 1e-12. The LSTM reference shares
 only the package's sigmoid helper with ``lstm_sequence``.
+
+``sum_``, the differentiable sum that reduces a test's output to a scalar
+loss, lives here too: no model calls it, so the package does not carry it.
 """
 
 import math
@@ -15,6 +18,20 @@ import numpy as np
 
 from msa_forge import autodiff as ad
 from msa_forge.autodiff import MASK_BIAS, Tensor
+
+
+def sum_(x, axis=None, keepdims=False):
+    """The sum over ``axis`` (all axes by default) as one ``sum`` record."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+    if ad.active_tape() is not None:
+        shape = x.data.shape
+        def bwd(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return ((x, np.broadcast_to(g, shape).astype(x.data.dtype, copy=False)),)
+        ad._record("sum", out, bwd)
+    return out
 
 
 def affine_per_op(x, w, b):

@@ -38,13 +38,12 @@ from msa_forge.autodiff import (
     slice_,
     softmax,
     sub,
-    sum_,
     tanh,
     transpose,
 )
 from msa_forge import autodiff as ad
 from msa_forge.errors import ShapeError
-from reference_kernels import affine_per_op, attention_per_op, lstm_single, memory_stepped
+from reference_kernels import affine_per_op, attention_per_op, lstm_single, memory_stepped, sum_
 
 
 def _params_from(arrays: dict) -> ParamSet:

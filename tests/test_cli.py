@@ -19,6 +19,7 @@ from msa_forge.models import (ModelConfig, batch_from_bundle, build_model, load_
 from msa_forge.robustness import PerturbationSpec, evaluate_tagged, perturb_batch
 from msa_forge.synthetic import make_synthetic_bundle
 from msa_forge.trainer import EVAL_BATCH_SIZE, _evaluate, get_config_regression, multi_seed_run
+from test_extractors import build_toy_dataset
 
 SR = 16000
 
@@ -30,6 +31,11 @@ def tiny_bundle_dir(tmp_path_factory):
                                    feature_dim=4, seed=0)
     write_bundle(bundle, path)
     return path
+
+
+# --snr-db values that draw no finite noise: the power ratio overflows (5000),
+# is 0 (-5000, -inf) or NaN, or the noisy frames overflow float32 (-3000)
+SNR_WITHOUT_FINITE_NOISE = ["5000", "-5000", "-inf", "-3000", "nan"]
 
 
 def fast_flags():
@@ -52,6 +58,19 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert cli_main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command, flag", [
+        ("perturb", "--snr-db"), ("perturb", "--seed"), ("eval", "--snr-db"), ("eval", "--seed"),
+        ("extract", "--lenient"), ("extract", "--label-range"), ("train", "--set")])
+    def test_dash_dash_as_a_flag_value_is_usage(self, tmp_path, capsys, command, flag):
+        # argparse before 3.13 turned `--seed=--` into an empty list
+        required = {"perturb": ["--bundle", "b", "--out", "o"],
+                    "eval": ["--checkpoint", "c", "--bundle", "b", "--out", "o", "--tagged"],
+                    "extract": ["--data", "d", "--labels", "l", "--config", "c", "--out", "o"],
+                    "train": ["--bundle", "b", "--model", "lf_dnn"]}[command]
+        assert cli_main([command, *required, f"{flag}=--"]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected one argument" in err and "Traceback" not in err
 
     def test_report_on_empty_dir_is_validation(self, tmp_path, capsys):
         assert cli_main(["report", "--runs", str(tmp_path), "--style", "table4"]) == 2
@@ -430,6 +449,16 @@ class TestEvalCli:
         err = capsys.readouterr().err
         assert "seed" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("snr_db", SNR_WITHOUT_FINITE_NOISE)
+    def test_eval_tagged_snr_without_finite_noise(self, tmp_path, tiny_bundle_dir, trained_run,
+                                                  capsys, snr_db):
+        ckpt = trained_run / "seed_1111" / "checkpoint"
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--bundle", str(tiny_bundle_dir),
+                         "--out", str(tmp_path / "e"), "--tagged", f"--snr-db={snr_db}"]) == 2
+        err = capsys.readouterr().err
+        assert "snr_db" in err and "Traceback" not in err
+        assert not (tmp_path / "e" / "tagged_report.json").exists()
+
     def test_predict_without_record_needs_config(self, tmp_path, trained_run, capsys):
         # trained on a synthetic bundle, so the checkpoint records no extractors
         ckpt = trained_run / "seed_1111" / "checkpoint"
@@ -579,6 +608,14 @@ class TestPerturbCli:
                          "--seed", "-1"]) == 2
         err = capsys.readouterr().err
         assert "seed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("snr_db", SNR_WITHOUT_FINITE_NOISE)
+    def test_snr_without_finite_noise(self, tmp_path, tiny_bundle_dir, capsys, snr_db):
+        assert cli_main(["perturb", "--bundle", str(tiny_bundle_dir), "--out",
+                         str(tmp_path / "x"), f"--snr-db={snr_db}", "--target", "audio"]) == 2
+        err = capsys.readouterr().err
+        assert "snr_db" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_both_flags_is_usage_error(self, tmp_path, tiny_bundle_dir):
         assert cli_main(["perturb", "--bundle", str(tiny_bundle_dir),
@@ -1052,6 +1089,21 @@ class TestServingPath:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert calls == []
+
+
+class TestLenientFlag:
+    @pytest.mark.parametrize("fraction", ["nan", "-0.1", "1.5"])
+    def test_fraction_outside_0_1_exits_2(self, tmp_path, capsys, fraction):
+        data = build_toy_dataset(tmp_path / "data", n=3, corrupt=1)
+        (tmp_path / "extract.json").write_text(json.dumps(
+            {"audio": {"kind": "mfcc"}, "text": {"kind": "glove",
+                                                 "params": {"table": "emb.txt"}}}))
+        assert cli_main(["extract", "--data", str(data), "--labels", str(data / "labels.csv"),
+                         "--config", str(tmp_path / "extract.json"),
+                         "--out", str(tmp_path / "b"), f"--lenient={fraction}"]) == 2
+        err = capsys.readouterr().err
+        assert "--lenient" in err and "Traceback" not in err
+        assert not (tmp_path / "b").exists()
 
 
 class TestNonFiniteWav:

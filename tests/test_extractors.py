@@ -460,6 +460,18 @@ class TestRunDataset:
         assert bundle.n == 2
         assert "s1" not in bundle.ids
 
+    @pytest.mark.parametrize("fraction", [math.nan, -0.1, 1.5], ids=["nan", "-0.1", "1.5"])
+    def test_failure_fraction_outside_0_1_rejected_before_any_read(self, tmp_path, monkeypatch,
+                                                                   fraction):
+        root = build_toy_dataset(tmp_path / "data", n=3, corrupt=1)
+        for name in ("_read_label_csv", "_extract_one", "read_wav"):
+            monkeypatch.setattr(f"msa_forge.extractors.{name}", None)  # any read fails
+        monkeypatch.setattr(EmbeddingTable, "load", None)
+        with pytest.raises(ExtractionError, match=r"max_failure_fraction \(--lenient\) must be "
+                                                  r"in \[0, 1\], got"):
+            run_dataset(root, self._configs(), root / "labels.csv",
+                        max_failure_fraction=fraction)
+
     def _non_finite_clip(self, tmp_path):
         root = build_toy_dataset(tmp_path / "data", n=3)
         samples = np.full(SR // 4, 0.1, dtype=np.float32)

@@ -81,6 +81,37 @@ class TestFeatureNoise:
         assert max_abs < 1e-3 * rms * 10  # 100 dB: noise sigma = rms * 1e-5
 
 
+    @pytest.mark.parametrize("snr_db", [5000.0, -5000.0, -math.inf, -3000.0, math.nan],
+                             ids=["5000", "-5000", "-inf", "-3000", "nan"])
+    def test_snr_without_finite_noise_is_validation_error(self, snr_db):
+        # the power ratio overflows (5000), is 0 (-5000, -inf) or NaN, or the
+        # noise takes the frames past float32's range (-3000)
+        with pytest.raises(ValidationError, match="snr_db"):
+            add_feature_noise(random_block(n=4), snr_db, seed=1)
+
+    def test_snr_bounds_of_the_power_ratio(self):
+        block = random_block(n=4)
+        add_feature_noise(block, 3082.0, seed=1)  # 10 ** 308.2 is finite
+        with pytest.raises(ValidationError, match="snr_db"):
+            add_feature_noise(block, 3083.0, seed=1)
+        with pytest.raises(ValidationError, match="snr_db"):
+            add_feature_noise(block, -3240.0, seed=1)  # 10 ** -324 is 0
+
+    def test_noise_at_the_edge_of_float32(self):
+        # sigma ~1e37 keeps every frame inside float32; ~1e39 would not
+        block = random_block(n=4)
+        assert np.isfinite(add_feature_noise(block, -740.0, seed=1).data).all()
+        with pytest.raises(ValidationError, match="float32"):
+            add_feature_noise(block, -780.0, seed=1)
+
+    def test_spec_validation_checks_the_snr(self):
+        for snr_db in (5000.0, -math.inf, math.nan):
+            spec = PerturbationSpec("feature_noise", "audio", snr_db=snr_db)
+            with pytest.raises(ValidationError, match="snr_db"):
+                spec.validate({"audio"})
+        PerturbationSpec("feature_noise", "audio", snr_db=math.inf).validate({"audio"})
+
+
 class TestDropModality:
     def _batch(self):
         bundle = make_synthetic_bundle(n_train=4, n_valid=2, n_test=2, seq_len=5,

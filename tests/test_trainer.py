@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import msa_forge
-from msa_forge.autodiff import ParamSet, Tape, Tensor, add, backward, sum_
+from msa_forge.autodiff import ParamSet, Tape, Tensor, add, backward
 from msa_forge.errors import EmptySplitError, ModelError, ValidationError
 from msa_forge.models import load_checkpoint, read_named_arrays
 from msa_forge.synthetic import make_synthetic_bundle
@@ -25,6 +25,7 @@ from msa_forge.trainer import (
     multi_seed_run,
     train_run,
 )
+from reference_kernels import sum_
 
 
 def small_bundle(n_train=10, n_valid=4, n_test=4, seed=0):
@@ -297,6 +298,18 @@ class TestTrainRun:
         reps = read_named_arrays(tmp_path / "run" / "reps.bin")
         assert "fusion" in reps
         assert reps["fusion"].shape[-2] == 4  # test split size
+
+    def test_config_json_records_the_model_config_the_run_built(self, tmp_path):
+        config = fast_config("lf_dnn", max_epochs=1)
+        assert config.model.seed == 1111 and config.model.feature_dims is None
+        train_run(config, small_bundle(), seed=7, run_dir=tmp_path / "run")
+        recorded = json.loads((tmp_path / "run" / "config.json").read_text(encoding="utf-8"))
+        manifest = json.loads((tmp_path / "run" / "checkpoint" / "manifest.json")
+                              .read_text(encoding="utf-8"))
+        assert recorded["model"] == manifest["config"]
+        assert recorded["model"]["seed"] == recorded["seed"] == 7
+        assert recorded["model"]["feature_dims"] == {"text": 4, "audio": 4, "vision": 4}
+        assert config.model.seed == 1111 and config.model.feature_dims is None  # left as given
 
     def test_checkpoint_restore_reproduces_test_metrics(self, tmp_path):
         bundle = small_bundle()
