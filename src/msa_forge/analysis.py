@@ -28,6 +28,7 @@ __all__ = [
     "MetricReport",
     "ProjectionResult",
     "compute_metrics",
+    "require_finite_rows",
     "pca_project",
     "make_benchmark_report",
     "export_curves",
@@ -116,6 +117,19 @@ def compute_metrics(preds, labels, *, binarize: str = "non_negative",
         corr = float(np.sum(pc * lc)) / denom
 
     return MetricReport(acc2=acc2, f1=float(f1), mae=mae, corr=corr, n=n)
+
+
+def require_finite_rows(what: str, preds, reps=()) -> None:
+    """Raise MetricError when a row's prediction, or its row of any captured
+    representation, is not finite (a forward that overflowed on huge
+    features, say): no metric or projection of such rows means anything.
+    ``what`` names the rows (a split, a perturbation) in the message."""
+    bad = ~np.isfinite(np.asarray(preds))
+    for rep in reps:
+        bad |= ~np.isfinite(rep.reshape(len(rep), -1)).all(axis=1)
+    if bad.any():
+        raise MetricError(f"{what}: {int(bad.sum())} of {bad.size} rows have a non-finite "
+                          "prediction or representation")
 
 
 @dataclass

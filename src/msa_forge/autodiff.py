@@ -671,15 +671,18 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
     tensor, H the sum of the hidden sizes: ``[:, t, 0]`` holds each group's
     h_t and ``[:, t, 1]`` its c_t, side by side in group order.
 
-    The gates live gate-major, (B, 4, H) per step, and a per-unit mask
-    blends the states, so each elementwise step is one numpy call for all
-    groups; each group keeps its own x @ Wx + b and h @ Wh GEMMs. Steps
-    whose mask is true everywhere skip the blend. Under a tape the pass is
-    one record: X @ Wx + b is one GEMM per group over all B*T rows, and the
-    backward (BPTT) builds every factor that does not depend on the
-    recurrence before it walks back through the steps; it frees the gate
-    cache, so the record is replayed once. Without a tape x is projected
-    one step at a time and nothing is kept for a backward.
+    The gates live step-major, (4, B, H) per step, so each gate of a step is
+    one contiguous (B, H) block and each elementwise step is one numpy call
+    for all groups; each group keeps its own x @ Wx + b and h @ Wh GEMMs. A
+    per-unit (T, B, H) mask, built once, blends the states; steps whose mask
+    is true everywhere skip the blend. Under a tape the pass is one record:
+    X @ Wx + b is one GEMM per group over all B*T rows, written into a
+    (T, 4, B, H) gate cache. The backward (BPTT) forms each step's dz
+    step-major and writes it into its group's batch-major (B, T, 4, h_k)
+    buffer, which that group's dh GEMM reads at the step and its weight
+    gradients read after the walk. It frees the gate cache, so the record
+    is replayed once. Without a tape x is projected one step at a time and
+    nothing is kept for a backward.
     """
     if not xs or not len(xs) == len(masks) == len(params):
         raise ShapeError(f"lstm_sequence needs one mask and one parameter set per input, got "
@@ -702,45 +705,49 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
     groups = [(x.data, wx.data, wh.data, b.data.reshape(4, hid), lo, lo + hid)
               for x, (wx, wh, b), hid, lo in zip(xs, weights, hids, bounds)]
     width = bounds[-1]
-    group_mask = np.stack(masks, axis=2)          # (B, T, groups)
-    any_step = group_mask.any(axis=(0, 2))
-    full_step = group_mask.all(axis=(0, 2))
-
-    def unit_mask(t):  # (B, H): group k's mask repeated over its units; one group broadcasts
-        return group_mask[:, t] if len(hids) == 1 else np.repeat(group_mask[:, t], hids, axis=1)
+    step_mask = np.stack([m.T for m in masks], axis=2)   # (T, B, groups)
+    any_step = step_mask.any(axis=(1, 2))
+    full_step = step_mask.all(axis=(1, 2))
+    # (T, B, H): group k's mask repeated over its units; one group broadcasts
+    unit_mask = step_mask if len(hids) == 1 else np.repeat(step_mask, hids, axis=2)
 
     dtype = np.result_type(*(x.data for x in xs), *(wx.data for wx, _, _ in weights))
     states = np.empty((n, steps, 2, width), dtype=dtype)
     taped = active_tape() is not None
     if taped:  # the gates of every step, kept for the backward
-        gates = np.empty((n, steps, 4, width), dtype=dtype)
+        gates = np.empty((steps, 4, n, width), dtype=dtype)
         for xd, wxd, _, b4, lo, hi in groups:
             xw = xd.reshape(n * steps, -1) @ wxd
-            np.add(xw.reshape(n, steps, 4, hi - lo), b4, out=gates[..., lo:hi])
+            np.add(xw.reshape(n, steps, 4, hi - lo), b4,
+                   out=gates[..., lo:hi].transpose(2, 0, 1, 3))
     else:
-        z = np.empty((n, 4, width), dtype=dtype)
+        z = np.empty((4, n, width), dtype=dtype)
     h = c = np.zeros((n, width), dtype=dtype)
     with np.errstate(over="ignore"):  # for _sigmoid
         for t in range(steps):
             if any_step[t]:
                 if taped:
-                    z = gates[:, t]
+                    z = gates[t]
                 for xd, wxd, whd, b4, lo, hi in groups:
-                    z_k = z[..., lo:hi]
-                    if not taped:
-                        np.add((xd[:, t] @ wxd).reshape(z_k.shape), b4, out=z_k)
-                    z_k += (h[:, lo:hi] @ whd).reshape(z_k.shape)
-                # the cell gate's tanh first, so that one sigmoid call covers the
-                # step (two calls on the strided gate views cost more)
-                cell = np.tanh(z[:, 2])
+                    hw = (h[:, lo:hi] @ whd).reshape(n, 4, hi - lo)
+                    z_k = z[..., lo:hi].transpose(1, 0, 2)  # (B, 4, h), as the GEMMs write
+                    if taped:
+                        z_k += hw
+                    else:  # (x @ Wx + b) + h @ Wh batch-major, then one transposed copy
+                        xw = (xd[:, t] @ wxd).reshape(hw.shape)
+                        xw += b4
+                        xw += hw
+                        z_k[...] = xw
+                # the cell gate's tanh first, so that one sigmoid call covers the step
+                cell = np.tanh(z[2])
                 _sigmoid(z, out=z)
-                z[:, 2] = cell
-                c_new = z[:, 1] * c + z[:, 0] * z[:, 2]
-                h_new = z[:, 3] * np.tanh(c_new)
+                z[2] = cell
+                c_new = z[1] * c + z[0] * z[2]
+                h_new = z[3] * np.tanh(c_new)
                 if full_step[t]:
                     h, c = h_new, c_new
                 else:
-                    m = unit_mask(t)
+                    m = unit_mask[t]
                     h, c = np.where(m, h_new, h), np.where(m, c_new, c)
             states[:, t, 0] = h
             states[:, t, 1] = c
@@ -753,53 +760,56 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
                                    "replay a tape once")
             # in the per-step formula's order, the input, forget and output gates'
             # dz are ((a * p) * gate) * (1 - gate), with (a, p) = (dc, g), (dc,
-            # c_{t-1}), (dh, tanh c_t), and the cell gate's is (dc * i) * (1 - g^2);
-            # dz_all holds the (1 - .) factors until step t overwrites them with dz
-            tanh_c = np.tanh(states[:, :, 1])
+            # c_{t-1}), (dh, tanh c_t), and the cell gate's is (dc * i) * (1 - g^2)
+            tanh_c = np.tanh(states[:, :, 1].transpose(1, 0, 2), order="C")  # (T, B, H)
             one_minus_tanh2 = tanh_c * tanh_c
             np.subtract(1.0, one_minus_tanh2, out=one_minus_tanh2)
-            dz_all = np.subtract(1.0, gates)
-            cell = dz_all[:, :, 2]
-            np.multiply(gates[:, :, 2], gates[:, :, 2], out=cell)
-            np.subtract(1.0, cell, out=cell)
             c_zero = np.zeros((n, width), dtype=dtype)
-            dz = np.empty((n, 4, width), dtype=dtype)
+            dz = np.empty((4, n, width), dtype=dtype)
+            one_minus = np.empty_like(dz)
+            dz_groups = [np.empty((n, steps, 4, hi - lo), dtype=dtype) for *_, lo, hi in groups]
             dh = np.zeros((n, width), dtype=dtype)
             dc = np.zeros_like(dh)
             for t in range(steps - 1, -1, -1):
                 dh = dh + g[:, t, 0]
                 dc = dc + g[:, t, 1]
                 if not any_step[t]:
-                    dz_all[:, t] = 0.0
+                    for dz_k in dz_groups:
+                        dz_k[:, t] = 0.0
                     continue
-                gates_t = gates[:, t]
-                dc_in = dh * gates_t[:, 3]
-                dc_in *= one_minus_tanh2[:, t]
+                gates_t = gates[t]
+                dc_in = dh * gates_t[3]
+                dc_in *= one_minus_tanh2[t]
                 np.add(dc, dc_in, out=dc_in)
-                np.multiply(dc_in[:, None], gates_t[:, 2::-2], out=dz[:, 0:3:2])
-                np.multiply(dc_in, states[:, t - 1, 1] if t else c_zero, out=dz[:, 1])
-                np.multiply(dh, tanh_c[:, t], out=dz[:, 3])
-                dz[:, :2] *= gates_t[:, :2]
-                dz[:, 3] *= gates_t[:, 3]
-                dz_t = np.multiply(dz, dz_all[:, t], out=dz_all[:, t])
-                dh_new = np.empty_like(dh)
+                np.multiply(dc_in, gates_t[2::-2], out=dz[0:3:2])
+                np.multiply(dc_in, states[:, t - 1, 1] if t else c_zero, out=dz[1])
+                np.multiply(dh, tanh_c[t], out=dz[3])
+                dz[:2] *= gates_t[:2]
+                dz[3] *= gates_t[3]
+                np.subtract(1.0, gates_t, out=one_minus)
+                np.multiply(gates_t[2], gates_t[2], out=one_minus[2])
+                np.subtract(1.0, one_minus[2], out=one_minus[2])
+                dz_t = np.multiply(dz, one_minus, out=dz)
                 if not full_step[t]:
-                    m = unit_mask(t)
-                    dz_t[...] = np.where(m[:, None], dz_t, 0.0)
-                for _, _, whd, _, lo, hi in groups:
-                    np.matmul(dz_t[..., lo:hi].reshape(n, 4 * (hi - lo)), whd.T,
-                              out=dh_new[:, lo:hi])
-                dc_prev = dc_in * gates_t[:, 1]
+                    m = unit_mask[t]
+                    dz_t = np.where(m, dz_t, 0.0)
+                dh_new = np.empty_like(dh)
+                for dz_k, (_, _, whd, _, lo, hi) in zip(dz_groups, groups):
+                    dz_kt = dz_k[:, t]
+                    dz_kt[...] = dz_t[..., lo:hi].transpose(1, 0, 2)
+                    np.matmul(dz_kt.reshape(n, 4 * (hi - lo)), whd.T, out=dh_new[:, lo:hi])
+                dc_prev = dc_in * gates_t[1]
                 if full_step[t]:
                     dh, dc = dh_new, dc_prev
                 else:
                     dh, dc = np.where(m, dh_new, dh), np.where(m, dc_prev, dc)
-            # the weight gradients read only dz_all and the states: free the rest
-            del tanh_c, one_minus_tanh2, cell, dz
+            # the weight gradients read only dz_groups and the states: free the rest
+            del tanh_c, one_minus_tanh2, dz, one_minus
             gates = gates_t = None
             adjoints = []
-            for x, (wx, wh, b), (xd, wxd, whd, _, lo, hi) in zip(xs, weights, groups):
-                dz_flat = dz_all[..., lo:hi].reshape(n * steps, 4 * (hi - lo))
+            for x, (wx, wh, b), (xd, wxd, whd, _, lo, hi), dz_k in zip(xs, weights, groups,
+                                                                      dz_groups):
+                dz_flat = dz_k.reshape(n * steps, 4 * (hi - lo))
                 h_prev = np.zeros((n, steps, hi - lo), dtype=dtype)
                 h_prev[:, 1:] = states[:, :-1, 0, lo:hi]
                 adjoints += [(x, (dz_flat @ wxd.T).reshape(xd.shape)),
@@ -815,9 +825,10 @@ def linear_recurrence(keep, write, u0) -> Tensor:
     """u_t = keep_t * u_{t-1} + write_t over the steps (axis 1) of ``keep``
     and ``write`` (B, T, D), from ``u0`` (B, D); returns u_T.
 
-    Under a tape the whole recurrence is one record; its backward walks the
-    steps in reverse with the same products the stepped ``mul``/``add``
-    chain would form.
+    The steps run over step-major copies, so every step reads contiguous
+    (B, D) blocks. Under a tape the whole recurrence is one record; its
+    backward walks the steps in reverse with the same products the stepped
+    ``mul``/``add`` chain would form, into step-major adjoints.
     """
     keep = _as_tensor(keep)
     write = _as_tensor(write)
@@ -825,20 +836,24 @@ def linear_recurrence(keep, write, u0) -> Tensor:
     if keep.ndim != 3 or write.shape != keep.shape or u0.shape != (keep.shape[0], keep.shape[2]):
         raise ShapeError(f"linear_recurrence shapes disagree: keep {keep.shape}, "
                          f"write {write.shape}, u0 {u0.shape}")
-    kd, wd = keep.data, write.data
+    kd = keep.data
+    steps = kd.shape[1]
+    keep_t, write_t = (np.ascontiguousarray(a.transpose(1, 0, 2)) for a in (kd, write.data))
     us = [u0.data]  # us[t] is u_{t-1} of step t
-    for t in range(kd.shape[1]):
-        us.append(kd[:, t] * us[-1] + wd[:, t])
+    for t in range(steps):
+        us.append(keep_t[t] * us[-1] + write_t[t])
+    del keep_t, write_t
     out = Tensor(us[-1])
     if active_tape() is not None:
         def bwd(g):
-            d_keep = np.empty_like(kd)
-            d_write = np.empty_like(wd)
-            for t in range(kd.shape[1] - 1, -1, -1):
-                d_write[:, t] = g
-                np.multiply(g, us[t], out=d_keep[:, t])
+            d_keep = np.empty((steps, kd.shape[0], kd.shape[2]), dtype=kd.dtype)  # step-major
+            d_write = np.empty_like(d_keep, dtype=write.data.dtype)
+            for t in range(steps - 1, -1, -1):
+                d_write[t] = g
+                np.multiply(g, us[t], out=d_keep[t])
                 g = g * kd[:, t]
-            return ((keep, d_keep), (write, d_write), (u0, g))
+            return ((keep, d_keep.transpose(1, 0, 2)), (write, d_write.transpose(1, 0, 2)),
+                    (u0, g))
         _record("linear_recurrence", out, bwd)
     return out
 

@@ -20,6 +20,7 @@ Bundles are immutable after load and safe for concurrent reads.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -145,8 +146,8 @@ def validate_bundle(bundle: FeatureBundle) -> None:
     the first offending sample/field."""
     man = bundle.manifest
     lo, hi = man.label_range
-    if not lo < hi:
-        raise BundleValidationError(f"label_range ({lo}, {hi}) must satisfy lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise BundleValidationError(f"label_range ({lo}, {hi}) must be finite with lo < hi")
     if not bundle.blocks:
         raise BundleValidationError("bundle has no modality blocks")
     for name in bundle.blocks:

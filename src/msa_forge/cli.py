@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .analysis import (
     export_projection_csv,
     make_benchmark_report,
     pca_project,
+    require_finite_rows,
 )
 from .bundle import read_bundle, read_json_object, split_view, write_bundle
 from .errors import MsaForgeError, UsageError, ValidationError, parsing
@@ -180,8 +182,11 @@ def _cmd_extract(args) -> int:
     configs = _read_extractor_configs(args.config)
     try:
         lo, hi = (float(x) for x in args.label_range.split(","))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError
     except ValueError:
-        raise UsageError(f"--label-range must be lo,hi, got {args.label_range!r}") from None
+        raise UsageError(f"--label-range must be lo,hi with finite ends, "
+                         f"got {args.label_range!r}") from None
     bundle = run_dataset(
         args.data, configs, args.labels,
         dataset_name=args.dataset_name,
@@ -238,7 +243,9 @@ def _cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    metrics, preds, reps = _evaluate(model, view, capture=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
+        metrics, preds, reps = _evaluate(model, view, capture=True)
+    require_finite_rows(f"split {args.split!r}", preds, reps.values())
     (out_dir / "metrics.json").write_text(
         json.dumps({"model": manifest["model_name"], "split": args.split,
                     "metrics": metrics.as_dict()}, indent=2) + "\n", encoding="utf-8")

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analysis import _render_table, compute_metrics
+from .analysis import _render_table, compute_metrics, require_finite_rows
 from .bundle import INSTANCE_TYPES, FeatureBundle, ModalityBlock
 from .errors import ValidationError
 from .models import Batch, ModalityInput, Model
@@ -256,10 +256,11 @@ def _predict(model: Model, bundle: FeatureBundle, idx: np.ndarray,
              spec: PerturbationSpec | None = None) -> np.ndarray:
     """Eval-mode predictions for samples ``idx``, perturbed by ``spec`` if given."""
     preds = []
-    for batch in _batches(bundle, idx, EVAL_BATCH_SIZE, model.dtype):
-        if spec is not None:
-            batch = perturb_batch(batch, spec)
-        preds.append(model.forward(batch, train=False).pred.data.astype(np.float64))
+    with np.errstate(over="ignore", invalid="ignore"):  # evaluate_tagged checks the rows
+        for batch in _batches(bundle, idx, EVAL_BATCH_SIZE, model.dtype):
+            if spec is not None:
+                batch = perturb_batch(batch, spec)
+            preds.append(model.forward(batch, train=False).pred.data.astype(np.float64))
     return np.concatenate(preds)
 
 
@@ -295,6 +296,7 @@ def evaluate_tagged(model: Model, bundle: FeatureBundle,
     elif np.shape(clean_preds) != (bundle.n,):
         raise ValidationError(
             f"clean_preds has shape {np.shape(clean_preds)}, expected ({bundle.n},)")
+    require_finite_rows("clean features", clean_preds)
     for i, tag in enumerate(tags):
         if tag is not None:
             per_type[tag][0].append(clean_preds[i])
@@ -308,8 +310,10 @@ def evaluate_tagged(model: Model, bundle: FeatureBundle,
             spec.validate(bundle.blocks)
             if clean_idx.size == 0:
                 continue
-            per_type[spec.instance_type][0].extend(
-                _predict(model, bundle, clean_idx, spec))
+            preds = _predict(model, bundle, clean_idx, spec)
+            noise = f" at snr_db {spec.snr_db}" if spec.kind == "feature_noise" else ""
+            require_finite_rows(f"{spec.kind} on {spec.modality}{noise} (seed {spec.seed})", preds)
+            per_type[spec.instance_type][0].extend(preds)
             per_type[spec.instance_type][1].extend(labels[clean_idx])
 
     rows: dict[str, TypeRow] = {}

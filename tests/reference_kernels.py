@@ -7,6 +7,8 @@ attention built from per-op tape records, and the gated memory stepped with
 ``slice_``/``mul``/``add``. The tests hold the fused kernels to them: f32
 forwards bit for bit, f64 gradients within 1e-12. The LSTM reference shares
 only the package's sigmoid helper with ``lstm_sequence``.
+``lstm_sequence_batch_major`` is ``lstm_sequence`` as it was before its gate
+cache went step-major; the package kernel must equal it bit for bit.
 
 ``sum_``, the differentiable sum that reduces a test's output to a scalar
 loss, lives here too: no model calls it, so the package does not carry it.
@@ -114,6 +116,117 @@ def lstm_single(x, mask, params):
                     (wh, h_prev.reshape(n * steps, hid).T @ dz_flat),
                     (b, dz_flat.sum(axis=0)))
         ad._record("lstm_single", out, bwd)
+    return out
+
+
+def lstm_sequence_batch_major(xs, masks, params):
+    """``ad.lstm_sequence`` with its gate cache batch-major, (B, T, 4, H),
+    and a per-unit mask repeated on every step: the layout the package
+    kernel kept before its cache went step-major. Same GEMMs on the same
+    operands and the same elementwise ops on the same values, so the
+    package kernel must match it bit for bit, states and adjoints."""
+    xs = [x if isinstance(x, Tensor) else Tensor(x) for x in xs]
+    weights = [ad._lstm_weights(p) for p in params]
+    n, steps = xs[0].shape[:2]
+    masks = [np.asarray(m, dtype=bool) for m in masks]
+    hids = [wh.shape[0] for _, wh, _ in weights]
+    bounds = np.cumsum([0] + hids).tolist()
+    groups = [(x.data, wx.data, wh.data, b.data.reshape(4, hid), lo, lo + hid)
+              for x, (wx, wh, b), hid, lo in zip(xs, weights, hids, bounds)]
+    width = bounds[-1]
+    group_mask = np.stack(masks, axis=2)          # (B, T, groups)
+    any_step = group_mask.any(axis=(0, 2))
+    full_step = group_mask.all(axis=(0, 2))
+
+    def unit_mask(t):  # (B, H): group k's mask repeated over its units; one group broadcasts
+        return group_mask[:, t] if len(hids) == 1 else np.repeat(group_mask[:, t], hids, axis=1)
+
+    dtype = np.result_type(*(x.data for x in xs), *(wx.data for wx, _, _ in weights))
+    states = np.empty((n, steps, 2, width), dtype=dtype)
+    taped = ad.active_tape() is not None
+    if taped:
+        gates = np.empty((n, steps, 4, width), dtype=dtype)
+        for xd, wxd, _, b4, lo, hi in groups:
+            xw = xd.reshape(n * steps, -1) @ wxd
+            np.add(xw.reshape(n, steps, 4, hi - lo), b4, out=gates[..., lo:hi])
+    else:
+        z = np.empty((n, 4, width), dtype=dtype)
+    h = c = np.zeros((n, width), dtype=dtype)
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            if any_step[t]:
+                if taped:
+                    z = gates[:, t]
+                for xd, wxd, whd, b4, lo, hi in groups:
+                    z_k = z[..., lo:hi]
+                    if not taped:
+                        np.add((xd[:, t] @ wxd).reshape(z_k.shape), b4, out=z_k)
+                    z_k += (h[:, lo:hi] @ whd).reshape(z_k.shape)
+                cell = np.tanh(z[:, 2])
+                ad._sigmoid(z, out=z)
+                z[:, 2] = cell
+                c_new = z[:, 1] * c + z[:, 0] * z[:, 2]
+                h_new = z[:, 3] * np.tanh(c_new)
+                if full_step[t]:
+                    h, c = h_new, c_new
+                else:
+                    m = unit_mask(t)
+                    h, c = np.where(m, h_new, h), np.where(m, c_new, c)
+            states[:, t, 0] = h
+            states[:, t, 1] = c
+    out = Tensor(states)
+    if taped:
+        def bwd(g):
+            tanh_c = np.tanh(states[:, :, 1])
+            one_minus_tanh2 = tanh_c * tanh_c
+            np.subtract(1.0, one_minus_tanh2, out=one_minus_tanh2)
+            dz_all = np.subtract(1.0, gates)
+            cell = dz_all[:, :, 2]
+            np.multiply(gates[:, :, 2], gates[:, :, 2], out=cell)
+            np.subtract(1.0, cell, out=cell)
+            c_zero = np.zeros((n, width), dtype=dtype)
+            dz = np.empty((n, 4, width), dtype=dtype)
+            dh = np.zeros((n, width), dtype=dtype)
+            dc = np.zeros_like(dh)
+            for t in range(steps - 1, -1, -1):
+                dh = dh + g[:, t, 0]
+                dc = dc + g[:, t, 1]
+                if not any_step[t]:
+                    dz_all[:, t] = 0.0
+                    continue
+                gates_t = gates[:, t]
+                dc_in = dh * gates_t[:, 3]
+                dc_in *= one_minus_tanh2[:, t]
+                np.add(dc, dc_in, out=dc_in)
+                np.multiply(dc_in[:, None], gates_t[:, 2::-2], out=dz[:, 0:3:2])
+                np.multiply(dc_in, states[:, t - 1, 1] if t else c_zero, out=dz[:, 1])
+                np.multiply(dh, tanh_c[:, t], out=dz[:, 3])
+                dz[:, :2] *= gates_t[:, :2]
+                dz[:, 3] *= gates_t[:, 3]
+                dz_t = np.multiply(dz, dz_all[:, t], out=dz_all[:, t])
+                dh_new = np.empty_like(dh)
+                if not full_step[t]:
+                    m = unit_mask(t)
+                    dz_t[...] = np.where(m[:, None], dz_t, 0.0)
+                for _, _, whd, _, lo, hi in groups:
+                    np.matmul(dz_t[..., lo:hi].reshape(n, 4 * (hi - lo)), whd.T,
+                              out=dh_new[:, lo:hi])
+                dc_prev = dc_in * gates_t[:, 1]
+                if full_step[t]:
+                    dh, dc = dh_new, dc_prev
+                else:
+                    dh, dc = np.where(m, dh_new, dh), np.where(m, dc_prev, dc)
+            adjoints = []
+            for x, (wx, wh, b), (xd, wxd, whd, _, lo, hi) in zip(xs, weights, groups):
+                dz_flat = dz_all[..., lo:hi].reshape(n * steps, 4 * (hi - lo))
+                h_prev = np.zeros((n, steps, hi - lo), dtype=dtype)
+                h_prev[:, 1:] = states[:, :-1, 0, lo:hi]
+                adjoints += [(x, (dz_flat @ wxd.T).reshape(xd.shape)),
+                             (wx, xd.reshape(n * steps, -1).T @ dz_flat),
+                             (wh, h_prev.reshape(n * steps, hi - lo).T @ dz_flat),
+                             (b, dz_flat.sum(axis=0))]
+            return adjoints
+        ad._record("lstm_sequence_batch_major", out, bwd)
     return out
 
 

@@ -13,6 +13,7 @@ from msa_forge.analysis import (
     export_projection_csv,
     make_benchmark_report,
     pca_project,
+    require_finite_rows,
 )
 from msa_forge.errors import MetricError, ValidationError
 
@@ -118,6 +119,17 @@ class TestComputeMetrics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             compute_metrics([1.0, 2.0], [1.0])
+
+
+class TestRequireFiniteRows:
+    def test_counts_rows_with_a_non_finite_prediction_or_representation(self):
+        preds = np.array([0.1, np.nan, 0.3, 0.4])
+        reps = [np.ones((4, 2, 3)), np.array([[1.0], [2.0], [np.inf], [np.nan]])]
+        with pytest.raises(MetricError, match=r"split 'x': 3 of 4 rows"):
+            require_finite_rows("split 'x'", preds, reps)
+
+    def test_finite_rows_pass(self):
+        require_finite_rows("clean", np.zeros(3), [np.zeros((3, 2))])
 
 
 class TestPca:

@@ -43,7 +43,8 @@ from msa_forge.autodiff import (
 )
 from msa_forge import autodiff as ad
 from msa_forge.errors import ShapeError
-from reference_kernels import affine_per_op, attention_per_op, lstm_single, memory_stepped, sum_
+from reference_kernels import (affine_per_op, attention_per_op, lstm_sequence_batch_major,
+                               lstm_single, memory_stepped, sum_)
 
 
 def _params_from(arrays: dict) -> ParamSet:
@@ -568,6 +569,75 @@ class TestLockstepLstm:
         assert peak - states.data.nbytes < gate_buffer / 4, (peak, states.data.nbytes)
 
 
+def _assert_same_bits(a: np.ndarray, b: np.ndarray, what: str = "") -> None:
+    assert a.dtype == b.dtype and a.shape == b.shape, (what, a.dtype, b.dtype, a.shape, b.shape)
+    np.testing.assert_array_equal(a, b, err_msg=what)
+    assert a.tobytes() == b.tobytes(), what
+
+
+class TestStepMajorLstm:
+    """lstm_sequence keeps its gate cache step-major. The batch-major kernel it
+    replaced runs the same GEMMs on the same operands and the same elementwise
+    ops on the same values, so the states and every adjoint equal it bit for
+    bit: f32 and f64, with and without a tape, for one to three groups of
+    unequal hidden sizes under full, partial and no-step masks."""
+
+    HIDDEN, DIMS, BATCH = (32, 16, 16), (8, 5, 3), 5
+
+    def _masks(self, kind, groups, steps, rng):
+        if kind != "partial":
+            return [np.full((self.BATCH, steps), kind == "full")] * groups
+        # each group's rows stop at their own lengths (0 included); row k of
+        # group k runs to the end, and group 0 skips a step in its first row
+        masks = []
+        for k in range(groups):
+            lengths = rng.integers(0, steps + 1, size=self.BATCH)
+            lengths[k] = steps
+            mask = np.arange(steps)[None] < lengths[:, None]
+            if k == 0 and steps > 2:
+                mask[0, steps // 2] = False
+            masks.append(mask)
+        return masks
+
+    def _run(self, kernel, arrays, masks, weights, taped):
+        params = ParamSet({name: a.copy() for name, a in arrays.items()})
+        groups = range(len(masks))
+
+        def fn(p):
+            return kernel([p[f"x{k}"] for k in groups], masks,
+                          [{w: p[f"{w}{k}"] for w in ("wx", "wh", "b")} for k in groups])
+        if not taped:
+            return fn(params).data, {}
+        out, grads, records = _taped(fn, params, weights)
+        assert records == 1
+        return out, grads
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("steps", [1, 300])
+    @pytest.mark.parametrize("kind", ["full", "partial", "none"])
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    def test_bit_equal_to_batch_major_kernel(self, groups, kind, steps, dtype):
+        rng = np.random.default_rng(60 + groups)
+        arrays = {}
+        for k, (hid, d) in enumerate(zip(self.HIDDEN[:groups], self.DIMS[:groups])):
+            arrays.update({f"x{k}": rng.normal(size=(self.BATCH, steps, d)),
+                           f"wx{k}": rng.normal(size=(d, 4 * hid)) * 0.4,
+                           f"wh{k}": rng.normal(size=(hid, 4 * hid)) * 0.4,
+                           f"b{k}": rng.normal(size=(4 * hid,))})
+        arrays = {name: a.astype(dtype) for name, a in arrays.items()}
+        masks = self._masks(kind, groups, steps, rng)
+        weights = rng.normal(size=(self.BATCH, steps, 2, sum(self.HIDDEN[:groups]))).astype(dtype)
+        for taped in (False, True):
+            out, grads = self._run(lstm_sequence, arrays, masks, weights, taped)
+            ref, ref_grads = self._run(lstm_sequence_batch_major, arrays, masks, weights, taped)
+            _assert_same_bits(out, ref, f"states, taped={taped}")
+            assert grads.keys() == ref_grads.keys()
+            for name in grads:
+                _assert_same_bits(grads[name], ref_grads[name], name)
+        if kind == "none":
+            np.testing.assert_array_equal(out, 0.0)
+
+
 class TestAttention:
     def test_single_key_returns_that_value(self):
         rng = np.random.default_rng(11)
@@ -850,6 +920,19 @@ class TestLinearRecurrence:
         assert records == 1
         np.testing.assert_array_equal(out, ref_out)
         _assert_grads_close(grads, ref_grads)
+
+    def test_f32_adjoints_equal_stepped(self):
+        # the step-major pass forms the same products as the stepped chain
+        ps = ParamSet({name: a.astype(np.float32) for name, a in self._arrays(steps=20).items()})
+        weights = np.random.default_rng(52).normal(size=(3, 4)).astype(np.float32)
+        out, grads, _ = _taped(
+            lambda p: linear_recurrence(p["keep"], p["write"], p["u0"]), ps, weights)
+        ref_out, ref_grads, _ = _taped(
+            lambda p: memory_stepped(p["keep"], p["write"], p["u0"]), ps, weights)
+        np.testing.assert_array_equal(out, ref_out)
+        for name, g in grads.items():
+            assert g.dtype == np.float32, name
+            np.testing.assert_array_equal(g, ref_grads[name], err_msg=name)
 
     def test_grad_check(self):
         ps = _params_from(self._arrays(steps=4))

@@ -17,6 +17,7 @@ from msa_forge.bundle import (
     validate_bundle,
     write_bundle,
 )
+from msa_forge.cli import cli_main
 from msa_forge.errors import BundleFormatError, BundleValidationError, EmptySplitError
 
 
@@ -167,6 +168,23 @@ class TestValidation:
         with pytest.raises(BundleValidationError) as exc:
             validate_bundle(bundle)
         assert str(exc.value) == expect
+
+    @pytest.mark.parametrize("ends", [(-np.inf, np.inf), (-3.0, np.inf), (np.nan, 3.0)])
+    def test_non_finite_label_range_rejected(self, tmp_path, ends):
+        # a manifest naming an infinite end is not JSON; one that says so
+        # anyway (Python's json writes -Infinity) must not read back
+        bundle = tiny_bundle()
+        write_bundle(bundle, tmp_path / "b")
+        doc = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        doc["label_range"] = list(ends)
+        (tmp_path / "b" / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(BundleValidationError, match="label_range .* must be finite"):
+            read_bundle(tmp_path / "b")
+        bundle.manifest.label_range = ends
+        with pytest.raises(BundleValidationError, match="must be finite"):
+            write_bundle(bundle, tmp_path / "c")
+        assert cli_main(["perturb", "--bundle", str(tmp_path / "b"), "--out",
+                         str(tmp_path / "p"), "--drop", "audio"]) == 2
 
     def test_duplicate_id_rejected(self, tmp_path):
         bundle = tiny_bundle()

@@ -261,7 +261,7 @@ class TestConfigParsing:
 class TestExtractLabelCsv:
     """The label CSV is checked, whole, before any clip is extracted."""
 
-    def extract(self, tmp_path, monkeypatch, rows):
+    def extract(self, tmp_path, monkeypatch, rows, *flags):
         data = tmp_path / "data"
         data.mkdir()
         for i in range(2):
@@ -277,7 +277,7 @@ class TestExtractLabelCsv:
                             lambda *a, **k: extracted.append(a) or real(*a, **k))
         code = cli_main(["extract", "--data", str(data), "--labels", str(tmp_path / "labels.csv"),
                          "--config", str(tmp_path / "extract.json"), "--out",
-                         str(tmp_path / "bundle")])
+                         str(tmp_path / "bundle"), *flags])
         return code, extracted
 
     def test_good_rows_extract(self, tmp_path, monkeypatch):
@@ -285,6 +285,16 @@ class TestExtractLabelCsv:
             ["s0", "train", "0.5", "", "v0.csv"], ["s1", "test", "-1", "2", "v1.csv"]])
         assert code == 0 and len(extracted) == 2
         assert read_bundle(tmp_path / "bundle").manifest.samples[1].label_t == 2.0
+
+    @pytest.mark.parametrize("label_range", ["-inf,inf", "-3,inf", "nan,3", "-1e999,3"])
+    def test_non_finite_label_range_is_usage(self, tmp_path, monkeypatch, capsys, label_range):
+        # it used to exit 0 and write [-Infinity, Infinity] into manifest.json
+        code, extracted = self.extract(tmp_path, monkeypatch, [
+            ["s0", "train", "0.5", "", "v0.csv"]], f"--label-range={label_range}")
+        err = capsys.readouterr().err
+        assert code == 1 and extracted == [] and "Traceback" not in err
+        assert "--label-range" in err and "finite" in err
+        assert not (tmp_path / "bundle").exists()
 
     def test_non_numeric_label_m(self, tmp_path, monkeypatch, capsys):
         code, extracted = self.extract(tmp_path, monkeypatch, [
@@ -458,6 +468,36 @@ class TestEvalCli:
         err = capsys.readouterr().err
         assert "snr_db" in err and "Traceback" not in err
         assert not (tmp_path / "e" / "tagged_report.json").exists()
+
+    def test_eval_non_finite_predictions_is_metric_error(self, tmp_path, tiny_bundle_dir,
+                                                         trained_run, capsys):
+        # noise at -765 dB keeps every frame inside float32, but lf_dnn's
+        # pooling overflows on some rows; eval used to die in pca_project's SVD
+        noisy = tmp_path / "noisy"
+        assert cli_main(["perturb", "--bundle", str(tiny_bundle_dir), "--out", str(noisy),
+                         "--snr-db=-765", "--target", "vision"]) == 0
+        ckpt = trained_run / "seed_1111" / "checkpoint"
+        out = tmp_path / "e"
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--bundle", str(noisy),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "split 'test'" in err and "of 10 rows" in err and "non-finite" in err
+        assert "Traceback" not in err
+        assert not (out / "metrics.json").exists() and not (out / "projection.csv").exists()
+
+    def test_eval_tagged_non_finite_noise_predictions_is_metric_error(
+            self, tmp_path, tiny_bundle_dir, trained_run, capsys):
+        # the clean rows score, but the noise row's predictions are not finite:
+        # they used to be scored as if they were
+        ckpt = trained_run / "seed_1111" / "checkpoint"
+        out = tmp_path / "e"
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--bundle", str(tiny_bundle_dir),
+                         "--out", str(out), "--tagged", "--snr-db=-765",
+                         "--target", "vision"]) == 2
+        err = capsys.readouterr().err
+        assert "feature_noise on vision at snr_db -765.0" in err and "of 10 rows" in err
+        assert "Traceback" not in err
+        assert (out / "metrics.json").exists() and not (out / "tagged_report.json").exists()
 
     def test_predict_without_record_needs_config(self, tmp_path, trained_run, capsys):
         # trained on a synthetic bundle, so the checkpoint records no extractors

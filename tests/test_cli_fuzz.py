@@ -7,6 +7,7 @@ test_cli.py, test_robustness.py or test_extractors.py."""
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -97,6 +98,12 @@ def test_extract_numeric_flags(toy_dataset, lenient, label_range):
                      "--labels", str(toy_dataset / "labels.csv"),
                      "--config", str(toy_dataset / "extract.json"),
                      "--out", str(Path(tmp) / "b"), *flags])
+    try:
+        ends = [float(x) for x in label_range.split(",")]
+    except (AttributeError, ValueError):
+        ends = []
+    if len(ends) == 2 and not all(math.isfinite(x) for x in ends):
+        assert code != 0, label_range
     try:
         fraction = float(lenient)
     except (TypeError, ValueError):
