@@ -330,9 +330,11 @@ def _number(value, optional: bool = False) -> float | None:
     return float(value)
 
 
-def _count(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
+def _typed(value, kind: type, optional: bool = False):
+    if optional and value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, kind):  # a bool is no int
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
     return value
 
 
@@ -366,23 +368,23 @@ def read_bundle(path) -> FeatureBundle:
         lo, hi = (_number(x) for x in doc["label_range"])
         samples = [
             SampleMeta(
-                id=entry["id"],
-                split=entry["split"],
+                id=_typed(entry["id"], str),
+                split=_typed(entry["split"], str),
                 label_m=_number(entry["label_m"]),
                 label_t=_number(entry.get("label_t"), optional=True),
                 label_a=_number(entry.get("label_a"), optional=True),
                 label_v=_number(entry.get("label_v"), optional=True),
-                scenario=entry.get("scenario"),
-                instance_type=entry.get("instance_type"),
+                scenario=_typed(entry.get("scenario"), str, optional=True),
+                instance_type=_typed(entry.get("instance_type"), str, optional=True),
             )
             for entry in doc["samples"]
         ]
-        table = [(row["name"], _count(row["max_len"]), _count(row["feature_dim"]))
-                 for row in doc["modalities"]]
-        lengths = {name: np.array([_count(entry["lengths"][name]) for entry in doc["samples"]],
-                                  dtype=np.int64)
+        table = [(_typed(row["name"], str), _typed(row["max_len"], int),
+                  _typed(row["feature_dim"], int)) for row in doc["modalities"]]
+        lengths = {name: np.array([_typed(entry["lengths"][name], int)
+                                   for entry in doc["samples"]], dtype=np.int64)
                    for name, _, _ in table}
-        dataset_name = doc["dataset_name"]
+        dataset_name = _typed(doc["dataset_name"], str)
         extractors = extractor_record(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleFormatError(f"manifest.json is malformed: {exc!r}") from exc

@@ -42,20 +42,22 @@ from .errors import MsaForgeError, UsageError, ValidationError, parsing
 from .extractors import (
     EmbeddingTable,
     ExtractorConfig,
+    _clip_bundle,
     _extract_one,
     filled_params,
     resolve_config,
     run_dataset,
 )
-from .models import Batch, ModalityInput, load_checkpoint
+from .models import load_checkpoint
 from .robustness import (
     PerturbationSpec,
     apply_spec_to_bundle,
+    drop_modality,
     evaluate_tagged,
     render_tagged_reports,
     tagged_report_from_dict,
 )
-from .trainer import _evaluate, get_config_regression, multi_seed_run
+from .trainer import _eval_outputs, _evaluate, get_config_regression, multi_seed_run
 
 __all__ = ["main", "cli_main"]
 
@@ -311,42 +313,40 @@ def _predict_configs(config_path, recorded) -> dict[str, ExtractorConfig]:
 def _cmd_predict(args) -> int:
     model, manifest = load_checkpoint(args.checkpoint)
     configs = _predict_configs(args.config, manifest.get("extractors"))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     table = EmbeddingTable.load(args.embedding) if args.embedding else None
     inputs = {"audio": (args.sample, "--sample"), "vision": (args.visual_csv, "--visual-csv"),
               "text": ((args.tokens or "").split(), "--tokens")}
-    mods: dict[str, ModalityInput] = {}
-    stft_path = None
+    features: dict[str, np.ndarray] = {}
+    spec = perturb = None
     for m, dim in model.config.feature_dims.items():
         source, flag = inputs[m]
-        if not source and m == "vision":
-            # treated as a missing modality: zero features, all-false mask
-            mods[m] = ModalityInput(data=np.zeros((1, 1, dim), dtype=model.dtype),
-                                    mask=np.zeros((1, 1), dtype=bool))
+        if not source and m == "vision":  # one zero frame, dropped as a missing modality
+            features[m] = np.zeros((1, dim))
+            perturb = functools.partial(drop_modality, modality=m)
             continue
         if not source:
             raise ValidationError(f"checkpoint expects a {m} modality; pass {flag}")
         if m not in configs:
             raise ValidationError(f"--config has no extractor for modality {m!r}")
-        seq, spec = _extract_one(configs[m], source, table)
+        seq, spectrum = _extract_one(configs[m], source, table)
         if seq.shape[1] != dim:
             raise ValidationError(f"{m} features have dim {seq.shape[1]}, checkpoint expects {dim}")
-        if spec is not None:
-            stft_path = out_dir / "stft.csv"
-            write_csv(stft_path, spec)
-        mods[m] = ModalityInput(data=seq[None, ...].astype(model.dtype),
-                                mask=np.ones((1, seq.shape[0]), dtype=bool))
+        features[m] = seq
+        if spectrum is not None:
+            spec = spectrum
 
-    batch = Batch(modalities=mods, labels={"m": np.zeros(1)})
-    output = model.forward(batch, train=False)
-    fusion_path = out_dir / "fusion_rep.csv"
-    write_csv(fusion_path, output.fusion_rep.data)
-    result = {
-        "pred": float(output.pred.data[0]),
-        "fusion_rep_path": str(fusion_path),
-        "stft_path": str(stft_path) if stft_path else None,
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
+        (output,) = _eval_outputs(model, _clip_bundle(features), perturb=perturb)
+    pred, fusion = output.pred.data, output.fusion_rep.data
+    require_finite_rows("the clip", pred, [fusion])
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    result = {"pred": float(pred[0]), "fusion_rep_path": str(out_dir / "fusion_rep.csv"),
+              "stft_path": None if spec is None else str(out_dir / "stft.csv")}
+    if spec is not None:
+        write_csv(out_dir / "stft.csv", spec)
+    write_csv(out_dir / "fusion_rep.csv", fusion)
     (out_dir / "prediction.json").write_text(json.dumps(result, indent=2) + "\n",
                                              encoding="utf-8")
     print(json.dumps(result))

@@ -470,6 +470,30 @@ def _extract_one(config: ExtractorConfig, sample,
     return ingest_visual_csv(sample, s["columns"]), None
 
 
+def _pack_blocks(sequences: dict[str, list[np.ndarray]]) -> dict[str, ModalityBlock]:
+    """Each modality's (T_i, d) sequences as one zero-padded float32 block:
+    the one storage step every feature takes, in extract and predict alike."""
+    blocks = {}
+    for m, seqs in sequences.items():
+        dims = {s.shape[1] for s in seqs}
+        if len(dims) != 1:
+            raise ExtractionError(f"modality {m!r}: inconsistent feature dims {sorted(dims)}")
+        d = dims.pop()
+        lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
+        data = np.zeros((len(seqs), lengths.max(), d), dtype=np.float32)
+        for i, s in enumerate(seqs):
+            data[i, :lengths[i]] = s.astype(np.float32)
+        blocks[m] = ModalityBlock(feature_dim=d, max_len=data.shape[1], data=data,
+                                  lengths=lengths)
+    return blocks
+
+
+def _clip_bundle(features: dict[str, np.ndarray]) -> FeatureBundle:
+    """One clip's (T, d) features as a one-sample bundle, stored as extract stores them."""
+    return FeatureBundle(Manifest("clip", (-1.0, 1.0), [SampleMeta("clip", "test", 0.0)]),
+                         _pack_blocks({m: [seq] for m, seq in features.items()}))
+
+
 def _read_label_csv(label_file, modalities: list[str]) -> list[tuple[SampleMeta, dict]]:
     """Each row's sample metadata and its ``<modality>_path`` cells, checked
     before any clip is read."""
@@ -540,8 +564,7 @@ def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
             table_path = filled_params(cfg)["table"]
             if not table_path:
                 raise ExtractionError("glove extractor needs params['table'] = path")
-            tables[m] = EmbeddingTable.load(
-                table_path if Path(table_path).is_absolute() else root / table_path)
+            tables[m] = EmbeddingTable.load(root / table_path)  # an absolute path replaces root
         else:
             tables[m] = None
 
@@ -554,10 +577,7 @@ def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
         try:
             per_mod = {}
             for m, cfg in by_modality.items():
-                rel = paths[m]
-                sample_path = Path(rel) if Path(rel).is_absolute() else root / rel
-                per_mod[m] = np.asarray(_extract_one(cfg, sample_path, tables[m])[0],
-                                        dtype=np.float64)
+                per_mod[m] = _extract_one(cfg, root / paths[m], tables[m])[0]
         except ExtractionError as exc:
             failures[meta.id] = str(exc)
             continue
@@ -576,26 +596,12 @@ def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
     if not samples:
         raise ExtractionError("no samples survived extraction")
 
-    blocks: dict[str, ModalityBlock] = {}
-    for m, seqs in sequences.items():
-        dims = {s.shape[1] for s in seqs}
-        if len(dims) != 1:
-            raise ExtractionError(f"modality {m!r}: inconsistent feature dims {sorted(dims)}")
-        d = dims.pop()
-        max_len = max(s.shape[0] for s in seqs)
-        data = np.zeros((len(seqs), max_len, d), dtype=np.float32)
-        lengths = np.empty(len(seqs), dtype=np.int64)
-        for i, s in enumerate(seqs):
-            data[i, :s.shape[0]] = s.astype(np.float32)
-            lengths[i] = s.shape[0]
-        blocks[m] = ModalityBlock(feature_dim=d, max_len=max_len, data=data, lengths=lengths)
-
     bundle = FeatureBundle(
         manifest=Manifest(dataset_name=dataset_name or root.name,
                           label_range=label_range, samples=samples,
                           extractors={m: {"kind": c.kind, "params": dict(c.params)}
                                       for m, c in by_modality.items()}),
-        blocks=blocks,
+        blocks=_pack_blocks(sequences),
     )
     validate_bundle(bundle)
     return bundle

@@ -4,11 +4,11 @@ and missing conditions plus tag-stratified evaluation.
 Noise is additive zero-mean Gaussian on a modality's valid (unpadded)
 frames scaled per sample to a target SNR, drawn per sample from an RNG
 keyed on (seed, sample id), so a sample gets the same noise in a bundle
-and in any batch; text-side token corruption
-lives in extractors.corrupt_tokens since it acts before embedding.
-Missing means zeroed features with an all-false mask, so models must
-degrade gracefully rather than crash. Easy/common/difficult rows cannot
-be synthesized; they come from instance_type tags in the manifest.
+and in any batch; text-side token corruption lives in
+extractors.corrupt_tokens since it acts before embedding. A missing
+modality in a batch has zeroed features and an all-false mask (a bundle
+keeps its lengths), so models must degrade gracefully rather than crash.
+Easy/common/difficult rows are not synthesized but read from instance_type tags.
 
 The tag-stratified report carries both Avg conventions: the unweighted
 mean over type rows and the sample-weighted mean (the default).
@@ -29,7 +29,7 @@ from .analysis import _render_table, compute_metrics, require_finite_rows
 from .bundle import INSTANCE_TYPES, FeatureBundle, ModalityBlock
 from .errors import ValidationError
 from .models import Batch, ModalityInput, Model
-from .trainer import EVAL_BATCH_SIZE, _batches
+from .trainer import _eval_outputs
 
 __all__ = [
     "PerturbationSpec",
@@ -137,9 +137,10 @@ def add_feature_noise(block: ModalityBlock, snr_db: float, seed: int,
 
 
 def drop_modality(batch: Batch, modality: str) -> Batch:
-    """Copy of the batch with the modality's features zeroed and its mask
-    all-false; idempotent. Dropping the last modality that still has any
-    valid frames is an error."""
+    """The batch with the modality's features zeroed and its mask all-false;
+    idempotent. The other modalities' arrays, the labels and the ids are
+    shared, not copied: no model writes to its inputs. Dropping the last
+    modality that still has any valid frames is an error."""
     if modality not in batch.modalities:
         raise ValidationError(f"batch has no modality {modality!r}")
     others_valid = any(m != modality and v.mask.any()
@@ -148,50 +149,43 @@ def drop_modality(batch: Batch, modality: str) -> Batch:
         raise ValidationError(
             f"cannot drop {modality!r}: no other modality has valid frames "
             "(model input would be empty)")
-    mods = {}
-    for m, v in batch.modalities.items():
-        if m == modality:
-            mods[m] = ModalityInput(data=np.zeros_like(v.data),
-                                    mask=np.zeros_like(v.mask))
-        else:
-            mods[m] = ModalityInput(data=v.data.copy(), mask=v.mask.copy())
-    return Batch(modalities=mods, labels=dict(batch.labels), ids=batch.ids)
+    v = batch.modalities[modality]
+    dropped = ModalityInput(data=np.zeros_like(v.data), mask=np.zeros_like(v.mask))
+    return replace(batch, modalities={**batch.modalities, modality: dropped})
 
 
 def perturb_batch(batch: Batch, spec: PerturbationSpec) -> Batch:
-    """Copy of the batch under the spec. Noise is keyed on ``batch.ids``
-    (default: the row index), as in add_feature_noise."""
+    """The batch under the spec; only the target modality is new, as in
+    drop_modality. Noise is keyed on ``batch.ids`` (default: the row index),
+    as in add_feature_noise."""
     spec.validate(batch.modalities)
     if spec.kind == "modality_missing":
         return drop_modality(batch, spec.modality)
-    mods = {m: ModalityInput(data=v.data.copy(), mask=v.mask.copy())
-            for m, v in batch.modalities.items()}
-    target = mods[spec.modality]
+    target = batch.modalities[spec.modality]
+    data = target.data.copy()
     if spec.snr_db != NO_NOISE:
-        _add_noise_rows(target.data, target.mask, spec.snr_db, spec.seed, batch.ids)
-    return Batch(modalities=mods, labels=dict(batch.labels), ids=batch.ids)
+        _add_noise_rows(data, target.mask, spec.snr_db, spec.seed, batch.ids)
+    noisy = ModalityInput(data=data, mask=target.mask)
+    return replace(batch, modalities={**batch.modalities, spec.modality: noisy})
 
 
 def apply_spec_to_bundle(bundle: FeatureBundle, spec: PerturbationSpec) -> FeatureBundle:
     """Bundle-level perturbation for persisting a stressed dataset.
 
-    Noise perturbs the target block in place (new bundle); missing zeroes
-    the target block's features (lengths stay, since blocks cannot have
-    zero-length samples; the strict masked variant applies at batch
-    level). Samples are retagged with the perturbation's instance type;
-    labels are never altered.
+    Noise perturbs a copy of the target block; missing zeroes the target
+    block's features (lengths stay, since blocks cannot have zero-length
+    samples; the strict masked variant applies at batch level). The other
+    blocks are shared with ``bundle``. Samples are retagged with the
+    perturbation's instance type; labels are never altered.
     """
     spec.validate(bundle.blocks)
-    blocks = {}
-    for m, block in bundle.blocks.items():
-        if m != spec.modality:
-            blocks[m] = ModalityBlock(block.feature_dim, block.max_len,
-                                      block.data.copy(), block.lengths.copy())
-        elif spec.kind == "feature_noise":
-            blocks[m] = add_feature_noise(block, spec.snr_db, spec.seed, bundle.ids)
-        else:
-            blocks[m] = ModalityBlock(block.feature_dim, block.max_len,
-                                      np.zeros_like(block.data), block.lengths.copy())
+    block = bundle.blocks[spec.modality]
+    if spec.kind == "feature_noise":
+        block = add_feature_noise(block, spec.snr_db, spec.seed, bundle.ids)
+    else:
+        block = ModalityBlock(block.feature_dim, block.max_len,
+                              np.zeros_like(block.data), block.lengths.copy())
+    blocks = {**bundle.blocks, spec.modality: block}  # the others are shared, not copied
     manifest = replace(
         bundle.manifest,
         samples=[replace(s, instance_type=spec.instance_type)
@@ -252,16 +246,18 @@ def tagged_report_from_dict(doc: Mapping) -> TaggedEvalReport:
     )
 
 
-def _predict(model: Model, bundle: FeatureBundle, idx: np.ndarray,
+def _predict(model: Model, bundle: FeatureBundle, idx: np.ndarray | None = None,
              spec: PerturbationSpec | None = None) -> np.ndarray:
-    """Eval-mode predictions for samples ``idx``, perturbed by ``spec`` if given."""
-    preds = []
+    """Eval-mode predictions for samples ``idx`` (default all), perturbed by ``spec``."""
+    perturb = None if spec is None else (lambda batch: perturb_batch(batch, spec))
     with np.errstate(over="ignore", invalid="ignore"):  # evaluate_tagged checks the rows
-        for batch in _batches(bundle, idx, EVAL_BATCH_SIZE, model.dtype):
-            if spec is not None:
-                batch = perturb_batch(batch, spec)
-            preds.append(model.forward(batch, train=False).pred.data.astype(np.float64))
-    return np.concatenate(preds)
+        return np.concatenate([out.pred.data.astype(np.float64)
+                               for out in _eval_outputs(model, bundle, idx, perturb)])
+
+
+def _type_row(preds, labels) -> TypeRow:
+    rep = compute_metrics(np.asarray(preds), np.asarray(labels), strict_corr=False)
+    return TypeRow(acc2=rep.acc2, f1=rep.f1, n=rep.n)
 
 
 def evaluate_tagged(model: Model, bundle: FeatureBundle,
@@ -273,9 +269,10 @@ def evaluate_tagged(model: Model, bundle: FeatureBundle,
     Each spec synthesizes a noise/missing variant of every clean sample
     (instance_type not in {noise, missing}) and contributes to that type's
     row. Without tags, specs must be given. A type with no samples is
-    reported missing and excluded from the type-mean Avg. Like every eval
-    pass it predicts in batches of EVAL_BATCH_SIZE rows; rows are scored
-    with compute_metrics' defaults (non-negative Acc-2, weighted F1).
+    reported missing and excluded from the type-mean Avg. It predicts
+    through the trainer's eval pass, as ``eval`` does, in batches of
+    EVAL_BATCH_SIZE rows; rows are scored with compute_metrics' defaults
+    (non-negative Acc-2, weighted F1).
     ``clean_preds``, the model's eval-mode predictions for every sample in
     bundle order (as ``trainer._evaluate`` returns them), stand in for the
     clean pass.
@@ -292,7 +289,7 @@ def evaluate_tagged(model: Model, bundle: FeatureBundle,
 
     # clean pass over everything (tag rows + scenario breakdown)
     if clean_preds is None:
-        clean_preds = _predict(model, bundle, np.arange(bundle.n))
+        clean_preds = _predict(model, bundle)
     elif np.shape(clean_preds) != (bundle.n,):
         raise ValidationError(
             f"clean_preds has shape {np.shape(clean_preds)}, expected ({bundle.n},)")
@@ -316,16 +313,7 @@ def evaluate_tagged(model: Model, bundle: FeatureBundle,
             per_type[spec.instance_type][0].extend(preds)
             per_type[spec.instance_type][1].extend(labels[clean_idx])
 
-    rows: dict[str, TypeRow] = {}
-    missing: list[str] = []
-    for t in INSTANCE_TYPES:
-        preds, labs = per_type[t]
-        if len(preds) >= 2:
-            rep = compute_metrics(np.array(preds), np.array(labs), strict_corr=False)
-            rows[t] = TypeRow(acc2=rep.acc2, f1=rep.f1, n=rep.n)
-        else:
-            missing.append(t)
-
+    rows = {t: _type_row(*per_type[t]) for t in INSTANCE_TYPES if len(per_type[t][0]) >= 2}
     if not rows:
         raise ValidationError("no instance type ended up with >= 2 samples")
     avg_by_type = TypeRow(
@@ -345,12 +333,11 @@ def evaluate_tagged(model: Model, bundle: FeatureBundle,
     for scen in sorted({s for s in scen_tags if s is not None}):
         idx = [i for i, s in enumerate(scen_tags) if s == scen]
         if len(idx) >= 2:
-            rep = compute_metrics(clean_preds[idx], labels[idx], strict_corr=False)
-            scenarios[scen] = TypeRow(acc2=rep.acc2, f1=rep.f1, n=rep.n)
+            scenarios[scen] = _type_row(clean_preds[idx], labels[idx])
 
     return TaggedEvalReport(rows=rows, avg_by_type=avg_by_type,
                             avg_by_sample=avg_by_sample, scenarios=scenarios,
-                            missing_types=tuple(missing))
+                            missing_types=tuple(t for t in INSTANCE_TYPES if t not in rows))
 
 
 # ---------------------------------------------------------------------------

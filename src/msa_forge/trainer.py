@@ -95,8 +95,11 @@ class TrainConfig:
             raise ValidationError(f"patience must be >= 1, got {self.patience}")
         if not self.seeds:
             raise ValidationError("seeds must be non-empty")
-        if any(not isinstance(s, (int, np.integer)) or s < 0 for s in self.seeds):
-            raise ValidationError(f"seeds must be non-negative integers, got {self.seeds}")
+        for i, s in enumerate(self.seeds):
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
+                raise ValidationError(f"seeds must be non-negative integers, got {s!r}")
+            if s in self.seeds[:i]:
+                raise ValidationError(f"seeds must be distinct, got {s} twice")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValidationError("batch_size and max_epochs must be >= 1")
 
@@ -248,28 +251,30 @@ def _batches(view: FeatureBundle, order: np.ndarray, batch_size: int, dtype):
         yield batch_from_bundle(view, idx, dtype)
 
 
+def _eval_outputs(model: Model, view: FeatureBundle, rows=None, perturb=None):
+    """Eval-mode forward outputs for ``rows`` of ``view`` (all by default), one
+    per batch_from_bundle batch of EVAL_BATCH_SIZE rows, which ``perturb`` may
+    replace. Validation, eval, evaluate_tagged and predict all forward here."""
+    for batch in _batches(view, np.arange(view.n) if rows is None else rows,
+                          EVAL_BATCH_SIZE, model.dtype):
+        if perturb is not None:
+            batch = perturb(batch)  # rebound, so the clean arrays go before the forward
+        yield model.forward(batch, train=False)
+
+
 def _evaluate(model: Model, view: FeatureBundle, capture: bool = False):
     """Metrics, predictions and, with ``capture``, representations in the
     model's dtype, scored in batches of EVAL_BATCH_SIZE rows."""
-    preds = []
-    fusion = []
-    uni: dict[str, list[np.ndarray]] = {}
-    for batch in _batches(view, np.arange(view.n), EVAL_BATCH_SIZE, model.dtype):
-        out = model.forward(batch, train=False)
+    preds, reps = [], {}
+    for out in _eval_outputs(model, view):
         preds.append(out.pred.data.astype(np.float64))
         if capture:
-            fusion.append(out.fusion_rep.data)
-            if out.uni_reps:
-                for m, rep in out.uni_reps.items():
-                    uni.setdefault(m, []).append(rep.data)
+            uni = {f"uni.{m}": rep for m, rep in (out.uni_reps or {}).items()}
+            for name, rep in {"fusion": out.fusion_rep, **uni}.items():
+                reps.setdefault(name, []).append(rep.data)
     preds = np.concatenate(preds)
     metrics = compute_metrics(preds, view.labels(), strict_corr=False)
-    reps: dict[str, np.ndarray] = {}
-    if capture:
-        reps["fusion"] = np.concatenate(fusion)
-        for m, chunks in uni.items():
-            reps[f"uni.{m}"] = np.concatenate(chunks)
-    return metrics, preds, reps
+    return metrics, preds, {name: np.concatenate(chunks) for name, chunks in reps.items()}
 
 
 def _diagnose_divergence(model: Model, epoch: int) -> TrainingDivergedError:

@@ -199,6 +199,57 @@ class TestValidation:
             write_bundle(bundle, tmp_path / "b")
 
 
+class TestManifestStringFields:
+    """A manifest field that names something (an id, a split, a tag) must hold
+    a string: anything else is a BundleFormatError naming manifest.json and
+    exit 2, not a TypeError traceback or a bundle that loads regardless."""
+
+    def rejects(self, tmp_path, capsys, edit):
+        write_bundle(tiny_bundle(), tmp_path / "b")
+        path = tmp_path / "b" / "manifest.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BundleFormatError, match="manifest.json is malformed"):
+            read_bundle(tmp_path / "b")
+        assert cli_main(["perturb", "--bundle", str(tmp_path / "b"), "--out",
+                         str(tmp_path / "p"), "--snr-db", "10", "--target", "audio"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[1], 1, None, 1.5, {"a": 1}])
+    def test_sample_id_must_be_a_string(self, tmp_path, capsys, value):
+        # [1] raised "unhashable type: 'list'"; 1 and null loaded
+        self.rejects(tmp_path, capsys, lambda doc: doc["samples"][0].update(id=value))
+
+    @pytest.mark.parametrize("value", [["train"], 0, None])
+    def test_split_must_be_a_string(self, tmp_path, capsys, value):
+        self.rejects(tmp_path, capsys, lambda doc: doc["samples"][1].update(split=value))
+
+    @pytest.mark.parametrize("value", [["toy"], 7, None, True])
+    def test_dataset_name_must_be_a_string(self, tmp_path, capsys, value):
+        self.rejects(tmp_path, capsys, lambda doc: doc.update(dataset_name=value))
+
+    @pytest.mark.parametrize("value", [["audio"], 1, None])
+    def test_modality_name_must_be_a_string(self, tmp_path, capsys, value):
+        self.rejects(tmp_path, capsys, lambda doc: doc["modalities"][0].update(name=value))
+
+    @pytest.mark.parametrize("value", [["Films(TV)"], 1, {"Films(TV)": 1}])
+    def test_scenario_must_be_a_string_when_present(self, tmp_path, capsys, value):
+        self.rejects(tmp_path, capsys, lambda doc: doc["samples"][0].update(scenario=value))
+
+    @pytest.mark.parametrize("value", [["easy"], 2, False])
+    def test_instance_type_must_be_a_string_when_present(self, tmp_path, capsys, value):
+        self.rejects(tmp_path, capsys, lambda doc: doc["samples"][0].update(instance_type=value))
+
+    def test_null_tags_read_as_absent(self, tmp_path):
+        write_bundle(tiny_bundle(), tmp_path / "b")
+        path = tmp_path / "b" / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["samples"][0].update(scenario=None, instance_type=None)
+        path.write_text(json.dumps(doc))
+        assert bundle_equal(read_bundle(tmp_path / "b"), tiny_bundle())
+
+
 class TestModalityBlockMask:
     def test_hand_masks(self):
         block = ModalityBlock(

@@ -249,6 +249,20 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "seeds" in err and "Traceback" not in err
 
+    def test_train_repeated_seed_refused(self, tmp_path, tiny_bundle_dir, capsys):
+        # both runs went to one seed_1111 directory, and aggregate.json reported std 0
+        assert self.train(tmp_path, tiny_bundle_dir, "--seeds", "1111,1111") == 2
+        err = capsys.readouterr().err
+        assert "distinct" in err and "1111" in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_train_bool_seed_refused(self, tmp_path, tiny_bundle_dir, capsys):
+        # [true] trained as seed True
+        assert self.train(tmp_path, tiny_bundle_dir, "--set", "seeds=[true]") == 2
+        err = capsys.readouterr().err
+        assert "seeds" in err and "True" in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
     def test_extract_config_invalid_json(self, tmp_path, capsys):
         (tmp_path / "extract.json").write_text("[1,")
         assert cli_main(["extract", "--data", str(tmp_path), "--labels",
@@ -763,6 +777,24 @@ class TestExtractAndPredictCli:
         expect = float(model.forward(batch).pred.data[0])
         assert abs(payload["pred"] - expect) < 1e-9
 
+    def test_predict_non_finite_prediction_is_metric_error(self, tmp_path, capsys):
+        # the AU values fit float32, but the forward overflows on them; predict
+        # used to exit 0 and print {"pred": NaN, ...}, which is not JSON
+        audio_cfg = {"kind": "mfcc", "params": {"n_fft": 256, "hop": 128,
+                                                "n_mels": 12, "n_mfcc": 6}}
+        model = build_model(ModelConfig("lf_dnn", feature_dims={"audio": 6, "vision": 2}))
+        save_checkpoint(model, tmp_path / "ckpt", extractors={
+            "audio": audio_cfg, "vision": {"kind": "ingest_csv", "params": {}}})
+        (tmp_path / "face.csv").write_text("AU01,AU02\n" + "3e38,3e38\n" * 4)
+        out = tmp_path / "pred"
+        assert cli_main(["predict", "--checkpoint", str(tmp_path / "ckpt"),
+                         "--sample", str(_write_float_wav(tmp_path / "a.wav")),
+                         "--visual-csv", str(tmp_path / "face.csv"), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "the clip: 1 of 1 rows have a non-finite prediction" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()  # no stft.csv, fusion_rep.csv or prediction.json
+
     def test_predict_missing_embedding_is_validation_error(self, tmp_path,
                                                            audio_text_checkpoint):
         setup = audio_text_checkpoint
@@ -1190,7 +1222,7 @@ WAV_KIND_CONFIGS = {
 @pytest.fixture(scope="module", params=sorted(WAV_KIND_CONFIGS))
 def wav_kind_setup(request, tmp_path_factory, audio_text_checkpoint):
     """The toy clips extracted into an audio-only bundle with one WAV kind,
-    and an untrained lf_dnn checkpoint that records that extractor."""
+    and untrained f32 and f64 lf_dnn checkpoints that record that extractor."""
     setup = audio_text_checkpoint
     root = tmp_path_factory.mktemp(f"wav_{request.param}")
     config = WAV_KIND_CONFIGS[request.param]
@@ -1200,40 +1232,50 @@ def wav_kind_setup(request, tmp_path_factory, audio_text_checkpoint):
                      "--config", str(root / "extract.json"), "--out", str(root / "bundle"),
                      "--label-range=-1,1"]) == 0
     bundle = read_bundle(root / "bundle")
-    model = build_model(ModelConfig("lf_dnn", feature_dims={
-        "audio": bundle.blocks["audio"].feature_dim}))
-    save_checkpoint(model, root / "checkpoint", extractors=bundle.manifest.extractors)
+    for dtype in ("f32", "f64"):
+        model = build_model(ModelConfig("lf_dnn", dtype=dtype, feature_dims={
+            "audio": bundle.blocks["audio"].feature_dim}))
+        save_checkpoint(model, root / f"checkpoint_{dtype}",
+                        extractors=bundle.manifest.extractors)
     return {"data": setup["data"], "bundle": bundle, "params": config["params"],
-            "checkpoint": root / "checkpoint"}
+            "checkpoint": root / "checkpoint_f32", "checkpoint_f64": root / "checkpoint_f64"}
 
 
 class TestOneExtractionPath:
     def test_predict_features_and_dumps_match_extract(self, tmp_path, wav_kind_setup,
-                                                      monkeypatch):
+                                                      monkeypatch, capsys):
         setup = wav_kind_setup
-        model, _ = load_checkpoint(setup["checkpoint"])
-        seen = _forward_spy(monkeypatch, type(model))
-        block = setup["bundle"].blocks["audio"]
+        bundle = setup["bundle"]
+        block = bundle.blocks["audio"]
         n_fft, hop = setup["params"].get("n_fft", 512), setup["params"].get("hop", 160)
-        for i in (0, 7, 15):
-            assert setup["bundle"].ids[i] == f"s{i}"
-            wav = setup["data"] / f"s{i}.wav"
-            out = tmp_path / f"p{i}"
-            assert cli_main(["predict", "--checkpoint", str(setup["checkpoint"]),
-                             "--sample", str(wav), "--out", str(out)]) == 0
-            batch, output = seen.pop()
-            got = batch.modalities["audio"].data
-            want = block.data[i:i + 1, :block.lengths[i]]
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            # the dumps are the bytes np.savetxt writes for the reference arrays
-            spec = extractors.stft(extractors.read_wav(wav), n_fft, hop)
-            np.savetxt(tmp_path / "stft_ref.csv", spec, delimiter=",", fmt="%.6g")
-            np.savetxt(tmp_path / "fusion_ref.csv", output.fusion_rep.data, delimiter=",",
-                       fmt="%.6g")
-            assert (out / "stft.csv").read_bytes() == (tmp_path / "stft_ref.csv").read_bytes()
-            assert ((out / "fusion_rep.csv").read_bytes()
-                    == (tmp_path / "fusion_ref.csv").read_bytes())
+        for checkpoint in (setup["checkpoint"], setup["checkpoint_f64"]):
+            model, _ = load_checkpoint(checkpoint)
+            seen = _forward_spy(monkeypatch, type(model))
+            for i in (0, 7, 15):
+                assert bundle.ids[i] == f"s{i}"
+                wav = setup["data"] / f"s{i}.wav"
+                out = tmp_path / checkpoint.name / f"p{i}"
+                assert cli_main(["predict", "--checkpoint", str(checkpoint),
+                                 "--sample", str(wav), "--out", str(out)]) == 0
+                pred = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["pred"]
+                (batch, output), = seen
+                # the model sees the bundle row as extract stored it (float32), in its dtype
+                got = batch.modalities["audio"].data
+                want = block.data[i:i + 1, :block.lengths[i]].astype(model.dtype)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                row = batch_from_bundle(bundle, [i], model.dtype)
+                assert pred == float(model.forward(row).pred.data[0])
+                seen.clear()
+                # the dumps are the bytes np.savetxt writes for the reference arrays
+                spec = extractors.stft(extractors.read_wav(wav), n_fft, hop)
+                np.savetxt(tmp_path / "stft_ref.csv", spec, delimiter=",", fmt="%.6g")
+                np.savetxt(tmp_path / "fusion_ref.csv", output.fusion_rep.data, delimiter=",",
+                           fmt="%.6g")
+                assert (out / "stft.csv").read_bytes() == (tmp_path / "stft_ref.csv").read_bytes()
+                assert ((out / "fusion_rep.csv").read_bytes()
+                        == (tmp_path / "fusion_ref.csv").read_bytes())
+            monkeypatch.undo()
 
     def test_quiet_clip_dump_is_all_exponent_form(self, tmp_path, wav_kind_setup):
         """A clip so quiet that every spectrogram value is below 1e-4, so the

@@ -1,13 +1,16 @@
-"""Property tests for the CLI's numeric flags: whatever number or string a
-user passes to `perturb`/`eval --tagged` `--snr-db`, `--seed`, or `extract`
-`--lenient`/`--label-range`, the command exits 0, 1, 2 or 3 and prints no
-traceback. Every failure these found has a named regression test in
-test_cli.py, test_robustness.py or test_extractors.py."""
+"""Property tests for the CLI's numeric flags and bundle manifests: whatever
+number or string a user passes to `perturb`/`eval --tagged` `--snr-db`,
+`--seed`, or `extract` `--lenient`/`--label-range`, and whatever JSON value of
+another type a bundle's manifest holds in place of one of its fields, the
+command exits 0, 1, 2 or 3 and prints no traceback. Every failure these found
+has a named regression test in test_cli.py, test_robustness.py,
+test_extractors.py or test_bundle.py."""
 
 import contextlib
 import io
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -110,3 +113,51 @@ def test_extract_numeric_flags(toy_dataset, lenient, label_range):
         return
     if not 0.0 <= fraction <= 1.0:  # NaN included
         assert code != 0, lenient
+
+
+# any JSON value: scalars (NaN and +-inf included, which Python's json reads
+# back) and small arrays and objects of them
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+def _field_paths(node, path=()):
+    """The path (keys and list indices) to every value in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, path + (key,))
+
+
+@settings(PROFILE, max_examples=300)  # each example runs in a few ms
+@given(data=st.data())
+def test_corrupt_manifest_fields(bundle_and_checkpoint, data):
+    bundle, checkpoint = bundle_and_checkpoint
+    doc = json.loads((bundle / "manifest.json").read_text())
+    doc["extractors"] = {"audio": {"kind": "mfcc", "params": {"n_mfcc": 20}}}
+    path = data.draw(st.sampled_from(sorted(_field_paths(doc), key=str)), label="field")
+    *parents, key = path
+    owner = doc
+    for step in parents:
+        owner = owner[step]
+    kind = _json_type(owner[key])
+    owner[key] = data.draw(json_values.filter(lambda v: _json_type(v) != kind), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        corrupt = Path(tmp) / "bundle"
+        shutil.copytree(bundle, corrupt)
+        (corrupt / "manifest.json").write_text(json.dumps(doc))
+        _run(["perturb", "--bundle", str(corrupt), "--out", str(Path(tmp) / "p"),
+              "--drop", "vision"])
+        _run(["eval", "--checkpoint", str(checkpoint), "--bundle", str(corrupt),
+              "--out", str(Path(tmp) / "e"), "--split", "all", "--tagged", "--snr-db", "0",
+              "--drop", "vision"])

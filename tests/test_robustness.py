@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from msa_forge import robustness
+from msa_forge import trainer
 from msa_forge.bundle import ModalityBlock, split_view
 from msa_forge.errors import ValidationError
 from msa_forge.models import ModelConfig, batch_from_bundle, build_model
@@ -275,9 +275,9 @@ class TestEvaluateTagged:
                                                   seq_len=6, feature_dim=4, seed=6), "test")
         specs = [PerturbationSpec("feature_noise", "audio", snr_db=0.0, seed=3),
                  PerturbationSpec("modality_missing", "vision")]
-        monkeypatch.setattr(robustness, "EVAL_BATCH_SIZE", 7)
+        monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 7)
         small = evaluate_tagged(_ConstantModel(), bundle, specs)
-        monkeypatch.setattr(robustness, "EVAL_BATCH_SIZE", 64)
+        monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 64)
         large = evaluate_tagged(_ConstantModel(), bundle, specs)
         assert small.as_dict() == large.as_dict()
 
