@@ -660,8 +660,33 @@ def lstm_cell_step(x_t, h_prev, c_prev, params: Mapping[str, Tensor]) -> tuple[T
     return slice_(out, (slice(None), 0)), slice_(out, (slice(None), 1))
 
 
+def _lstm_cell(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Activate a step's pre-activations ``z`` (4, N, H) in place into the
+    gates input, forget, cell, output, and return (h_t, c_t) from c_{t-1}
+    ``c``. The cell gate's tanh comes first, so that one sigmoid call covers
+    the step."""
+    cell = np.tanh(z[2])
+    _sigmoid(z, out=z)
+    z[2] = cell
+    c_new = z[1] * c + z[0] * z[2]
+    return z[3] * np.tanh(c_new), c_new
+
+
+# The untaped pass steps only the rows still running, so a row meets GEMMs of
+# other row counts and at another place than in a pass over all rows. OpenBLAS
+# gives it the same bits there only with at least 8 rows, and only when every
+# product's width 4h is a multiple of 16: a narrower tail tile of columns takes
+# kernels whose bits depend on the row's place. So the pass never steps fewer
+# than min(B, 8) rows, and with another hidden size it steps every row.
+LSTM_MIN_ROWS = 8
+# Until at most this share of the rows still runs, the gathers and scatters of
+# the sorted order cost more than the rows it leaves out (mfn's 150-row
+# validation batches, T = 20), so the pass steps every row in batch order.
+LSTM_SORT_SHARE = 7 / 8
+
+
 def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
-                  params: Sequence[Mapping[str, Tensor]]) -> Tensor:
+                  params: Sequence[Mapping[str, Tensor]], *, last_h: bool = False) -> Tensor:
     """Independent LSTMs (gates as in :func:`lstm_cell_step`), one per group
     (``xs[k]``, ``masks[k]``, ``params[k]``), run in lockstep from zero state.
 
@@ -669,7 +694,8 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
     state only in the rows where ``masks[k][:, t]`` is true, elsewhere the
     state carries. Returns the states after every step as one (B, T, 2, H)
     tensor, H the sum of the hidden sizes: ``[:, t, 0]`` holds each group's
-    h_t and ``[:, t, 1]`` its c_t, side by side in group order.
+    h_t and ``[:, t, 1]`` its c_t, side by side in group order. With
+    ``last_h`` it returns only the (B, H) h after the final step.
 
     The gates live step-major, (4, B, H) per step, so each gate of a step is
     one contiguous (B, H) block and each elementwise step is one numpy call
@@ -681,8 +707,16 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
     step-major and writes it into its group's batch-major (B, T, 4, h_k)
     buffer, which that group's dh GEMM reads at the step and its weight
     gradients read after the walk. It frees the gate cache, so the record
-    is replayed once. Without a tape x is projected one step at a time and
-    nothing is kept for a backward.
+    is replayed once. With ``last_h`` the record's backward hands the BPTT
+    a zero (B, T, 2, H) adjoint with g at ``[:, -1, 0]``.
+
+    Without a tape nothing is kept for a backward, x is projected one step
+    at a time, and once no more than ``LSTM_SORT_SHARE`` of the rows run, a
+    step runs only the rows that still have a valid step at or after it,
+    never fewer than ``min(B, LSTM_MIN_ROWS)``: a prefix of the rows sorted
+    by their last valid step (:func:`_lstm_live_rows`). Each row meets the
+    same arithmetic as in a pass over all rows, so the states keep their
+    bits.
     """
     if not xs or not len(xs) == len(masks) == len(params):
         raise ShapeError(f"lstm_sequence needs one mask and one parameter set per input, got "
@@ -704,46 +738,30 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
     bounds = np.cumsum([0] + hids).tolist()
     groups = [(x.data, wx.data, wh.data, b.data.reshape(4, hid), lo, lo + hid)
               for x, (wx, wh, b), hid, lo in zip(xs, weights, hids, bounds)]
+    dtype = np.result_type(*(x.data for x in xs), *(wx.data for wx, _, _ in weights))
+    if active_tape() is None:
+        return Tensor(_lstm_live_rows(groups, masks, hids, dtype, last_h))
+
     width = bounds[-1]
     step_mask = np.stack([m.T for m in masks], axis=2)   # (T, B, groups)
     any_step = step_mask.any(axis=(1, 2))
     full_step = step_mask.all(axis=(1, 2))
     # (T, B, H): group k's mask repeated over its units; one group broadcasts
     unit_mask = step_mask if len(hids) == 1 else np.repeat(step_mask, hids, axis=2)
-
-    dtype = np.result_type(*(x.data for x in xs), *(wx.data for wx, _, _ in weights))
     states = np.empty((n, steps, 2, width), dtype=dtype)
-    taped = active_tape() is not None
-    if taped:  # the gates of every step, kept for the backward
-        gates = np.empty((steps, 4, n, width), dtype=dtype)
-        for xd, wxd, _, b4, lo, hi in groups:
-            xw = xd.reshape(n * steps, -1) @ wxd
-            np.add(xw.reshape(n, steps, 4, hi - lo), b4,
-                   out=gates[..., lo:hi].transpose(2, 0, 1, 3))
-    else:
-        z = np.empty((4, n, width), dtype=dtype)
+    gates = np.empty((steps, 4, n, width), dtype=dtype)  # every step's, kept for the backward
+    for xd, wxd, _, b4, lo, hi in groups:
+        xw = xd.reshape(n * steps, -1) @ wxd
+        np.add(xw.reshape(n, steps, 4, hi - lo), b4, out=gates[..., lo:hi].transpose(2, 0, 1, 3))
     h = c = np.zeros((n, width), dtype=dtype)
     with np.errstate(over="ignore"):  # for _sigmoid
         for t in range(steps):
             if any_step[t]:
-                if taped:
-                    z = gates[t]
-                for xd, wxd, whd, b4, lo, hi in groups:
-                    hw = (h[:, lo:hi] @ whd).reshape(n, 4, hi - lo)
+                z = gates[t]
+                for _, _, whd, _, lo, hi in groups:
                     z_k = z[..., lo:hi].transpose(1, 0, 2)  # (B, 4, h), as the GEMMs write
-                    if taped:
-                        z_k += hw
-                    else:  # (x @ Wx + b) + h @ Wh batch-major, then one transposed copy
-                        xw = (xd[:, t] @ wxd).reshape(hw.shape)
-                        xw += b4
-                        xw += hw
-                        z_k[...] = xw
-                # the cell gate's tanh first, so that one sigmoid call covers the step
-                cell = np.tanh(z[2])
-                _sigmoid(z, out=z)
-                z[2] = cell
-                c_new = z[1] * c + z[0] * z[2]
-                h_new = z[3] * np.tanh(c_new)
+                    z_k += (h[:, lo:hi] @ whd).reshape(n, 4, hi - lo)
+                h_new, c_new = _lstm_cell(z, c)
                 if full_step[t]:
                     h, c = h_new, c_new
                 else:
@@ -751,73 +769,165 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
                     h, c = np.where(m, h_new, h), np.where(m, c_new, c)
             states[:, t, 0] = h
             states[:, t, 1] = c
-    out = Tensor(states)
-    if taped:
-        def bwd(g):
-            nonlocal gates
-            if gates is None:
-                raise RuntimeError("lstm_sequence's backward frees its gate cache; "
-                                   "replay a tape once")
-            # in the per-step formula's order, the input, forget and output gates'
-            # dz are ((a * p) * gate) * (1 - gate), with (a, p) = (dc, g), (dc,
-            # c_{t-1}), (dh, tanh c_t), and the cell gate's is (dc * i) * (1 - g^2)
-            tanh_c = np.tanh(states[:, :, 1].transpose(1, 0, 2), order="C")  # (T, B, H)
-            one_minus_tanh2 = tanh_c * tanh_c
-            np.subtract(1.0, one_minus_tanh2, out=one_minus_tanh2)
-            c_zero = np.zeros((n, width), dtype=dtype)
-            dz = np.empty((4, n, width), dtype=dtype)
-            one_minus = np.empty_like(dz)
-            dz_groups = [np.empty((n, steps, 4, hi - lo), dtype=dtype) for *_, lo, hi in groups]
-            dh = np.zeros((n, width), dtype=dtype)
-            dc = np.zeros_like(dh)
-            for t in range(steps - 1, -1, -1):
-                dh = dh + g[:, t, 0]
-                dc = dc + g[:, t, 1]
-                if not any_step[t]:
-                    for dz_k in dz_groups:
-                        dz_k[:, t] = 0.0
-                    continue
-                gates_t = gates[t]
-                dc_in = dh * gates_t[3]
-                dc_in *= one_minus_tanh2[t]
-                np.add(dc, dc_in, out=dc_in)
-                np.multiply(dc_in, gates_t[2::-2], out=dz[0:3:2])
-                np.multiply(dc_in, states[:, t - 1, 1] if t else c_zero, out=dz[1])
-                np.multiply(dh, tanh_c[t], out=dz[3])
-                dz[:2] *= gates_t[:2]
-                dz[3] *= gates_t[3]
-                np.subtract(1.0, gates_t, out=one_minus)
-                np.multiply(gates_t[2], gates_t[2], out=one_minus[2])
-                np.subtract(1.0, one_minus[2], out=one_minus[2])
-                dz_t = np.multiply(dz, one_minus, out=dz)
-                if not full_step[t]:
-                    m = unit_mask[t]
-                    dz_t = np.where(m, dz_t, 0.0)
-                dh_new = np.empty_like(dh)
-                for dz_k, (_, _, whd, _, lo, hi) in zip(dz_groups, groups):
-                    dz_kt = dz_k[:, t]
-                    dz_kt[...] = dz_t[..., lo:hi].transpose(1, 0, 2)
-                    np.matmul(dz_kt.reshape(n, 4 * (hi - lo)), whd.T, out=dh_new[:, lo:hi])
-                dc_prev = dc_in * gates_t[1]
-                if full_step[t]:
-                    dh, dc = dh_new, dc_prev
+    out = Tensor(states[:, -1, 0].copy() if last_h else states)
+
+    def bwd(g):
+        nonlocal gates
+        if gates is None:
+            raise RuntimeError("lstm_sequence's backward frees its gate cache; "
+                               "replay a tape once")
+        if last_h:
+            g_last, g = g, np.zeros_like(states)
+            g[:, -1, 0] = g_last
+        # in the per-step formula's order, the input, forget and output gates'
+        # dz are ((a * p) * gate) * (1 - gate), with (a, p) = (dc, g), (dc,
+        # c_{t-1}), (dh, tanh c_t), and the cell gate's is (dc * i) * (1 - g^2)
+        tanh_c = np.tanh(states[:, :, 1].transpose(1, 0, 2), order="C")  # (T, B, H)
+        one_minus_tanh2 = tanh_c * tanh_c
+        np.subtract(1.0, one_minus_tanh2, out=one_minus_tanh2)
+        c_zero = np.zeros((n, width), dtype=dtype)
+        dz = np.empty((4, n, width), dtype=dtype)
+        one_minus = np.empty_like(dz)
+        dz_groups = [np.empty((n, steps, 4, hi - lo), dtype=dtype) for *_, lo, hi in groups]
+        dh = np.zeros((n, width), dtype=dtype)
+        dc = np.zeros_like(dh)
+        for t in range(steps - 1, -1, -1):
+            dh = dh + g[:, t, 0]
+            dc = dc + g[:, t, 1]
+            if not any_step[t]:
+                for dz_k in dz_groups:
+                    dz_k[:, t] = 0.0
+                continue
+            gates_t = gates[t]
+            dc_in = dh * gates_t[3]
+            dc_in *= one_minus_tanh2[t]
+            np.add(dc, dc_in, out=dc_in)
+            np.multiply(dc_in, gates_t[2::-2], out=dz[0:3:2])
+            np.multiply(dc_in, states[:, t - 1, 1] if t else c_zero, out=dz[1])
+            np.multiply(dh, tanh_c[t], out=dz[3])
+            dz[:2] *= gates_t[:2]
+            dz[3] *= gates_t[3]
+            np.subtract(1.0, gates_t, out=one_minus)
+            np.multiply(gates_t[2], gates_t[2], out=one_minus[2])
+            np.subtract(1.0, one_minus[2], out=one_minus[2])
+            dz_t = np.multiply(dz, one_minus, out=dz)
+            if not full_step[t]:
+                m = unit_mask[t]
+                dz_t = np.where(m, dz_t, 0.0)
+            dh_new = np.empty_like(dh)
+            for dz_k, (_, _, whd, _, lo, hi) in zip(dz_groups, groups):
+                dz_kt = dz_k[:, t]
+                dz_kt[...] = dz_t[..., lo:hi].transpose(1, 0, 2)
+                np.matmul(dz_kt.reshape(n, 4 * (hi - lo)), whd.T, out=dh_new[:, lo:hi])
+            dc_prev = dc_in * gates_t[1]
+            if full_step[t]:
+                dh, dc = dh_new, dc_prev
+            else:
+                dh, dc = np.where(m, dh_new, dh), np.where(m, dc_prev, dc)
+        # the weight gradients read only dz_groups and the states: free the rest
+        del tanh_c, one_minus_tanh2, dz, one_minus
+        gates = gates_t = None
+        adjoints = []
+        for x, (wx, wh, b), (xd, wxd, whd, _, lo, hi), dz_k in zip(xs, weights, groups,
+                                                                  dz_groups):
+            dz_flat = dz_k.reshape(n * steps, 4 * (hi - lo))
+            h_prev = np.zeros((n, steps, hi - lo), dtype=dtype)
+            h_prev[:, 1:] = states[:, :-1, 0, lo:hi]
+            adjoints += [(x, (dz_flat @ wxd.T).reshape(xd.shape)),
+                         (wx, xd.reshape(n * steps, -1).T @ dz_flat),
+                         (wh, h_prev.reshape(n * steps, hi - lo).T @ dz_flat),
+                         (b, dz_flat.sum(axis=0))]
+        return adjoints
+
+    _record("lstm_sequence", out, bwd)
+    return out
+
+
+def _live_row_order(valid: np.ndarray, hids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The row order and the rows stepped at each step, (B,) and (T,), of
+    the untaped pass for groups of hidden sizes ``hids``, where ``valid``
+    (B, T) marks the steps a row takes in any group: rows sorted stably by
+    their last valid step, latest first, and at step t the rows with a valid
+    step at or after t, never fewer than ``min(B, LSTM_MIN_ROWS)``. All B
+    rows while more than ``LSTM_SORT_SHARE`` of them run, and at every step
+    when a hidden size is not a multiple of 4 (see ``LSTM_MIN_ROWS``)."""
+    n, steps = valid.shape
+    if any(hid % 4 for hid in hids) or n <= LSTM_MIN_ROWS:
+        return np.arange(n), np.full(steps, n)
+    # one past each row's last valid step, 0 for a row with none
+    ends = (valid * np.arange(1, steps + 1)).max(axis=1, initial=0)
+    live = (ends[:, None] > np.arange(steps)).sum(axis=0)
+    live[live > LSTM_SORT_SHARE * n] = n
+    return np.argsort(-ends, kind="stable"), np.maximum(live, LSTM_MIN_ROWS)
+
+
+def _lstm_live_rows(groups, masks: list[np.ndarray], hids: list[int], dtype,
+                    last_h: bool) -> np.ndarray:
+    """:func:`lstm_sequence`'s pass without a tape: ``groups`` and ``masks``
+    (B, T) as it builds them. Returns the (B, T, 2, H) states, or with
+    ``last_h`` the (B, H) h after the final step.
+
+    The rows are ordered once, stably, by their last valid step in any
+    group, so the rows that still have a valid step at or after step t are
+    a prefix of that order; only that prefix, and never fewer than
+    ``min(B, LSTM_MIN_ROWS)`` rows, is stepped once no more than
+    ``LSTM_SORT_SHARE`` of the rows run (:func:`_live_row_order`). Rows in
+    it whose mask is false at t blend as in the taped pass. The rows stay
+    in batch order while every row is stepped; from the first step that
+    leaves one out, h and c are kept in the sorted order, x is projected
+    one step at a time from the rows gathered in it, and each step's
+    states are scattered back to batch order. Each row meets the same GEMMs
+    and elementwise ops on the same values as in a pass over all rows, so
+    the states keep their bits.
+    """
+    n, steps = masks[0].shape
+    width = sum(hids)
+    valid = np.logical_or.reduce(masks)                 # (B, T): in any group
+    any_step = valid.any(axis=0)
+    order, live = _live_row_order(valid, hids)
+    switch = int((live == n).sum())   # the first step that leaves a row out
+
+    def by_step(a):  # (B, T) -> (T, B), each step's rows in the order it runs them
+        return np.concatenate([a[:, :switch].T, a[order, switch:].T])
+
+    step_mask = np.stack([by_step(m) for m in masks], axis=2)
+    unit_mask = step_mask if len(hids) == 1 else np.repeat(step_mask, hids, axis=2)
+    # [t, r]: rows 0..r of step t's row order all take the step in every group
+    prefix_full = np.logical_and.accumulate(by_step(np.logical_and.reduce(masks)), axis=1)
+
+    z_buf = np.empty(4 * n * width, dtype=dtype)
+    h = c = np.zeros((n, width), dtype=dtype)
+    rows = slice(None)
+    states = None if last_h else np.empty((n, steps, 2, width), dtype=dtype)
+    with np.errstate(over="ignore"):  # for _sigmoid
+        for t in range(steps):
+            if t == switch:
+                h, c, rows = h[order], c[order], order
+            if any_step[t]:
+                k = live[t]
+                stepped = rows if k == n else rows[:k]
+                z = z_buf[:4 * k * width].reshape(4, k, width)
+                for xd, wxd, whd, b4, lo, hi in groups:
+                    # (x @ Wx + b) + h @ Wh batch-major, then one transposed copy
+                    xw = (xd[stepped, t] @ wxd).reshape(k, 4, hi - lo)
+                    xw += b4
+                    xw += (h[:k, lo:hi] @ whd).reshape(k, 4, hi - lo)
+                    z[..., lo:hi].transpose(1, 0, 2)[...] = xw
+                h_new, c_new = _lstm_cell(z, c[:k])
+                if not prefix_full[t, k - 1]:
+                    m = unit_mask[t, :k]
+                    h_new, c_new = np.where(m, h_new, h[:k]), np.where(m, c_new, c[:k])
+                if k == n:
+                    h, c = h_new, c_new
                 else:
-                    dh, dc = np.where(m, dh_new, dh), np.where(m, dc_prev, dc)
-            # the weight gradients read only dz_groups and the states: free the rest
-            del tanh_c, one_minus_tanh2, dz, one_minus
-            gates = gates_t = None
-            adjoints = []
-            for x, (wx, wh, b), (xd, wxd, whd, _, lo, hi), dz_k in zip(xs, weights, groups,
-                                                                      dz_groups):
-                dz_flat = dz_k.reshape(n * steps, 4 * (hi - lo))
-                h_prev = np.zeros((n, steps, hi - lo), dtype=dtype)
-                h_prev[:, 1:] = states[:, :-1, 0, lo:hi]
-                adjoints += [(x, (dz_flat @ wxd.T).reshape(xd.shape)),
-                             (wx, xd.reshape(n * steps, -1).T @ dz_flat),
-                             (wh, h_prev.reshape(n * steps, hi - lo).T @ dz_flat),
-                             (b, dz_flat.sum(axis=0))]
-            return adjoints
-        _record("lstm_sequence", out, bwd)
+                    h[:k], c[:k] = h_new, c_new
+            if states is not None:
+                states[rows, t, 0] = h
+                states[rows, t, 1] = c
+    if not last_h:
+        return states
+    out = np.empty_like(h)
+    out[rows] = h
     return out
 
 

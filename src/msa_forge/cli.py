@@ -312,10 +312,15 @@ def _predict_configs(config_path, recorded) -> dict[str, ExtractorConfig]:
 
 def _cmd_predict(args) -> int:
     model, manifest = load_checkpoint(args.checkpoint)
-    configs = _predict_configs(args.config, manifest.get("extractors"))
-    table = EmbeddingTable.load(args.embedding) if args.embedding else None
     inputs = {"audio": (args.sample, "--sample"), "vision": (args.visual_csv, "--visual-csv"),
               "text": ((args.tokens or "").split(), "--tokens")}
+    unused = [flag for m, (source, flag) in inputs.items()
+              if source and m not in model.config.feature_dims]
+    if unused:
+        raise ValidationError(f"{', '.join(unused)} given, but the checkpoint has only the "
+                              f"modalities {', '.join(model.modalities())}")
+    configs = _predict_configs(args.config, manifest.get("extractors"))
+    table = EmbeddingTable.load(args.embedding) if args.embedding else None
     features: dict[str, np.ndarray] = {}
     spec = perturb = None
     for m, dim in model.config.feature_dims.items():

@@ -358,8 +358,8 @@ class EFLSTM(Model):
         pieces, _, union = _pad_to_common(batch, self.modalities(), self.dtype)
         x = Tensor(np.concatenate(pieces, axis=2))
         del pieces
-        states = ad.lstm_sequence([x], [union], [_lstm_params(self.params, "lstm")])
-        pred, hidden = self._head("head", ad.slice_(states, (slice(None), -1, 0)), train)
+        h_last = ad.lstm_sequence([x], [union], [_lstm_params(self.params, "lstm")], last_h=True)
+        pred, hidden = self._head("head", h_last, train)
         return ModelOutput(pred=pred, fusion_rep=hidden)
 
 

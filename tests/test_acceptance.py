@@ -246,6 +246,11 @@ def test_criterion_01_gradient_suite(acceptance_record):
             lambda p: sum_(mul(linear(p["x"], p["w"], p["b"]), linear(p["x"], p["w"], p["b"]))),
             {"x": rng.normal(size=(2, 3, 2)), "w": rng.normal(size=(2, 3)),
              "b": rng.normal(size=(3,))}),
+        "lstm_sequence_last_h": (
+            lambda p, _w=Tensor(rng.normal(size=(2, 2))):
+                sum_(mul(lstm_sequence([p["x"]], [mask23], [p], last_h=True), _w)),
+            {"x": rng.normal(size=(2, 3, 2)), "wx": rng.normal(size=(2, 8)),
+             "wh": rng.normal(size=(2, 8)), "b": rng.normal(size=(8,))}),
     }
     for name, (fn, arrays) in primitive_cases.items():
         report = grad_check(fn, ps(**arrays), eps=1e-5, tol=1e-4)

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msa_forge.autodiff import (
     GradCheckReport,
@@ -43,6 +45,7 @@ from msa_forge.autodiff import (
 )
 from msa_forge import autodiff as ad
 from msa_forge.errors import ShapeError
+from msa_forge.models import Batch, ModalityInput, ModelConfig, build_model
 from reference_kernels import (affine_per_op, attention_per_op, lstm_sequence_batch_major,
                                lstm_single, memory_stepped, sum_)
 
@@ -568,6 +571,46 @@ class TestLockstepLstm:
         gate_buffer = 4 * steps * 4 * (2 * hid) * 8
         assert peak - states.data.nbytes < gate_buffer / 4, (peak, states.data.nbytes)
 
+    def test_untaped_last_state_builds_no_states(self):
+        # with last_h the pass, and ef_lstm's eval forward, allocate less than
+        # the (B, T, 2, H) states they no longer build
+        steps, hid, batch = 400, 16, 12
+        rng = np.random.default_rng(43)
+        ps = [{"wx": Tensor(rng.normal(size=(2, 4 * hid))),
+               "wh": Tensor(rng.normal(size=(hid, 4 * hid))),
+               "b": Tensor(rng.normal(size=(4 * hid,)))} for _ in range(2)]
+        xs = [Tensor(rng.normal(size=(batch, steps, 2))) for _ in range(2)]
+        ends = rng.integers(0, steps + 1, size=batch)
+        masks = [np.arange(steps) < ends[:, None]] * 2
+        state_bytes = batch * steps * 2 * (2 * hid) * 8
+        tracemalloc.start()
+        try:
+            h_last = lstm_sequence(xs, masks, ps, last_h=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert h_last.shape == (batch, 2 * hid)
+        assert peak < state_bytes, (peak, state_bytes)
+
+        feature_dims = {"text": 1, "audio": 1}
+        model = build_model(ModelConfig(model_name="ef_lstm", feature_dims=feature_dims,
+                                        hidden_dims={"text": hid, "audio": hid},
+                                        post_fusion_dim=4, seed=1, dtype="f64"))
+        batch_in = Batch(modalities={
+            m: ModalityInput(data=rng.normal(size=(batch, steps, d)),
+                             mask=np.arange(steps) < ends[:, None])
+            for m, d in feature_dims.items()}, labels={"m": np.zeros(batch)})
+        state_bytes = batch * steps * 2 * hid * 8
+        tracemalloc.start()
+        try:
+            model.forward(batch_in)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the forward's own padded and concatenated copies of the input count as input
+        input_bytes = sum(m.data.nbytes for m in batch_in.modalities.values())
+        assert peak - 2 * input_bytes < state_bytes, (peak, input_bytes, state_bytes)
+
 
 def _assert_same_bits(a: np.ndarray, b: np.ndarray, what: str = "") -> None:
     assert a.dtype == b.dtype and a.shape == b.shape, (what, a.dtype, b.dtype, a.shape, b.shape)
@@ -636,6 +679,99 @@ class TestStepMajorLstm:
                 _assert_same_bits(grads[name], ref_grads[name], name)
         if kind == "none":
             np.testing.assert_array_equal(out, 0.0)
+
+
+class TestLiveRowLstm:
+    """Without a tape lstm_sequence steps only the rows still running, in an
+    order sorted by each row's last valid step. Every row meets the same GEMMs
+    and elementwise ops on the same values as in the all-rows batch-major
+    kernel, so the states and the last h equal it bit for bit: any batch size
+    around the 8-row floor, narrow and wide (>= 96) d and H, hidden sizes that
+    take the live-row prefix (multiples of 4) and that step every row, one to
+    three groups, f32 and f64, prefix masks, masks with gaps and empty rows."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bit_equal_to_batch_major_kernel(self, data):
+        batch = data.draw(st.sampled_from([1, 2, 7, 8, 9, 150, 256]), label="batch")
+        groups = data.draw(st.integers(1, 3), label="groups")
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        steps = data.draw(st.integers(1, 16), label="steps")
+        wide = data.draw(st.booleans(), label="d and H >= 96")
+        live_rows = data.draw(st.booleans(), label="hidden sizes multiples of 4")
+        gaps = data.draw(st.booleans(), label="masks with gaps")
+        empty_row = data.draw(st.booleans(), label="a row with no valid step")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        lo, hi = (96, 129) if wide else (1, 40)
+        xs, masks, params = [], [], []
+        for _ in range(groups):
+            d, hid = rng.integers(lo, hi, size=2)
+            if live_rows:
+                hid = 4 * max(1, hid // 4)
+            xs.append(Tensor(rng.normal(size=(batch, steps, d)).astype(dtype)))
+            arrays = {"wx": rng.normal(size=(d, 4 * hid)) / np.sqrt(d),
+                      "wh": rng.normal(size=(hid, 4 * hid)) / np.sqrt(hid),
+                      "b": rng.normal(size=(4 * hid,))}
+            params.append({name: Tensor(a.astype(dtype)) for name, a in arrays.items()})
+            if gaps:
+                masks.append(rng.random((batch, steps)) < rng.uniform(0.2, 0.9))
+            else:
+                masks.append(np.arange(steps) < rng.integers(0, steps + 1, size=(batch, 1)))
+        if empty_row:
+            row = rng.integers(batch)
+            for m in masks:
+                m[row] = False
+        ref = lstm_sequence_batch_major(xs, masks, params).data
+        _assert_same_bits(lstm_sequence(xs, masks, params).data, ref, "states")
+        _assert_same_bits(lstm_sequence(xs, masks, params, last_h=True).data,
+                          np.ascontiguousarray(ref[:, -1, 0]), "last h")
+        if empty_row:
+            np.testing.assert_array_equal(ref[row], 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_taped_last_h_equals_sliced_states(self, dtype):
+        # one record whose backward hands the BPTT the adjoint slice_ builds
+        rng = np.random.default_rng(44)
+        masks = [np.arange(9) < rng.integers(0, 10, size=(12, 1)) for _ in range(2)]
+        arrays = {}
+        for k, (d, hid) in enumerate(((5, 8), (3, 4))):
+            arrays.update({f"x{k}": rng.normal(size=(12, 9, d)),
+                           f"wx{k}": rng.normal(size=(d, 4 * hid)) * 0.5,
+                           f"wh{k}": rng.normal(size=(hid, 4 * hid)) * 0.5,
+                           f"b{k}": rng.normal(size=(4 * hid,))})
+        weights = rng.normal(size=(12, 12)).astype(dtype)
+
+        def run(last):
+            params = ParamSet({name: a.astype(dtype) for name, a in arrays.items()})
+            return _taped(lambda p: last(
+                [p["x0"], p["x1"]], masks,
+                [{w: p[f"{w}{k}"] for w in ("wx", "wh", "b")} for k in range(2)]),
+                params, weights)
+
+        out, grads, records = run(lambda *a: lstm_sequence(*a, last_h=True))
+        ref, ref_grads, ref_records = run(
+            lambda *a: slice_(lstm_sequence(*a), (slice(None), -1, 0)))
+        assert (records, ref_records) == (1, 2)
+        _assert_same_bits(out, ref, "last h")
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            _assert_same_bits(grads[name], ref_grads[name], name)
+
+    def test_row_order_and_counts(self):
+        # rows end after steps 3, 9, 0 (no valid step), 9, 6, ... and the
+        # rows still running form a prefix of the order, never below 8 rows;
+        # while more than 7/8 of the rows run (11 of 12 at step 0), all do
+        ends = np.array([3, 9, 0, 9, 6, 1, 9, 2, 5, 7, 4, 8])
+        valid = np.arange(10) < ends[:, None]
+        valid[1, 4] = False   # a gap leaves row 1's end where it is
+        order, live = ad._live_row_order(valid, [4, 8])
+        np.testing.assert_array_equal(order, [1, 3, 6, 11, 9, 4, 8, 10, 0, 7, 5, 2])
+        np.testing.assert_array_equal(live, [12, 10, 9, 8, 8, 8, 8, 8, 8, 8])
+        # a hidden size of no multiple of 4, or 8 rows, steps every row in batch order
+        for hids, rows in (([4, 6], 12), ([4, 8], 8)):
+            order, live = ad._live_row_order(valid[:rows], hids)
+            np.testing.assert_array_equal(order, np.arange(rows))
+            np.testing.assert_array_equal(live, rows)
 
 
 class TestAttention:

@@ -795,6 +795,29 @@ class TestExtractAndPredictCli:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()  # no stft.csv, fusion_rep.csv or prediction.json
 
+    def test_predict_refuses_inputs_for_modalities_the_checkpoint_lacks(self, tmp_path,
+                                                                          monkeypatch, capsys):
+        # an audio-only checkpoint used to exit 0 and read neither input
+        model = build_model(ModelConfig("lf_dnn", feature_dims={"audio": 6}))
+        save_checkpoint(model, tmp_path / "ckpt", extractors={"audio": {
+            "kind": "mfcc", "params": {"n_fft": 256, "hop": 128, "n_mels": 12, "n_mfcc": 6}}})
+        calls = _spy_everywhere(monkeypatch, extractors.stft)
+        out = tmp_path / "pred"
+        assert cli_main(["predict", "--checkpoint", str(tmp_path / "ckpt"),
+                         "--sample", str(_write_float_wav(tmp_path / "a.wav")),
+                         "--visual-csv", str(tmp_path / "missing" / "face.csv"),
+                         "--tokens", "x y", "--config", str(tmp_path / "missing.json"),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("--visual-csv, --tokens given, but the checkpoint has only the modalities "
+                "audio") in err
+        assert "Traceback" not in err
+        assert calls == [] and not out.exists()
+        # empty tokens name no input
+        assert cli_main(["predict", "--checkpoint", str(tmp_path / "ckpt"),
+                         "--sample", str(_write_float_wav(tmp_path / "a.wav")),
+                         "--tokens", "", "--out", str(out)]) == 0
+
     def test_predict_missing_embedding_is_validation_error(self, tmp_path,
                                                            audio_text_checkpoint):
         setup = audio_text_checkpoint
