@@ -1024,9 +1024,11 @@ def outer_fusion(vectors: Sequence, augment: bool = True) -> Tensor:
     1, which is what makes the lower-order interaction terms appear; the
     result has length prod(d_i + 1).
 
-    Accepts 1-D vectors or batched (B, d_i) tensors. Under a tape the
-    whole product is one record; its backward walks the factors in
-    reverse with batched matmuls on the (B, p, q) view of the adjoint.
+    Accepts 1-D vectors or batched (B, d_i) tensors. Each partial product
+    is one ``np.einsum("bi,bj->bij")``, or a broadcast product when a factor
+    has its sign bit set or a NaN; both give the same bits. Under a tape the
+    whole product is one record; its backward walks the factors in reverse
+    with batched matmuls on the (B, p, q) view of the adjoint.
     """
     ts = [_as_tensor(v) for v in vectors]
     if len(ts) < 2:
@@ -1044,11 +1046,16 @@ def outer_fusion(vectors: Sequence, augment: bool = True) -> Tensor:
     if augment:
         ones = np.ones((batch, 1), dtype=factors[0].dtype)
         factors = [np.concatenate([ones, f], axis=1) for f in factors]
+    # einsum writes +0.0 where the product is -0.0, and of two NaN operands it
+    # may keep the other one. Only a factor with its sign bit set or a NaN can
+    # give either, and then the broadcast product keeps the bits.
+    plain = not any(np.signbit(f).any() or np.isnan(f).any() for f in factors)
     prods = [factors[0]]  # prods[k]: product of factors[0..k], (B, p_k)
     for f in factors[1:]:
         p, q = prods[-1].shape[1], f.shape[1]
-        prods.append((prods[-1].reshape(batch, p, 1) * f.reshape(batch, 1, q))
-                     .reshape(batch, p * q))
+        prod = (np.einsum("bi,bj->bij", prods[-1], f) if plain
+                else prods[-1].reshape(batch, p, 1) * f.reshape(batch, 1, q))
+        prods.append(prod.reshape(batch, p * q))
     out = Tensor(prods[-1].reshape(-1) if one_dim else prods[-1])
     if active_tape() is not None:
         def bwd(g):

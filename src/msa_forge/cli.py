@@ -314,8 +314,8 @@ def _cmd_predict(args) -> int:
     model, manifest = load_checkpoint(args.checkpoint)
     inputs = {"audio": (args.sample, "--sample"), "vision": (args.visual_csv, "--visual-csv"),
               "text": ((args.tokens or "").split(), "--tokens")}
-    unused = [flag for m, (source, flag) in inputs.items()
-              if source and m not in model.config.feature_dims]
+    given = [*inputs.items(), ("text", (args.embedding, "--embedding"))]
+    unused = [flag for m, (source, flag) in given if source and m not in model.config.feature_dims]
     if unused:
         raise ValidationError(f"{', '.join(unused)} given, but the checkpoint has only the "
                               f"modalities {', '.join(model.modalities())}")

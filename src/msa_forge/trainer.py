@@ -179,6 +179,10 @@ class RunResult:
 # 3.3 ms with whole-array passes).
 ADAM_CHUNK = 1 << 16
 
+# float64's unit roundoff and smallest normal, for _clip_if_needed's bound
+_U64 = 2.0 ** -53
+_TINY64 = float(np.finfo(np.float64).tiny)
+
 
 class Adam:
     """Adam with bias correction over a :class:`~msa_forge.autodiff.ParamSet`.
@@ -243,6 +247,42 @@ def clip_global_norm(params: ad.ParamSet, max_norm: float) -> float:
     if max_norm > 0 and norm > max_norm:
         params.grad *= max_norm / norm
     return norm
+
+
+def _clip_if_needed(params: ad.ParamSet, max_norm: float) -> None:
+    """``clip_global_norm(params, max_norm)``, skipped when a dot product in
+    the gradients' own dtype proves that its float64 norm would not exceed
+    ``max_norm``, so the gradients come out the same bytes either way.
+
+    Bounds (Higham, Accuracy and Stability of Numerical Algorithms, §3.1):
+    the dot product of n values with unit roundoff u is off the exact sum of
+    squares s by at most γₙ·s, γₙ = n·u/(1 - n·u), in any summation order or
+    BLAS thread split, as its terms are nonnegative. Each product and each
+    addition that underflows loses less than the smallest normal number,
+    which covers flush-to-zero too. clip_global_norm's float64 squares,
+    their sums and its sqrt round at most as much again at u = 2⁻⁵³, and the
+    2⁻⁴⁰ factors cover the rounding of the bound's own arithmetic. A NaN or
+    inf dot product, n·u ≥ ½ or a norm near ``max_norm`` takes the exact path.
+    """
+    if not max_norm > 0:
+        return
+    grad = params.grad
+    info = np.finfo(grad.dtype)
+    n = grad.size
+    nu = n * float(info.eps) / 2  # n·u, exact: u is a power of two
+    if nu < 0.5:
+        with np.errstate(over="ignore", invalid="ignore"):
+            dot = float(np.dot(grad, grad))
+        if math.isfinite(dot):
+            gamma = nu / (1 - nu)
+            # at least the exact sum of squares, then clip_global_norm's total
+            squares = (dot + 2 * n * float(info.tiny) * (1 + gamma)) / (1 - gamma)
+            nu64 = n * _U64
+            total = ((squares * (1 + 2 * _U64) + 2 * n * _TINY64)
+                     * (1 + nu64 / (1 - nu64)) * (1 + 2.0 ** -40))
+            if math.sqrt(total) * (1 + 2.0 ** -40) <= max_norm:
+                return
+    clip_global_norm(params, max_norm)
 
 
 def _batches(view: FeatureBundle, order: np.ndarray, batch_size: int, dtype):
@@ -330,7 +370,7 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
             del tape, out, loss  # free the batch's activations before clip, Adam and eval
             if not math.isfinite(loss_val):
                 raise _diagnose_divergence(model, epoch)
-            clip_global_norm(model.params, config.grad_clip)
+            _clip_if_needed(model.params, config.grad_clip)
             optimizer.step()
             total_abs += loss_val * batch.size
         train_loss = total_abs / train.n

@@ -8,7 +8,9 @@ attention built from per-op tape records, and the gated memory stepped with
 forwards bit for bit, f64 gradients within 1e-12. The LSTM reference shares
 only the package's sigmoid helper with ``lstm_sequence``.
 ``lstm_sequence_batch_major`` is ``lstm_sequence`` as it was before its gate
-cache went step-major; the package kernel must equal it bit for bit.
+cache went step-major, and ``outer_fusion_broadcast`` is ``outer_fusion`` as
+it was before its partial products went through ``np.einsum``; the package
+kernels must equal them bit for bit.
 
 ``sum_``, the differentiable sum that reduces a test's output to a scalar
 loss, lives here too: no model calls it, so the package does not carry it.
@@ -253,3 +255,36 @@ def memory_stepped(keep, write, u):
         u = ad.add(ad.mul(ad.slice_(keep, (slice(None), t)), u),
                    ad.slice_(write, (slice(None), t)))
     return u
+
+
+def outer_fusion_broadcast(vectors, augment=True):
+    """``outer_fusion`` with every partial product a broadcast multiply of
+    (B, p, 1) and (B, 1, q) views, and the same backward, as one
+    ``outer_fusion_broadcast`` record."""
+    ts = [t if isinstance(t, Tensor) else Tensor(t) for t in vectors]
+    one_dim = all(t.ndim == 1 for t in ts)
+    factors = [t.data.reshape(1, -1) if one_dim else t.data for t in ts]
+    batch = factors[0].shape[0]
+    if augment:
+        ones = np.ones((batch, 1), dtype=factors[0].dtype)
+        factors = [np.concatenate([ones, f], axis=1) for f in factors]
+    prods = [factors[0]]
+    for f in factors[1:]:
+        p, q = prods[-1].shape[1], f.shape[1]
+        prods.append((prods[-1].reshape(batch, p, 1) * f.reshape(batch, 1, q))
+                     .reshape(batch, p * q))
+    out = Tensor(prods[-1].reshape(-1) if one_dim else prods[-1])
+    if ad.active_tape() is not None:
+        def bwd(g):
+            g = g.reshape(batch, -1)
+            adjoints = [None] * len(factors)
+            for k in range(len(factors) - 1, 0, -1):
+                prev, f = prods[k - 1], factors[k]
+                g3 = g.reshape(batch, prev.shape[1], f.shape[1])
+                adjoints[k] = (prev[:, None, :] @ g3)[:, 0]
+                g = (g3 @ f[:, :, None])[:, :, 0]
+            adjoints[0] = g
+            return tuple((t, (gk[:, 1:] if augment else gk).reshape(t.shape))
+                         for t, gk in zip(ts, adjoints))
+        ad._record("outer_fusion_broadcast", out, bwd)
+    return out

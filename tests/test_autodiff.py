@@ -47,7 +47,7 @@ from msa_forge import autodiff as ad
 from msa_forge.errors import ShapeError
 from msa_forge.models import Batch, ModalityInput, ModelConfig, build_model
 from reference_kernels import (affine_per_op, attention_per_op, lstm_sequence_batch_major,
-                               lstm_single, memory_stepped, sum_)
+                               lstm_single, memory_stepped, outer_fusion_broadcast, sum_)
 
 
 def _params_from(arrays: dict) -> ParamSet:
@@ -1189,6 +1189,59 @@ class TestOuterFusion:
         for n in ps:
             np.testing.assert_allclose(grads[0][n], grads[1][n], rtol=1e-12, atol=1e-15,
                                        err_msg=n)
+
+    # plain factor values have no sign bit and no NaN: the einsum path
+    PLAIN = [0.0, 1.5, 3e-39, 5e-324, 2.0 ** 100, np.inf, 0.25]
+    VALUES = {"plain": PLAIN, "signed": PLAIN + [-0.0, -2.5, -np.inf],
+              "nan": PLAIN + [np.nan, -np.nan]}
+    BIT_CASES = [(ways, augment, batch, dtype, kind)
+                 for ways in (2, 3) for augment in (True, False) for batch in (None, 3)
+                 for dtype in (np.float32, np.float64) for kind in ("plain", "signed", "nan")]
+
+    @pytest.mark.parametrize("ways,augment,batch,dtype,kind", BIT_CASES)
+    def test_bits_match_broadcast_reference(self, monkeypatch, ways, augment, batch,
+                                            dtype, kind):
+        """The forward and every adjoint equal ``outer_fusion_broadcast``'s
+        bytes, on zeros, subnormals, infinities and NaNs. Plain factors take
+        the einsum path; a sign bit or a NaN takes the broadcast path, as
+        einsum gives +0.0 for -0.0 and may keep the other of two NaNs."""
+        rng = np.random.default_rng(24)
+        values = np.array(self.VALUES[kind])
+        lead = () if batch is None else (batch,)
+        arrays = {f"x{i}": rng.choice(values, size=lead + (i + 3,)).astype(dtype)
+                  for i in range(ways)}
+        size = math.prod(i + 3 + augment for i in range(ways))
+        weights = Tensor(rng.normal(size=lead + (size,)).astype(dtype))
+        einsums = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: einsums.append(1) or einsum(*a, **k))
+        results = []
+        for fn in (outer_fusion, outer_fusion_broadcast):
+            ps = ParamSet({n: a.copy() for n, a in arrays.items()})
+            with np.errstate(all="ignore"), Tape() as tape:
+                out = fn([ps[n] for n in ps], augment)
+                backward(tape, sum_(mul(out, weights)), ps)
+            results.append([out.data.tobytes()] + [ps[n].grad.tobytes() for n in ps])
+            if fn is outer_fusion:
+                assert len(einsums) == (ways - 1 if kind == "plain" else 0)
+        assert results[0] == results[1]
+
+    def test_tfn_factors_take_the_einsum_path(self, monkeypatch):
+        # tfn fuses ReLU outputs and ones, which never carry a sign bit
+        model = build_model(ModelConfig("tfn", feature_dims={"text": 5, "audio": 4,
+                                                             "vision": 3}))
+        rng = np.random.default_rng(25)
+        batch = Batch(modalities={m: ModalityInput(rng.normal(size=(6, 4, d)).astype(np.float32),
+                                                   np.ones((6, 4), dtype=bool))
+                                  for m, d in model.config.feature_dims.items()},
+                      labels={"m": np.zeros(6)})
+        einsums = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: einsums.append(1) or einsum(*a, **k))
+        for train in (True, False):
+            with Tape():
+                model.forward(batch, train=train)
+        assert len(einsums) == 4  # two partial products per forward
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError, match="at least 2"):

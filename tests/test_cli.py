@@ -818,6 +818,25 @@ class TestExtractAndPredictCli:
                          "--sample", str(_write_float_wav(tmp_path / "a.wav")),
                          "--tokens", "", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("table", ["valid", "no_unk", "missing"])
+    def test_predict_refuses_embedding_for_a_checkpoint_without_text(self, tmp_path, capsys,
+                                                                     table):
+        # --embedding used to be read and then ignored: exit 0 for a valid
+        # table, exit 2 for one without <unk> or a missing file
+        model = build_model(ModelConfig("lf_dnn", feature_dims={"audio": 6}))
+        save_checkpoint(model, tmp_path / "ckpt", extractors={"audio": {
+            "kind": "mfcc", "params": {"n_fft": 256, "hop": 128, "n_mels": 12, "n_mfcc": 6}}})
+        emb = tmp_path / "emb.txt"
+        if table != "missing":
+            emb.write_text(("<unk> 0 0\n" if table == "valid" else "") + "good 1 0\n")
+        out = tmp_path / "pred"
+        assert cli_main(["predict", "--checkpoint", str(tmp_path / "ckpt"),
+                         "--sample", str(_write_float_wav(tmp_path / "a.wav")),
+                         "--embedding", str(emb), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--embedding given, but the checkpoint has only the modalities audio" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_predict_missing_embedding_is_validation_error(self, tmp_path,
                                                            audio_text_checkpoint):
         setup = audio_text_checkpoint

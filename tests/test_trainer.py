@@ -6,12 +6,17 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import msa_forge
+from msa_forge import trainer
 from msa_forge.autodiff import ParamSet, Tape, Tensor, add, backward
 from msa_forge.errors import EmptySplitError, ModelError, ValidationError
 from msa_forge.models import load_checkpoint, read_named_arrays
@@ -20,6 +25,7 @@ from msa_forge.trainer import (
     DEFAULT_SEEDS,
     Adam,
     AdamConfig,
+    _clip_if_needed,
     clip_global_norm,
     get_config_regression,
     multi_seed_run,
@@ -232,6 +238,126 @@ class TestInPlaceOptimizer:
         scale = 1.0 / math.sqrt(24.0)
         np.testing.assert_array_equal(w1.grad, np.full((3, 4), scale))
         np.testing.assert_array_equal(w2.grad, np.full((3, 4), scale))
+
+
+def _clip_calls():
+    """A patch that counts ``clip_global_norm`` calls and keeps its behaviour."""
+    return mock.patch.object(trainer, "clip_global_norm", wraps=clip_global_norm)
+
+
+def _grad_set(sizes, dtype, values):
+    params = ParamSet({f"p{i}": np.zeros(n, dtype=dtype) for i, n in enumerate(sizes)})
+    params.grad[...] = values
+    return params
+
+
+@st.composite
+def gradient_sets(draw):
+    """Gradient sets of float32 or float64 values, from empty to ~3e5 values,
+    at one scale from subnormal to 1e19, with NaN, +-inf and +-0 dropped in."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    sizes = draw(st.lists(st.integers(0, 3000), max_size=5)
+                 | st.sampled_from([[300_000], [65_536, 1, 9537 * 32 - 65_537]]))
+    n = sum(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tiny = float(np.finfo(dtype).smallest_subnormal)
+    scale = draw(st.sampled_from([tiny, 1e-300, 1e-40, 1e-20, 1e-6, 0.01, 1.0, 1e3, 1e19])
+                 | st.floats(1e-45, 1e19))
+    with np.errstate(all="ignore"):
+        values = (rng.normal(size=n) * scale).astype(dtype)
+        specials = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                           st.sampled_from([np.nan, np.inf, -np.inf,
+                                                            0.0, -0.0, tiny, -tiny])),
+                                 max_size=3 if n else 0))
+    for i, v in specials:
+        values[i] = v
+    return sizes, dtype, values
+
+
+class TestClipPrecheck:
+    """``train_run``'s step skips ``clip_global_norm`` only when a dot product
+    in the gradients' dtype proves that it would not clip, so the gradients
+    are the same bytes either way, whatever the BLAS thread count."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(grads=gradient_sets(), k=st.integers(1, 16) | st.integers(1, 60),
+           side=st.sampled_from([1, -1]),
+           other=st.none() | st.sampled_from([0.0, -1.0, np.nan, np.inf, 5.0]))
+    def test_matches_clip_global_norm(self, grads, k, side, other):
+        sizes, dtype, values = grads
+        exact = _grad_set(sizes, dtype, values)
+        with np.errstate(all="ignore"):
+            norm = clip_global_norm(_grad_set(sizes, dtype, values), np.inf)
+            max_norm = norm * (1 + side * 2.0 ** -k) if other is None else other
+            clip_global_norm(exact, max_norm)
+            checked = _grad_set(sizes, dtype, values)
+            with _clip_calls() as calls:
+                _clip_if_needed(checked, max_norm)
+        assert checked.grad.tobytes() == exact.grad.tobytes()
+        if not calls.called and max_norm > 0:
+            event("skipped")
+            squares = values.astype(np.float64) ** 2
+            assert norm <= max_norm and math.sqrt(math.fsum(squares)) <= max_norm
+
+    def test_small_gradients_skip_the_float64_norm(self):
+        params = _grad_set([9537 * 32, 4], np.float32,
+                           np.random.default_rng(42).normal(size=9537 * 32 + 4) * 1e-3)
+        before = params.grad.tobytes()
+        with _clip_calls() as calls:
+            _clip_if_needed(params, 5.0)
+        assert not calls.called and params.grad.tobytes() == before
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_norm_at_the_threshold_takes_the_exact_path(self, dtype):
+        values = np.random.default_rng(43).normal(size=1000)
+        norm = clip_global_norm(_grad_set([1000], dtype, values), np.inf)
+        for max_norm in (norm, norm * (1 + 2.0 ** -50), norm * (1 - 2.0 ** -50)):
+            with _clip_calls() as calls:
+                _clip_if_needed(_grad_set([1000], dtype, values), max_norm)
+            assert calls.called
+
+    def test_too_many_values_for_the_bound_take_the_exact_path(self):
+        # n·u = 1/2 for 2**23 float32 values: γₙ bounds nothing there
+        params = _grad_set([2 ** 23], np.float32, np.float32(1e-4))
+        with _clip_calls() as calls:
+            _clip_if_needed(params, 5.0)
+        assert calls.called
+
+    def test_an_overflowing_dot_product_warns_nothing(self):
+        params = _grad_set([8], np.float32, np.float32(1e30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with _clip_calls() as calls:
+                _clip_if_needed(params, np.inf)
+        assert calls.called and np.all(params.grad == np.float32(1e30))
+
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0, np.nan])
+    def test_no_positive_max_norm_returns_at_once(self, max_norm):
+        params = _grad_set([3], np.float64, [np.inf, 1.0, 2.0])
+        with _clip_calls() as calls:
+            _clip_if_needed(params, max_norm)
+        assert not calls.called and params.grad.tolist() == [np.inf, 1.0, 2.0]
+
+    @pytest.mark.parametrize("model", ["tfn", "mfn"])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_forced_clipping_matches_clip_on_every_step(self, tmp_path, model, dtype):
+        """With grad_clip 0.05 most steps clip: the artifacts equal a run that
+        calls clip_global_norm on every step."""
+        bundle = small_bundle(n_train=24)
+        config = fast_config(model, max_epochs=3)
+        config["grad_clip"] = 0.05
+        config["dtype"] = dtype
+        with _clip_calls() as calls:
+            train_run(config, bundle, seed=1111, run_dir=tmp_path / "precheck")
+        norms = []
+        every_step = lambda params, max_norm: norms.append(clip_global_norm(params, max_norm))
+        with mock.patch.object(trainer, "_clip_if_needed", every_step):
+            train_run(config, bundle, seed=1111, run_dir=tmp_path / "always")
+        clipped = sum(n > 0.05 for n in norms)
+        assert clipped > len(norms) / 2 and calls.call_count >= clipped
+        for name in ("history.jsonl", "checkpoint/params.bin", "reps.bin"):
+            assert ((tmp_path / "precheck" / name).read_bytes()
+                    == (tmp_path / "always" / name).read_bytes()), name
 
 
 class TestTrainRun:
