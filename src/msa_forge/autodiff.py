@@ -305,14 +305,11 @@ def reshape(x, shape) -> Tensor:
     return out
 
 
-def transpose(x, axes: Sequence[int] | None = None) -> Tensor:
+def transpose(x, axes: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(np.transpose(x.data, axes))
     if active_tape() is not None:
-        if axes is None:
-            inv = None
-        else:
-            inv = tuple(np.argsort(axes))
+        inv = tuple(np.argsort(axes))
         def bwd(g):
             return ((x, np.transpose(g, inv)),)
         _record("transpose", out, bwd)
@@ -968,12 +965,14 @@ def linear_recurrence(keep, write, u0) -> Tensor:
     return out
 
 
-def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q kᵀ / sqrt(d) + mask_bias) v over the last two axes.
+def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None, *, heads: int = 1) -> Tensor:
+    """softmax(q kᵀ / sqrt(d) + mask_bias) v over the last two axes, per head:
+    the last axis of q, k and v splits into ``heads`` equal parts (d is q's
+    part), and the heads' outputs join back along the last axis.
 
     ``mask`` marks valid key positions. It has shape (..., Tk), aligned
-    with q's leading axes, and is broadcast over the query axis; masked
-    positions receive a -1e9 additive bias. A row whose keys are all
+    with q's leading axes, and is broadcast over the head and query axes;
+    masked positions receive a -1e9 additive bias. A row whose keys are all
     masked returns zeros, which is what the fusion models use when a whole
     modality has been dropped. Under a tape the whole attention is one
     record with a hand-written backward.
@@ -985,35 +984,45 @@ def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None) -> Tensor:
         raise ShapeError(f"attention q/k dims disagree: {q.shape} vs {k.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention k/v lengths disagree: {k.shape} vs {v.shape}")
+    if heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads:
+        raise ShapeError(f"attention cannot split q {q.shape} and v {v.shape} into {heads} heads")
+
+    def split(a):  # (..., T, H·d) -> (..., H, T, d), a view
+        return a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)).swapaxes(-2, -3)
+
+    def join(a):  # (..., H, T, d) -> (..., T, H·d)
+        return a.swapaxes(-2, -3).reshape(a.shape[:-3] + (a.shape[-2], heads * a.shape[-1]))
+
+    qh, k_t, vh = split(q.data), split(k.data).swapaxes(-1, -2), split(v.data)
     keep = None
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape[-1] != k.shape[-2]:
             raise ShapeError(f"attention mask {mask.shape} does not cover keys {k.shape}")
-        mask = mask[..., None, :]  # the query axis
+        mask = mask[..., None, None, :]  # the head and query axes
         keep = mask.any(axis=-1, keepdims=True)
         keep = None if keep.all() else keep.astype(q.data.dtype)
-    k_t = k.data.swapaxes(-1, -2)
-    scores = q.data @ k_t
+    scores = qh @ k_t
     qk_shape = scores.shape
-    scale = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=scores.dtype)
+    scale = np.asarray(1.0 / math.sqrt(qh.shape[-1]), dtype=scores.dtype)
     scores *= scale
     if mask is not None:
         scores = scores + np.where(mask, 0.0, MASK_BIAS).astype(q.data.dtype)
     scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores, out=scores)
     weights /= weights.sum(axis=-1, keepdims=True)
-    att = weights @ v.data
-    out = Tensor(att if keep is None else att * keep)
+    att = weights @ vh
+    out = Tensor(join(att if keep is None else att * keep))
     if active_tape() is not None:
         def bwd(g):
+            g = split(g)
             if keep is not None:
                 g = _unbroadcast(g * keep, att.shape)
-            d_weights, dv = _matmul_adjoints(g, weights, v.data)
+            d_weights, dv = _matmul_adjoints(g, weights, vh)
             d_scores = (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * weights
             d_qk = _unbroadcast(d_scores, qk_shape) * scale
-            dq, dk_t = _matmul_adjoints(d_qk, q.data, k_t)
-            return ((q, dq), (k, dk_t.swapaxes(-1, -2)), (v, dv))
+            dq, dk_t = _matmul_adjoints(d_qk, qh, k_t)
+            return ((q, join(dq)), (k, join(dk_t.swapaxes(-1, -2))), (v, join(dv)))
         _record("scaled_dot_attention", out, bwd)
     return out
 

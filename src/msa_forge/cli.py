@@ -233,8 +233,9 @@ def _cmd_train(args) -> int:
         except ValueError:
             raise UsageError(f"--seeds must be comma-separated ints, got {args.seeds!r}") from None
     result = multi_seed_run(config, bundle, out_root=args.out)
+    means = {key: m["mean"] for key, m in result.aggregate_dict()["metrics"].items()}
     print(json.dumps({"run_dir": result.run_dir, "seeds": result.seeds,
-                      "metrics_mean": result.metrics_mean}))
+                      "metrics_mean": means}, allow_nan=False))
     return EXIT_OK
 
 

@@ -60,8 +60,10 @@ MFN_MEMORY_ROWS = 1024
 
 def coerce_scalar(current, value):
     """``value`` as the type of the scalar field now holding ``current``.
-    A bool fits only a bool field, a str never fits a number field, and a
-    fraction never fits an int field."""
+    A list, dict or None never fits, a bool fits only a bool field, a str
+    never fits a number field, and a fraction never fits an int field."""
+    if value is None or isinstance(value, (list, dict)):
+        raise TypeError(f"expected {type(current).__name__}, not {type(value).__name__}")
     if isinstance(value, bool) and not isinstance(current, bool):
         raise TypeError(f"expected {type(current).__name__}, not a bool")
     if isinstance(value, str) and isinstance(current, (int, float)):
@@ -112,13 +114,14 @@ class ModelConfig:
         return [m for m in MODALITIES if m in self.feature_dims]
 
     def validate(self) -> None:
-        dims = self.feature_dims or {}
-        for m, d in dims.items():
+        dims = self.feature_dims
+        if dims is not None and not (isinstance(dims, dict) and dims):
+            raise ModelError(f"feature_dims must map at least one modality to a size, got {dims!r}")
+        for m, d in (dims or {}).items():
             if m not in MODALITIES:
                 raise ModelError(f"unknown modality {m!r} in feature_dims")
             if d <= 0:
                 raise ModelError(f"feature dim for {m!r} must be positive, got {d}")
-        for m in dims:
             if self.hidden_dims.get(m, 0) <= 0:
                 raise ModelError(f"hidden dim for {m!r} must be positive")
         if self.post_fusion_dim <= 0:
@@ -529,8 +532,8 @@ class MulTLite(Model):
     """Directional pairwise cross-modal attention: for every ordered
     modality pair the target queries the source through multi-head scaled
     dot attention with residuals (no layer norm), then masked-mean pooled
-    translated streams concatenate into the head. The heads run as a batch
-    axis, so each (pair, layer) is one scaled_dot_attention call."""
+    translated streams concatenate into the head. Each (pair, layer) is one
+    scaled_dot_attention call, which splits the projections into heads."""
 
     def __init__(self, config: ModelConfig):
         super().__init__(config)
@@ -551,16 +554,10 @@ class MulTLite(Model):
 
     def _multihead(self, base: str, cur: Tensor, src: Tensor,
                    src_mask: np.ndarray) -> Tensor:
-        heads = self.config.attn_heads
-
-        def split_heads(name: str, x: Tensor) -> Tensor:
-            # (B, T, hid) -> (B, H, T, hid / H)
-            y = ad.reshape(_affine(self.params, f"{base}.{name}", x), x.shape[:2] + (heads, -1))
-            return ad.transpose(y, (0, 2, 1, 3))
-
-        att = ad.scaled_dot_attention(split_heads("q", cur), split_heads("k", src),
-                                      split_heads("v", src), mask=src_mask[:, None])
-        return ad.reshape(ad.transpose(att, (0, 2, 1, 3)), cur.shape)
+        p = self.params
+        return ad.scaled_dot_attention(
+            _affine(p, f"{base}.q", cur), _affine(p, f"{base}.k", src),
+            _affine(p, f"{base}.v", src), mask=src_mask, heads=self.config.attn_heads)
 
     def forward(self, batch: Batch, train: bool = False) -> ModelOutput:
         self._check_batch(batch)
@@ -771,8 +768,10 @@ def load_checkpoint(path) -> tuple[Model, dict]:
                 setattr(config, f.name, coerce_scalar(f.default, value))
             elif isinstance(value, dict):  # modality -> size
                 setattr(config, f.name, {m: coerce_scalar(0, d) for m, d in value.items()})
+        if not isinstance(config.model_name, str):
+            raise TypeError(f"model_name is not a string: {config.model_name!r}")
         config.validate()
-        shapes = {entry["name"]: tuple(int(n) for n in entry["shape"])
+        shapes = {entry["name"]: tuple(coerce_scalar(0, n) for n in entry["shape"])
                   for entry in manifest["params"]}
         extractor_record(manifest)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bundle import MODALITIES, SCENARIOS, FeatureBundle, Manifest, ModalityBlock, SampleMeta
 
-__all__ = ["make_synthetic_bundle", "latent_readout_labels"]
+__all__ = ["make_synthetic_bundle"]
 
 
 def make_synthetic_bundle(n_train: int = 700, n_valid: int = 150, n_test: int = 150,
@@ -71,13 +71,3 @@ def make_synthetic_bundle(n_train: int = 700, n_valid: int = 150, n_test: int = 
 
     return FeatureBundle(Manifest("synthetic", label_range, samples), blocks)
 
-
-def latent_readout_labels(bundle: FeatureBundle) -> np.ndarray:
-    """Recover the label from the features alone: read each modality's
-    latent off feature dim 0 of the first valid frame and sum. This is the
-    linear-readout oracle for the generator."""
-    lo, hi = bundle.manifest.label_range
-    total = np.zeros(bundle.n, dtype=np.float64)
-    for block in bundle.blocks.values():
-        total += block.data[:, 0, 0].astype(np.float64)
-    return np.clip(total, lo, hi)

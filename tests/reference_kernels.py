@@ -9,8 +9,10 @@ forwards bit for bit, f64 gradients within 1e-12. The LSTM reference shares
 only the package's sigmoid helper with ``lstm_sequence``.
 ``lstm_sequence_batch_major`` is ``lstm_sequence`` as it was before its gate
 cache went step-major, and ``outer_fusion_broadcast`` is ``outer_fusion`` as
-it was before its partial products went through ``np.einsum``; the package
-kernels must equal them bit for bit.
+it was before its partial products went through ``np.einsum``, and
+``mult_multihead_presplit`` is mult's ``_multihead`` as it was before
+``scaled_dot_attention`` split the heads itself; the package kernels must
+equal them bit for bit.
 
 ``sum_``, the differentiable sum that reduces a test's output to a scalar
 loss, lives here too: no model calls it, so the package does not carry it.
@@ -247,6 +249,23 @@ def attention_per_op(q, k, v, mask=None):
     if keep.all():
         return out
     return ad.mul(out, keep.astype(q.data.dtype))
+
+
+def mult_multihead_presplit(model, base, cur, src, src_mask):
+    """mult's attention with the heads made a batch axis on the tape: each
+    (B, T, hid) projection is reshaped to (B, T, H, d) and transposed to
+    (B, H, T, d), one attention call takes a (B, 1, Tk) mask, and the output
+    is transposed and reshaped back."""
+    heads = model.config.attn_heads
+
+    def split_heads(name, x):
+        y = ad.reshape(ad.linear(x, model.params[f"{base}.{name}.w"],
+                                 model.params[f"{base}.{name}.b"]), x.shape[:2] + (heads, -1))
+        return ad.transpose(y, (0, 2, 1, 3))
+
+    att = ad.scaled_dot_attention(split_heads("q", cur), split_heads("k", src),
+                                  split_heads("v", src), mask=src_mask[:, None])
+    return ad.reshape(ad.transpose(att, (0, 2, 1, 3)), cur.shape)
 
 
 def memory_stepped(keep, write, u):

@@ -66,9 +66,10 @@ from msa_forge.models import (
     load_checkpoint,
 )
 from msa_forge.robustness import PerturbationSpec, add_feature_noise, drop_modality, evaluate_tagged, render_tagged_reports
-from msa_forge.synthetic import latent_readout_labels, make_synthetic_bundle
+from msa_forge.synthetic import make_synthetic_bundle
 from msa_forge.trainer import get_config_regression, train_run
 from reference_kernels import sum_
+from test_synthetic import latent_readout_labels
 
 
 def _check(record, num, desc, ok, detail=""):
@@ -251,6 +252,13 @@ def test_criterion_01_gradient_suite(acceptance_record):
                 sum_(mul(lstm_sequence([p["x"]], [mask23], [p], last_h=True), _w)),
             {"x": rng.normal(size=(2, 3, 2)), "wx": rng.normal(size=(2, 8)),
              "wh": rng.normal(size=(2, 8)), "b": rng.normal(size=(8,))}),
+        "scaled_dot_attention_heads": (
+            lambda p: sum_(mul(scaled_dot_attention(p["q"], p["k"], p["v"], mask=attn_mask,
+                                                    heads=2),
+                               scaled_dot_attention(p["q"], p["k"], p["v"], mask=attn_mask,
+                                                    heads=2))),
+            {"q": rng.normal(size=(2, 2, 4)), "k": rng.normal(size=(2, 3, 4)),
+             "v": rng.normal(size=(2, 3, 2))}),
     }
     for name, (fn, arrays) in primitive_cases.items():
         report = grad_check(fn, ps(**arrays), eps=1e-5, tol=1e-4)

@@ -863,6 +863,71 @@ class TestAttention:
         assert grad_check(f, ps).passed
 
 
+class TestAttentionHeads:
+    """``heads=H`` splits the last axis of q, k and v inside the one record:
+    a 3-D call equals the 4-D call on heads split on the tape by reshape and
+    transpose records, byte for byte, forward and adjoints, at f32 and f64."""
+
+    B, TQ, TK, H, D, DV = 3, 4, 6, 4, 2, 3
+    # row 0 has a gap, row 1 no valid key, row 2 every key
+    MASK = np.array([[1, 1, 0, 1, 0, 0], [0] * 6, [1] * 6], dtype=bool)
+
+    def run(self, arrays, mask, heads, presplit, dtype):
+        ps = ParamSet({n: a.astype(dtype) for n, a in arrays.items()})
+        weights = np.random.default_rng(2).normal(size=(self.B, self.TQ, self.H * self.DV))
+
+        def split(t):  # (B, T, H·d) -> (B, H, T, d)
+            return transpose(reshape(t, t.shape[:2] + (heads, -1)), (0, 2, 1, 3))
+
+        with Tape() as tape:
+            if presplit:
+                out = scaled_dot_attention(split(ps["q"]), split(ps["k"]), split(ps["v"]),
+                                           mask=None if mask is None else mask[:, None])
+                out = reshape(transpose(out, (0, 2, 1, 3)), (self.B, self.TQ, -1))
+            else:
+                out = scaled_dot_attention(ps["q"], ps["k"], ps["v"], mask=mask, heads=heads)
+            loss = sum_(mul(out, Tensor(weights.astype(dtype))))
+        backward(tape, loss, ps)
+        return out.data, {n: p.grad.copy() for n, p in ps.items()}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_equals_presplit_call(self, heads, masked, dtype):
+        rng = np.random.default_rng(21)
+        d, dv = self.H * self.D // heads, self.H * self.DV // heads
+        arrays = {"q": rng.normal(size=(self.B, self.TQ, heads * d)),
+                  "k": rng.normal(size=(self.B, self.TK, heads * d)),
+                  "v": rng.normal(size=(self.B, self.TK, heads * dv))}
+        mask = self.MASK if masked else None
+        out, grads = self.run(arrays, mask, heads, False, dtype)
+        ref_out, ref_grads = self.run(arrays, mask, heads, True, dtype)
+        assert out.shape == (self.B, self.TQ, self.H * self.DV)
+        assert out.tobytes() == ref_out.tobytes()
+        for n in "qkv":
+            assert grads[n].tobytes() == ref_grads[n].tobytes(), n
+        if masked:
+            np.testing.assert_array_equal(out[1], 0.0)
+        untaped = scaled_dot_attention(*(Tensor(arrays[n].astype(dtype)) for n in "qkv"),
+                                       mask=mask, heads=heads)
+        assert untaped.data.tobytes() == out.tobytes()
+
+    def test_one_record(self):
+        rng = np.random.default_rng(22)
+        q, k, v = (Tensor(rng.normal(size=(2, 3, 8))) for _ in range(3))
+        with Tape() as tape:
+            scaled_dot_attention(q, k, v, mask=np.ones((2, 3), dtype=bool), heads=4)
+        assert [r.op for r in tape.records] == ["scaled_dot_attention"]
+
+    @pytest.mark.parametrize("heads, q_dim, v_dim", [(0, 4, 4), (-2, 4, 4), (3, 4, 6),
+                                                     (2, 4, 3), (4, 2, 4)])
+    def test_heads_must_split_q_and_v(self, heads, q_dim, v_dim):
+        q, k = Tensor(np.zeros((2, 3, q_dim))), Tensor(np.zeros((2, 5, q_dim)))
+        v = Tensor(np.zeros((2, 5, v_dim)))
+        with pytest.raises(ShapeError, match="heads"):
+            scaled_dot_attention(q, k, v, heads=heads)
+
+
 class TestFusedAttention:
     """scaled_dot_attention is one record; it equals the per-op reference:
     f32 outputs bit for bit, f64 gradients within 1e-12."""

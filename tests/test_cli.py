@@ -154,6 +154,29 @@ class TestTrainCli:
         lib_history = (tmp_path / "lib_runs" / "seed_7" / "history.jsonl").read_bytes()
         assert cli_history == lib_history
 
+    def test_undefined_corr_prints_null(self, tmp_path, capsys):
+        # test labels that are all 0 leave the correlation undefined; stdout
+        # printed it as NaN, which is not JSON, while aggregate.json held null
+        bundle = make_synthetic_bundle(n_train=40, n_valid=10, n_test=10, seq_len=4,
+                                       feature_dim=3, seed=0)
+        for sample in bundle.manifest.samples:
+            if sample.split == "test":
+                sample.label_m = 0.0
+        write_bundle(bundle, tmp_path / "bundle")
+        assert cli_main(["train", "--bundle", str(tmp_path / "bundle"), "--model", "lf_dnn",
+                         "--seeds", "1", "--out", str(tmp_path / "runs"),
+                         "--set", "max_epochs=1"]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} in stdout")
+
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        means = json.loads(line, parse_constant=refuse)["metrics_mean"]
+        assert means["corr"] is None and means["mae"] is not None
+        (stamped,) = (tmp_path / "runs" / "lf_dnn").iterdir()
+        aggregate = json.loads((stamped / "aggregate.json").read_text(), parse_constant=refuse)
+        assert means == {k: m["mean"] for k, m in aggregate["metrics"].items()}
+
     def test_repeat_invocations_byte_identical(self, tmp_path, tiny_bundle_dir):
         argv = ["train", "--bundle", str(tiny_bundle_dir), "--model", "lf_dnn",
                 "--seeds", "1111", *fast_flags()]
@@ -233,6 +256,34 @@ class TestConfigParsing:
         assert self.train(tmp_path, tiny_bundle_dir, "--config", str(tmp_path / "cfg.json")) == 1
         err = capsys.readouterr().err
         assert "hidden_dims" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("override", ["dataset_name=[1,2]", 'dataset_name={"a":1}',
+                                          "dtype=null", "post_fusion_dim=[6]",
+                                          "optimizer.lr=null"])
+    def test_train_set_list_object_or_null_for_scalar_field(self, tmp_path, tiny_bundle_dir,
+                                                            capsys, override):
+        # dataset_name=[1,2] trained and wrote "dataset": "[1, 2]"; dtype=null
+        # became the string 'None'
+        assert self.train(tmp_path, tiny_bundle_dir, "--set", override) == 1
+        err = capsys.readouterr().err
+        assert f"config key {override.split('=')[0]!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_train_set_feature_dims_without_modalities(self, tmp_path, tiny_bundle_dir, capsys):
+        assert self.train(tmp_path, tiny_bundle_dir, "--set", "feature_dims={}") == 2
+        err = capsys.readouterr().err
+        assert "feature_dims" in err and "Traceback" not in err
+
+    def test_train_config_file_list_for_scalar_field(self, tmp_path, tiny_bundle_dir, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"dataset_name": [1, 2]}))
+        assert self.train(tmp_path, tiny_bundle_dir, "--config", str(tmp_path / "cfg.json")) == 1
+        err = capsys.readouterr().err
+        assert "config key 'dataset_name'" in err and "Traceback" not in err
+
+    def test_number_for_string_field_still_converts(self):
+        config = get_config_regression("lf_dnn")
+        config["dataset_name"] = 5
+        assert config["dataset_name"] == "5"
 
     @pytest.mark.parametrize("override", ["attn_heads=0", "attn_heads=-2", "attn_layers=0",
                                           "attn_layers=-1"])
@@ -434,6 +485,58 @@ class TestEvalCli:
                          str(tiny_bundle_dir), "--out", str(tmp_path / "eval")]) == 2
         err = capsys.readouterr().err
         assert "manifest.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("dtype", None), ("dtype", ["f32"]),
+                                            ("dropout", [0.0]), ("post_fusion_dim", {"n": 6}),
+                                            ("feature_dims", [4, 4, 4])])
+    def test_eval_manifest_list_object_or_null_for_scalar_field(
+            self, tmp_path, tiny_bundle_dir, trained_run, capsys, key, value):
+        # dtype null was read as the string 'None'
+        ckpt = self._edited_checkpoint(tmp_path, trained_run, key, value)
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--bundle",
+                         str(tiny_bundle_dir), "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert ("manifest.json" in err or key in err) and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [[], {}])
+    def test_eval_manifest_without_modalities_is_validation(self, tmp_path, tiny_bundle_dir,
+                                                            trained_run, capsys, value):
+        # the model was built with no modality and lf_dnn's head raised
+        # ZeroDivisionError from its init bound
+        ckpt = self._edited_checkpoint(tmp_path, trained_run, "feature_dims", value)
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--bundle",
+                         str(tiny_bundle_dir), "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert "feature_dims" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("size", ["3", " 3", 3.5, True, None])
+    def test_eval_param_shape_follows_scalar_rule(self, tmp_path, tiny_bundle_dir, trained_run,
+                                                  capsys, size):
+        # "3" and " 3" loaded through int() as the size 3
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_run / "seed_1111" / "checkpoint", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["params"][0]["shape"][0] = size
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--bundle",
+                         str(tiny_bundle_dir), "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", [["lf_dnn"], {"lf_dnn": 1}, None, 3, True])
+    def test_non_string_model_name_is_validation(self, tmp_path, tiny_bundle_dir, trained_run,
+                                                 capsys, name):
+        # ["lf_dnn"] ended in TypeError: unhashable type: 'list', exit 1
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_run / "seed_1111" / "checkpoint", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["model_name"] = name
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        for argv in (["eval", "--bundle", str(tiny_bundle_dir)],
+                     ["predict", "--tokens", "a b", "--config", str(tmp_path / "none.json")]):
+            assert cli_main([*argv, "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert "manifest.json" in err and "model_name" in err and "Traceback" not in err
 
     def test_eval_whole_float_in_manifest_loads_as_int(self, tmp_path, tiny_bundle_dir,
                                                        trained_run, capsys):

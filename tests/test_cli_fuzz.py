@@ -1,10 +1,10 @@
 """Property tests for the CLI's numeric flags and bundle manifests: whatever
 number or string a user passes to `perturb`/`eval --tagged` `--snr-db`,
 `--seed`, or `extract` `--lenient`/`--label-range`, and whatever JSON value of
-another type a bundle's manifest holds in place of one of its fields, the
-command exits 0, 1, 2 or 3 and prints no traceback. Every failure these found
-has a named regression test in test_cli.py, test_robustness.py,
-test_extractors.py or test_bundle.py."""
+another type a bundle's or a checkpoint's manifest holds in place of one of
+its fields, the command exits 0, 1, 2 or 3 and prints no traceback. Every
+failure these found has a named regression test in test_cli.py,
+test_robustness.py, test_extractors.py or test_bundle.py."""
 
 import contextlib
 import io
@@ -139,19 +139,25 @@ def _field_paths(node, path=()):
             yield from _field_paths(value, path + (key,))
 
 
-@settings(PROFILE, max_examples=300)  # each example runs in a few ms
-@given(data=st.data())
-def test_corrupt_manifest_fields(bundle_and_checkpoint, data):
-    bundle, checkpoint = bundle_and_checkpoint
-    doc = json.loads((bundle / "manifest.json").read_text())
-    doc["extractors"] = {"audio": {"kind": "mfcc", "params": {"n_mfcc": 20}}}
-    path = data.draw(st.sampled_from(sorted(_field_paths(doc), key=str)), label="field")
+def _replace_field(data, doc, paths) -> None:
+    """Replace the value at one of ``paths`` in ``doc`` with a drawn JSON
+    value of another type."""
+    path = data.draw(st.sampled_from(sorted(paths, key=str)), label="field")
     *parents, key = path
     owner = doc
     for step in parents:
         owner = owner[step]
     kind = _json_type(owner[key])
     owner[key] = data.draw(json_values.filter(lambda v: _json_type(v) != kind), label="value")
+
+
+@settings(PROFILE, max_examples=300)  # each example runs in a few ms
+@given(data=st.data())
+def test_corrupt_manifest_fields(bundle_and_checkpoint, data):
+    bundle, checkpoint = bundle_and_checkpoint
+    doc = json.loads((bundle / "manifest.json").read_text())
+    doc["extractors"] = {"audio": {"kind": "mfcc", "params": {"n_mfcc": 20}}}
+    _replace_field(data, doc, _field_paths(doc))
     with tempfile.TemporaryDirectory() as tmp:
         corrupt = Path(tmp) / "bundle"
         shutil.copytree(bundle, corrupt)
@@ -161,3 +167,18 @@ def test_corrupt_manifest_fields(bundle_and_checkpoint, data):
         _run(["eval", "--checkpoint", str(checkpoint), "--bundle", str(corrupt),
               "--out", str(Path(tmp) / "e"), "--split", "all", "--tagged", "--snr-db", "0",
               "--drop", "vision"])
+
+
+@settings(PROFILE, max_examples=300)
+@given(data=st.data())
+def test_corrupt_checkpoint_manifest_fields(bundle_and_checkpoint, data):
+    bundle, checkpoint = bundle_and_checkpoint
+    doc = json.loads((checkpoint / "manifest.json").read_text())
+    _replace_field(data, doc, [path for path in _field_paths(doc)
+                               if path[0] in ("model_name", "config", "params")])
+    with tempfile.TemporaryDirectory() as tmp:
+        corrupt = Path(tmp) / "checkpoint"
+        shutil.copytree(checkpoint, corrupt)
+        (corrupt / "manifest.json").write_text(json.dumps(doc))
+        _run(["eval", "--checkpoint", str(corrupt), "--bundle", str(bundle),
+              "--out", str(Path(tmp) / "e")])

@@ -23,7 +23,7 @@ from msa_forge.models import (
     save_checkpoint,
 )
 from msa_forge.synthetic import make_synthetic_bundle
-from reference_kernels import attention_per_op
+from reference_kernels import attention_per_op, mult_multihead_presplit
 
 
 TOY_SEQ_LENS = {"text": 4, "audio": 5, "vision": 3}
@@ -562,8 +562,9 @@ def per_head_multihead(model, base, cur, src, src_mask):
 
 
 class TestMultAttention:
-    """mult runs its heads as a batch axis of one scaled_dot_attention call;
-    it must equal the per-head formulation and keep one tape for any head count."""
+    """mult runs its heads inside one scaled_dot_attention call per (pair,
+    layer); it must equal the per-head formulation and its former pre-split
+    heads, and keep one tape for any head count."""
 
     @staticmethod
     def batch(cfg, drop_source):
@@ -599,6 +600,47 @@ class TestMultAttention:
         for n, g in grads.items():
             np.testing.assert_allclose(g, ref_grads[n], rtol=1e-10, atol=1e-10, err_msg=n)
         assert any(np.abs(g).max() > 0 for n, g in grads.items() if n.endswith(".k.w"))
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("drop_source", [False, True])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_bit_equal_to_presplit_heads(self, heads, drop_source, dtype, monkeypatch):
+        cfg = toy_config("mult", dtype=dtype, attn_heads=heads, attn_layers=2)
+        model = build_model(cfg)
+        batch = self.batch(cfg, drop_source)
+
+        def run():
+            with Tape() as tape:
+                out = model.forward(batch, train=True)
+                loss = model.loss(out, batch)
+            backward(tape, loss, model.params)
+            return out, model.params.grad.copy(), [r.op for r in tape.records]
+
+        out, grads, ops = run()
+        monkeypatch.setattr(models.MulTLite, "_multihead", mult_multihead_presplit)
+        ref, ref_grads, ref_ops = run()
+        for name in ("pred", "fusion_rep"):
+            assert getattr(out, name).data.tobytes() == getattr(ref, name).data.tobytes(), name
+        for m in out.uni_reps:
+            assert out.uni_reps[m].data.tobytes() == ref.uni_reps[m].data.tobytes(), m
+        assert grads.tobytes() == ref_grads.tobytes()
+        assert grads.any()
+        # 4 reshape and 4 transpose records per (pair, layer) are gone; the
+        # one reshape left is the head's (B, 1) -> (B,)
+        assert ops.count("transpose") == 0 and ops.count("reshape") == 1
+        assert len(ref_ops) - len(ops) == 8 * len(model.pairs) * cfg.attn_layers
+
+    def test_default_training_tape(self):
+        # per (pair, layer): 3 linear, the attention and the residual add
+        bundle = make_synthetic_bundle()
+        cfg = ModelConfig("mult", feature_dims={m: b.feature_dim for m, b in bundle.blocks.items()})
+        model = build_model(cfg)
+        batch = batch_from_bundle(split_view(bundle, "train"), list(range(32)))
+        with Tape() as tape:
+            model.loss(model.forward(batch, train=True), batch)
+        ops = [r.op for r in tape.records]
+        assert len(ops) == 53 and ops.count("scaled_dot_attention") == 6
+        assert "transpose" not in ops and ops.count("reshape") == 1
 
     def test_tape_length_does_not_depend_on_heads(self):
         lengths = set()

@@ -1,5 +1,6 @@
 """The synthetic generator against its per-sample reference: the vectorized
-draw must give byte-identical blocks and manifests."""
+draw must give byte-identical blocks and manifests. ``latent_readout_labels``
+is the generator's linear-readout oracle, which acceptance criterion 5 uses."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,17 @@ import pytest
 from msa_forge.bundle import (MODALITIES, SCENARIOS, FeatureBundle, Manifest, ModalityBlock,
                               SampleMeta)
 from msa_forge.synthetic import make_synthetic_bundle
+
+
+def latent_readout_labels(bundle: FeatureBundle) -> np.ndarray:
+    """Recover the label from the features alone: read each modality's
+    latent off feature dim 0 of the first valid frame and sum. This is the
+    linear-readout oracle for the generator."""
+    lo, hi = bundle.manifest.label_range
+    total = np.zeros(bundle.n, dtype=np.float64)
+    for block in bundle.blocks.values():
+        total += block.data[:, 0, 0].astype(np.float64)
+    return np.clip(total, lo, hi)
 
 
 def reference_bundle(n_train=700, n_valid=150, n_test=150, seq_len=20, feature_dim=8, seed=0,
