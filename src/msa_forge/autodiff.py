@@ -676,10 +676,6 @@ def _lstm_cell(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # kernels whose bits depend on the row's place. So the pass never steps fewer
 # than min(B, 8) rows, and with another hidden size it steps every row.
 LSTM_MIN_ROWS = 8
-# Until at most this share of the rows still runs, the gathers and scatters of
-# the sorted order cost more than the rows it leaves out (mfn's 150-row
-# validation batches, T = 20), so the pass steps every row in batch order.
-LSTM_SORT_SHARE = 7 / 8
 
 
 def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
@@ -708,12 +704,11 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
     a zero (B, T, 2, H) adjoint with g at ``[:, -1, 0]``.
 
     Without a tape nothing is kept for a backward, x is projected one step
-    at a time, and once no more than ``LSTM_SORT_SHARE`` of the rows run, a
-    step runs only the rows that still have a valid step at or after it,
-    never fewer than ``min(B, LSTM_MIN_ROWS)``: a prefix of the rows sorted
-    by their last valid step (:func:`_lstm_live_rows`). Each row meets the
-    same arithmetic as in a pass over all rows, so the states keep their
-    bits.
+    at a time, and the rows run in one order, sorted once by their last
+    valid step: a step runs only the prefix of that order that still has a
+    valid step at or after it, never fewer than ``min(B, LSTM_MIN_ROWS)``
+    rows (:func:`_lstm_live_rows`). Each row meets the same arithmetic as
+    in a pass over all rows, so the states keep their bits.
     """
     if not xs or not len(xs) == len(masks) == len(params):
         raise ShapeError(f"lstm_sequence needs one mask and one parameter set per input, got "
@@ -741,7 +736,6 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
 
     width = bounds[-1]
     step_mask = np.stack([m.T for m in masks], axis=2)   # (T, B, groups)
-    any_step = step_mask.any(axis=(1, 2))
     full_step = step_mask.all(axis=(1, 2))
     # (T, B, H): group k's mask repeated over its units; one group broadcasts
     unit_mask = step_mask if len(hids) == 1 else np.repeat(step_mask, hids, axis=2)
@@ -753,17 +747,16 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
     h = c = np.zeros((n, width), dtype=dtype)
     with np.errstate(over="ignore"):  # for _sigmoid
         for t in range(steps):
-            if any_step[t]:
-                z = gates[t]
-                for _, _, whd, _, lo, hi in groups:
-                    z_k = z[..., lo:hi].transpose(1, 0, 2)  # (B, 4, h), as the GEMMs write
-                    z_k += (h[:, lo:hi] @ whd).reshape(n, 4, hi - lo)
-                h_new, c_new = _lstm_cell(z, c)
-                if full_step[t]:
-                    h, c = h_new, c_new
-                else:
-                    m = unit_mask[t]
-                    h, c = np.where(m, h_new, h), np.where(m, c_new, c)
+            z = gates[t]
+            for _, _, whd, _, lo, hi in groups:
+                z_k = z[..., lo:hi].transpose(1, 0, 2)  # (B, 4, h), as the GEMMs write
+                z_k += (h[:, lo:hi] @ whd).reshape(n, 4, hi - lo)
+            h_new, c_new = _lstm_cell(z, c)
+            if full_step[t]:
+                h, c = h_new, c_new
+            else:
+                m = unit_mask[t]
+                h, c = np.where(m, h_new, h), np.where(m, c_new, c)
             states[:, t, 0] = h
             states[:, t, 1] = c
     out = Tensor(states[:, -1, 0].copy() if last_h else states)
@@ -791,10 +784,6 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
         for t in range(steps - 1, -1, -1):
             dh = dh + g[:, t, 0]
             dc = dc + g[:, t, 1]
-            if not any_step[t]:
-                for dz_k in dz_groups:
-                    dz_k[:, t] = 0.0
-                continue
             gates_t = gates[t]
             dc_in = dh * gates_t[3]
             dc_in *= one_minus_tanh2[t]
@@ -846,15 +835,14 @@ def _live_row_order(valid: np.ndarray, hids: list[int]) -> tuple[np.ndarray, np.
     (B, T) marks the steps a row takes in any group: rows sorted stably by
     their last valid step, latest first, and at step t the rows with a valid
     step at or after t, never fewer than ``min(B, LSTM_MIN_ROWS)``. All B
-    rows while more than ``LSTM_SORT_SHARE`` of them run, and at every step
-    when a hidden size is not a multiple of 4 (see ``LSTM_MIN_ROWS``)."""
+    rows in batch order at every step when a hidden size is not a multiple
+    of 4 (see ``LSTM_MIN_ROWS``)."""
     n, steps = valid.shape
     if any(hid % 4 for hid in hids) or n <= LSTM_MIN_ROWS:
         return np.arange(n), np.full(steps, n)
     # one past each row's last valid step, 0 for a row with none
     ends = (valid * np.arange(1, steps + 1)).max(axis=1, initial=0)
     live = (ends[:, None] > np.arange(steps)).sum(axis=0)
-    live[live > LSTM_SORT_SHARE * n] = n
     return np.argsort(-ends, kind="stable"), np.maximum(live, LSTM_MIN_ROWS)
 
 
@@ -865,66 +853,56 @@ def _lstm_live_rows(groups, masks: list[np.ndarray], hids: list[int], dtype,
     ``last_h`` the (B, H) h after the final step.
 
     The rows are ordered once, stably, by their last valid step in any
-    group, so the rows that still have a valid step at or after step t are
-    a prefix of that order; only that prefix, and never fewer than
-    ``min(B, LSTM_MIN_ROWS)`` rows, is stepped once no more than
-    ``LSTM_SORT_SHARE`` of the rows run (:func:`_live_row_order`). Rows in
-    it whose mask is false at t blend as in the taped pass. The rows stay
-    in batch order while every row is stepped; from the first step that
-    leaves one out, h and c are kept in the sorted order, x is projected
-    one step at a time from the rows gathered in it, and each step's
-    states are scattered back to batch order. Each row meets the same GEMMs
-    and elementwise ops on the same values as in a pass over all rows, so
-    the states keep their bits.
+    group (:func:`_live_row_order`), and h and c are kept in that order
+    from the first step. The rows that still have a valid step at or after
+    step t are a prefix of it; only that prefix, and never fewer than
+    ``min(B, LSTM_MIN_ROWS)`` rows, is stepped: x is projected one step at
+    a time from its rows, gathered in that order, and each step's states
+    are scattered back to batch order. Rows in the prefix whose mask is
+    false at t blend as in the taped pass. When every step runs every row,
+    the order is the batch's and the steps read views. Each row meets the
+    same GEMMs and elementwise ops on the same values as in a pass over all
+    rows, so the states keep their bits.
     """
     n, steps = masks[0].shape
     width = sum(hids)
-    valid = np.logical_or.reduce(masks)                 # (B, T): in any group
-    any_step = valid.any(axis=0)
-    order, live = _live_row_order(valid, hids)
-    switch = int((live == n).sum())   # the first step that leaves a row out
-
-    def by_step(a):  # (B, T) -> (T, B), each step's rows in the order it runs them
-        return np.concatenate([a[:, :switch].T, a[order, switch:].T])
-
-    step_mask = np.stack([by_step(m) for m in masks], axis=2)
+    order, live = _live_row_order(np.logical_or.reduce(masks), hids)
+    if (live == n).all():  # the order is the batch's: no gathers
+        order = slice(None)
+    step_mask = np.stack([m[order].T for m in masks], axis=2)   # (T, B, groups)
     unit_mask = step_mask if len(hids) == 1 else np.repeat(step_mask, hids, axis=2)
-    # [t, r]: rows 0..r of step t's row order all take the step in every group
-    prefix_full = np.logical_and.accumulate(by_step(np.logical_and.reduce(masks)), axis=1)
+    # [t, r]: rows 0..r of the order all take step t in every group
+    prefix_full = np.logical_and.accumulate(np.logical_and.reduce(masks)[order].T, axis=1)
 
     z_buf = np.empty(4 * n * width, dtype=dtype)
-    h = c = np.zeros((n, width), dtype=dtype)
-    rows = slice(None)
+    h, c = np.zeros((n, width), dtype=dtype), np.zeros((n, width), dtype=dtype)
     states = None if last_h else np.empty((n, steps, 2, width), dtype=dtype)
     with np.errstate(over="ignore"):  # for _sigmoid
         for t in range(steps):
-            if t == switch:
-                h, c, rows = h[order], c[order], order
-            if any_step[t]:
-                k = live[t]
-                stepped = rows if k == n else rows[:k]
-                z = z_buf[:4 * k * width].reshape(4, k, width)
-                for xd, wxd, whd, b4, lo, hi in groups:
-                    # (x @ Wx + b) + h @ Wh batch-major, then one transposed copy
-                    xw = (xd[stepped, t] @ wxd).reshape(k, 4, hi - lo)
-                    xw += b4
-                    xw += (h[:k, lo:hi] @ whd).reshape(k, 4, hi - lo)
-                    z[..., lo:hi].transpose(1, 0, 2)[...] = xw
-                h_new, c_new = _lstm_cell(z, c[:k])
-                if not prefix_full[t, k - 1]:
-                    m = unit_mask[t, :k]
-                    h_new, c_new = np.where(m, h_new, h[:k]), np.where(m, c_new, c[:k])
-                if k == n:
-                    h, c = h_new, c_new
-                else:
-                    h[:k], c[:k] = h_new, c_new
+            k = live[t]
+            stepped = order if k == n else order[:k]
+            z = z_buf[:4 * k * width].reshape(4, k, width)
+            for xd, wxd, whd, b4, lo, hi in groups:
+                # (x @ Wx + b) + h @ Wh batch-major, then one transposed copy
+                xw = (xd[stepped, t] @ wxd).reshape(k, 4, hi - lo)
+                xw += b4
+                xw += (h[:k, lo:hi] @ whd).reshape(k, 4, hi - lo)
+                z[..., lo:hi].transpose(1, 0, 2)[...] = xw
+            h_new, c_new = _lstm_cell(z, c[:k])
+            if k and not prefix_full[t, k - 1]:   # k is 0 only in an empty batch
+                m = unit_mask[t, :k]
+                h_new, c_new = np.where(m, h_new, h[:k]), np.where(m, c_new, c[:k])
+            if k == n:
+                h, c = h_new, c_new
+            else:
+                h[:k], c[:k] = h_new, c_new
             if states is not None:
-                states[rows, t, 0] = h
-                states[rows, t, 1] = c
+                states[order, t, 0] = h
+                states[order, t, 1] = c
     if not last_h:
         return states
     out = np.empty_like(h)
-    out[rows] = h
+    out[order] = h
     return out
 
 

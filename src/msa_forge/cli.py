@@ -37,7 +37,7 @@ from .analysis import (
     pca_project,
     require_finite_rows,
 )
-from .bundle import read_bundle, read_json_object, split_view, write_bundle
+from .bundle import _number, read_bundle, read_json_object, split_view, write_bundle
 from .errors import MsaForgeError, UsageError, ValidationError, parsing
 from .extractors import (
     EmbeddingTable,
@@ -383,7 +383,8 @@ def _cmd_report(args) -> int:
         for path in sorted(root.rglob("aggregate.json")):
             with parsing(path):
                 doc = read_json_object(path)
-                metrics = {key: doc["metrics"][key]["mean"] for key in doc["metrics"]}
+                metrics = {key: _number(doc["metrics"][key]["mean"], optional=True)
+                           for key in doc["metrics"]}
                 results.setdefault(doc["model"], {})[doc["dataset"]] = metrics
         if not results:
             raise ValidationError(f"no aggregate.json found under {root}")

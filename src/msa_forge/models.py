@@ -774,7 +774,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         shapes = {entry["name"]: tuple(coerce_scalar(0, n) for n in entry["shape"])
                   for entry in manifest["params"]}
         extractor_record(manifest)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ModelError) as exc:
         raise ModelError(f"{manifest_path} is malformed: {exc!r}") from exc
     model = build_model(config)
     blocks = read_named_arrays(root / "params.bin")

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analysis import _render_table, compute_metrics, require_finite_rows
-from .bundle import INSTANCE_TYPES, FeatureBundle, ModalityBlock
+from .bundle import INSTANCE_TYPES, FeatureBundle, ModalityBlock, _number, _typed
 from .errors import ValidationError
 from .models import Batch, ModalityInput, Model
 from .trainer import _eval_outputs
@@ -235,8 +235,9 @@ class TaggedEvalReport:
 def tagged_report_from_dict(doc: Mapping) -> TaggedEvalReport:
     """Inverse of TaggedEvalReport.as_dict (for report rendering from disk)."""
     def row(entry):
-        return None if entry is None else TypeRow(acc2=entry["acc2"], f1=entry["f1"],
-                                                  n=entry["n"])
+        return None if entry is None else TypeRow(acc2=_number(entry["acc2"]),
+                                                  f1=_number(entry["f1"]),
+                                                  n=_typed(entry["n"], int))
     return TaggedEvalReport(
         rows={t: row(r) for t, r in doc["rows"].items()},
         avg_by_type=row(doc.get("avg_by_type")),

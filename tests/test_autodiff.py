@@ -627,20 +627,39 @@ class TestStepMajorLstm:
 
     HIDDEN, DIMS, BATCH = (32, 16, 16), (8, 5, 3), 5
 
-    def _masks(self, kind, groups, steps, rng):
+    def _masks(self, kind, groups, steps, rng, batch=BATCH):
         if kind != "partial":
-            return [np.full((self.BATCH, steps), kind == "full")] * groups
+            return [np.full((batch, steps), kind == "full")] * groups
         # each group's rows stop at their own lengths (0 included); row k of
         # group k runs to the end, and group 0 skips a step in its first row
         masks = []
         for k in range(groups):
-            lengths = rng.integers(0, steps + 1, size=self.BATCH)
+            lengths = rng.integers(0, steps + 1, size=batch)
             lengths[k] = steps
             mask = np.arange(steps)[None] < lengths[:, None]
             if k == 0 and steps > 2:
                 mask[0, steps // 2] = False
             masks.append(mask)
         return masks
+
+    def _arrays(self, groups, batch, steps, dtype, rng):
+        arrays = {}
+        for k, (hid, d) in enumerate(zip(self.HIDDEN[:groups], self.DIMS[:groups])):
+            arrays.update({f"x{k}": rng.normal(size=(batch, steps, d)),
+                           f"wx{k}": rng.normal(size=(d, 4 * hid)) * 0.4,
+                           f"wh{k}": rng.normal(size=(hid, 4 * hid)) * 0.4,
+                           f"b{k}": rng.normal(size=(4 * hid,))})
+        return {name: a.astype(dtype) for name, a in arrays.items()}
+
+    def _assert_equal_to_batch_major(self, arrays, masks, weights):
+        for taped in (False, True):
+            out, grads = self._run(lstm_sequence, arrays, masks, weights, taped)
+            ref, ref_grads = self._run(lstm_sequence_batch_major, arrays, masks, weights, taped)
+            _assert_same_bits(out, ref, f"states, taped={taped}")
+            assert grads.keys() == ref_grads.keys()
+            for name in grads:
+                _assert_same_bits(grads[name], ref_grads[name], name)
+        return out
 
     def _run(self, kernel, arrays, masks, weights, taped):
         params = ParamSet({name: a.copy() for name, a in arrays.items()})
@@ -661,24 +680,32 @@ class TestStepMajorLstm:
     @pytest.mark.parametrize("groups", [1, 2, 3])
     def test_bit_equal_to_batch_major_kernel(self, groups, kind, steps, dtype):
         rng = np.random.default_rng(60 + groups)
-        arrays = {}
-        for k, (hid, d) in enumerate(zip(self.HIDDEN[:groups], self.DIMS[:groups])):
-            arrays.update({f"x{k}": rng.normal(size=(self.BATCH, steps, d)),
-                           f"wx{k}": rng.normal(size=(d, 4 * hid)) * 0.4,
-                           f"wh{k}": rng.normal(size=(hid, 4 * hid)) * 0.4,
-                           f"b{k}": rng.normal(size=(4 * hid,))})
-        arrays = {name: a.astype(dtype) for name, a in arrays.items()}
+        arrays = self._arrays(groups, self.BATCH, steps, dtype, rng)
         masks = self._masks(kind, groups, steps, rng)
         weights = rng.normal(size=(self.BATCH, steps, 2, sum(self.HIDDEN[:groups]))).astype(dtype)
-        for taped in (False, True):
-            out, grads = self._run(lstm_sequence, arrays, masks, weights, taped)
-            ref, ref_grads = self._run(lstm_sequence_batch_major, arrays, masks, weights, taped)
-            _assert_same_bits(out, ref, f"states, taped={taped}")
-            assert grads.keys() == ref_grads.keys()
-            for name in grads:
-                _assert_same_bits(grads[name], ref_grads[name], name)
+        out = self._assert_equal_to_batch_major(arrays, masks, weights)
         if kind == "none":
             np.testing.assert_array_equal(out, 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    def test_steps_no_row_takes(self, groups, dtype):
+        # both passes run a step that no row takes in any group, here the last
+        # three and one in the middle, and blend it away. 12 rows and hidden
+        # sizes that are multiples of 4 make the untaped pass step a sorted
+        # prefix of at least 8 rows through them.
+        batch, steps = 12, 12
+        rng = np.random.default_rng(70 + groups)
+        arrays = self._arrays(groups, batch, steps, dtype, rng)
+        masks = self._masks("partial", groups, steps - 3, rng, batch)
+        masks = [np.pad(m, ((0, 0), (0, 3))) for m in masks]
+        for m in masks:
+            m[:, 4] = False
+        assert not np.logical_or.reduce(masks)[:, [4, 9, 10, 11]].any()
+        weights = rng.normal(size=(batch, steps, 2, sum(self.HIDDEN[:groups]))).astype(dtype)
+        out = self._assert_equal_to_batch_major(arrays, masks, weights)
+        np.testing.assert_array_equal(out[:, 4], out[:, 3])
+        np.testing.assert_array_equal(out[:, 9:], np.repeat(out[:, 8:9], 3, axis=1))
 
 
 class TestLiveRowLstm:
@@ -759,19 +786,26 @@ class TestLiveRowLstm:
 
     def test_row_order_and_counts(self):
         # rows end after steps 3, 9, 0 (no valid step), 9, 6, ... and the
-        # rows still running form a prefix of the order, never below 8 rows;
-        # while more than 7/8 of the rows run (11 of 12 at step 0), all do
+        # rows still running form a prefix of the order, never below 8 rows
         ends = np.array([3, 9, 0, 9, 6, 1, 9, 2, 5, 7, 4, 8])
         valid = np.arange(10) < ends[:, None]
         valid[1, 4] = False   # a gap leaves row 1's end where it is
         order, live = ad._live_row_order(valid, [4, 8])
         np.testing.assert_array_equal(order, [1, 3, 6, 11, 9, 4, 8, 10, 0, 7, 5, 2])
-        np.testing.assert_array_equal(live, [12, 10, 9, 8, 8, 8, 8, 8, 8, 8])
+        np.testing.assert_array_equal(live, [11, 10, 9, 8, 8, 8, 8, 8, 8, 8])
         # a hidden size of no multiple of 4, or 8 rows, steps every row in batch order
         for hids, rows in (([4, 6], 12), ([4, 8], 8)):
             order, live = ad._live_row_order(valid[:rows], hids)
             np.testing.assert_array_equal(order, np.arange(rows))
             np.testing.assert_array_equal(live, rows)
+
+    def test_empty_batch(self):
+        # a batch of no rows steps no row
+        params = {"wx": Tensor(np.ones((2, 16))), "wh": Tensor(np.ones((4, 16))),
+                  "b": Tensor(np.zeros(16))}
+        x, mask = Tensor(np.ones((0, 3, 2))), np.ones((0, 3), dtype=bool)
+        assert lstm_sequence([x], [mask], [params]).shape == (0, 3, 2, 4)
+        assert lstm_sequence([x], [mask], [params], last_h=True).shape == (0, 4)
 
 
 class TestAttention:

@@ -538,6 +538,21 @@ class TestEvalCli:
             err = capsys.readouterr().err
             assert "manifest.json" in err and "model_name" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, field, value", [("eval", "attn_heads", 0),
+                                                       ("predict", "dropout", 1.5)],
+                             ids=["eval-attn_heads", "predict-dropout"])
+    def test_out_of_range_config_names_the_manifest(self, tmp_path, tiny_bundle_dir,
+                                                    trained_run, capsys, command, field, value):
+        # a well-typed value that ModelConfig.validate refuses printed only
+        # "Error: attn_heads must be >= 1, got 0", which does not name the file
+        ckpt = self._edited_checkpoint(tmp_path, trained_run, field, value)
+        argv = {"eval": ["--bundle", str(tiny_bundle_dir)],
+                "predict": ["--tokens", "a b", "--config", str(tmp_path / "none.json")]}
+        assert cli_main([command, *argv[command], "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt / 'manifest.json'}" in err and field in err and "Traceback" not in err
+
     def test_eval_whole_float_in_manifest_loads_as_int(self, tmp_path, tiny_bundle_dir,
                                                        trained_run, capsys):
         original = trained_run / "seed_1111" / "checkpoint"
@@ -674,6 +689,25 @@ class TestReportCli:
         assert cli_main(["report", "--runs", str(tmp_path), "--style", "table4"]) == 2
         err = capsys.readouterr().err
         assert "aggregate.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mean", ["abc", [1], True], ids=["string", "list", "bool"])
+    def test_table4_non_numeric_mean_is_validation(self, tmp_path, capsys, mean):
+        # "abc" ended in a ValueError and [1] in a TypeError from _fmt_cell
+        (tmp_path / "aggregate.json").write_text(json.dumps(
+            {"model": "lf_dnn", "dataset": "synthetic",
+             "metrics": {"acc2": {"mean": mean}, "mae": {"mean": None}}}))
+        assert cli_main(["report", "--runs", str(tmp_path), "--style", "table4"]) == 2
+        err = capsys.readouterr().err
+        assert "aggregate.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("acc2", ["x", None], ids=["string", "null"])
+    def test_table5_non_numeric_acc2_is_validation(self, tmp_path, capsys, acc2):
+        # "x" ended in a ValueError and null in a TypeError from robustness._cell
+        (tmp_path / "tagged_report.json").write_text(json.dumps(
+            {"model": "lf_dnn", "report": {"rows": {"easy": {"acc2": acc2, "f1": 0.5, "n": 3}}}}))
+        assert cli_main(["report", "--runs", str(tmp_path), "--style", "table5"]) == 2
+        err = capsys.readouterr().err
+        assert "tagged_report.json" in err and "Traceback" not in err
 
     def test_table5_report_without_report_is_validation(self, tmp_path, capsys):
         (tmp_path / "tagged_report.json").write_text(json.dumps({"model": "lf_dnn"}))

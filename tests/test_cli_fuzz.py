@@ -1,8 +1,9 @@
 """Property tests for the CLI's numeric flags and bundle manifests: whatever
 number or string a user passes to `perturb`/`eval --tagged` `--snr-db`,
 `--seed`, or `extract` `--lenient`/`--label-range`, and whatever JSON value of
-another type a bundle's or a checkpoint's manifest holds in place of one of
-its fields, the command exits 0, 1, 2 or 3 and prints no traceback. Every
+another type a bundle's or a checkpoint's manifest, an `aggregate.json` or a
+`tagged_report.json` holds in place of one of its fields, the command exits
+0, 1, 2 or 3 and prints no traceback. Every
 failure these found has a named regression test in test_cli.py,
 test_robustness.py, test_extractors.py or test_bundle.py."""
 
@@ -182,3 +183,28 @@ def test_corrupt_checkpoint_manifest_fields(bundle_and_checkpoint, data):
         (corrupt / "manifest.json").write_text(json.dumps(doc))
         _run(["eval", "--checkpoint", str(corrupt), "--bundle", str(bundle),
               "--out", str(Path(tmp) / "e")])
+
+
+@pytest.fixture(scope="module")
+def report_docs(bundle_and_checkpoint, tmp_path_factory):
+    """The aggregate.json of the fixture's training run and a tagged_report.json
+    of its checkpoint, by file name."""
+    bundle, checkpoint = bundle_and_checkpoint
+    out = tmp_path_factory.mktemp("fuzz_report") / "eval"
+    assert cli_main(["eval", "--checkpoint", str(checkpoint), "--bundle", str(bundle),
+                     "--out", str(out), "--split", "all", "--tagged", "--drop", "vision"]) == 0
+    return {name: json.loads(path.read_text())
+            for name, path in (("aggregate.json", checkpoint.parent.parent / "aggregate.json"),
+                               ("tagged_report.json", out / "tagged_report.json"))}
+
+
+@settings(PROFILE, max_examples=300)
+@given(data=st.data())
+def test_corrupt_report_fields(report_docs, data):
+    style, name = data.draw(st.sampled_from([("table4", "aggregate.json"),
+                                             ("table5", "tagged_report.json")]), label="input")
+    doc = json.loads(json.dumps(report_docs[name]))
+    _replace_field(data, doc, _field_paths(doc))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / name).write_text(json.dumps(doc))
+        assert _run(["report", "--runs", tmp, "--style", style]) in (0, 2)
