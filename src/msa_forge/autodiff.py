@@ -742,7 +742,7 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
     states = np.empty((n, steps, 2, width), dtype=dtype)
     gates = np.empty((steps, 4, n, width), dtype=dtype)  # every step's, kept for the backward
     for xd, wxd, _, b4, lo, hi in groups:
-        xw = xd.reshape(n * steps, -1) @ wxd
+        xw = xd.reshape(n * steps, wxd.shape[0]) @ wxd
         np.add(xw.reshape(n, steps, 4, hi - lo), b4, out=gates[..., lo:hi].transpose(2, 0, 1, 3))
     h = c = np.zeros((n, width), dtype=dtype)
     with np.errstate(over="ignore"):  # for _sigmoid
@@ -820,7 +820,7 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
             h_prev = np.zeros((n, steps, hi - lo), dtype=dtype)
             h_prev[:, 1:] = states[:, :-1, 0, lo:hi]
             adjoints += [(x, (dz_flat @ wxd.T).reshape(xd.shape)),
-                         (wx, xd.reshape(n * steps, -1).T @ dz_flat),
+                         (wx, xd.reshape(n * steps, wxd.shape[0]).T @ dz_flat),
                          (wh, h_prev.reshape(n * steps, hi - lo).T @ dz_flat),
                          (b, dz_flat.sum(axis=0))]
         return adjoints

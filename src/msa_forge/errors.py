@@ -57,6 +57,11 @@ class TrainingDivergedError(MsaForgeError):
         self.param_name = param_name
         super().__init__(message)
 
+    def __reduce__(self):
+        # pickle calls cls(*args); keep the epoch and parameter name, so the
+        # error crosses from a worker process with its class intact
+        return type(self), (self.epoch, self.param_name, *self.args), self.__dict__
+
 
 class MetricError(ValidationError):
     """A metric is undefined for the given inputs (e.g. zero-variance

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -30,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from ._blas import one_blas_thread
 from ._heap import keep_freed_memory
 from .analysis import METRIC_KEYS, MetricReport, compute_metrics
 from .bundle import FeatureBundle, split_view
@@ -299,7 +301,9 @@ def _eval_outputs(model: Model, view: FeatureBundle, rows=None, perturb=None):
                           EVAL_BATCH_SIZE, model.dtype):
         if perturb is not None:
             batch = perturb(batch)  # rebound, so the clean arrays go before the forward
-        yield model.forward(batch, train=False)
+        with one_blas_thread():
+            out = model.forward(batch, train=False)
+        yield out
 
 
 def _evaluate(model: Model, view: FeatureBundle, capture: bool = False):
@@ -331,8 +335,14 @@ def train_run(config: TrainConfig, bundle: FeatureBundle, seed: int,
               run_dir=None) -> RunResult:
     """One seeded training run: Adam on L1 (+ auxiliary) loss, early
     stopping on validation MAE, best-checkpoint restore, test evaluation,
-    and representation capture."""
+    and representation capture. BLAS runs on one thread throughout, so the
+    artifacts do not depend on the caller's BLAS thread count."""
     keep_freed_memory()
+    with one_blas_thread():
+        return _train_run(config, bundle, seed, run_dir)
+
+
+def _train_run(config: TrainConfig, bundle: FeatureBundle, seed: int, run_dir) -> RunResult:
     config.validate()
     train = split_view(bundle, "train")
     valid = split_view(bundle, "valid")
@@ -455,12 +465,62 @@ def _timestamp_dir(root: Path, model_name: str) -> Path:
     return candidate
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _train_seeds(config: TrainConfig, bundle: FeatureBundle, runs: list) -> list[RunResult]:
+    """Train each ``(seed, run_dir)`` of ``runs`` in slot ``i % slots``, slot 0
+    in this process and the others in worker processes, and return the
+    results in ``runs`` order; raise the lowest-index failure."""
+    slots = min(len(runs), _usable_cpus())
+    helpers = []
+    if slots > 1:
+        from . import _worker
+        helpers = _worker.workers(slots - 1)
+    outcomes = [None] * len(runs)
+    try:
+        for k, helper in enumerate(helpers, 1):
+            helper.submit(config, bundle, runs[k::slots])
+        for i in range(0, len(runs), slots):
+            seed, run_dir = runs[i]
+            try:
+                outcomes[i] = (True, train_run(config, bundle, seed, run_dir=run_dir))
+            except Exception as exc:
+                outcomes[i] = (False, exc)
+                break
+        for k, helper in enumerate(helpers, 1):
+            outcomes[k::slots] = helper.collect()
+    except BaseException:
+        for helper in helpers:  # partway through an exchange: unusable for the next run
+            helper.kill()
+        raise
+    for outcome in outcomes:
+        if outcome is not None and not outcome[0]:
+            raise outcome[1]
+    return [result for _, result in outcomes]
+
+
 def multi_seed_run(config: TrainConfig, bundle: FeatureBundle,
                    out_root=None, run_dir=None) -> MultiSeedResult:
     """Run every configured seed and aggregate per-metric mean/std.
 
-    Seeds run one after another; a failing seed aborts aggregation while
-    completed run directories stay on disk.
+    Seeds train side by side in ``min(len(seeds), CPUs)`` slots, the CPUs
+    being those this process may run on (its affinity where the platform
+    reports one). Slot 0 is this process; each other slot is a worker
+    process (:mod:`msa_forge._worker`), started on the first run that needs
+    it and kept until this interpreter exits. Seed ``i`` trains in slot
+    ``i % slots``. BLAS runs one thread in every slot, so a seed writes the
+    same bytes in any slot, and results, run directories and
+    ``aggregate.json`` come in seed order. To train the seeds one after
+    another in this process, restrict it to one CPU (``taskset -c 0``).
+
+    A slot starts no further seed after one fails. The failure of the
+    lowest-index failing seed is raised with its own class, and completed
+    run directories stay on disk.
     """
     config.validate()
     if run_dir is not None:
@@ -473,9 +533,8 @@ def multi_seed_run(config: TrainConfig, bundle: FeatureBundle,
         parent.mkdir(parents=True, exist_ok=True)
 
     seeds = list(config.seeds)
-    results = [train_run(config, bundle, seed,
-                         run_dir=None if parent is None else parent / f"seed_{seed}")
-               for seed in seeds]
+    results = _train_seeds(config, bundle, [
+        (seed, None if parent is None else parent / f"seed_{seed}") for seed in seeds])
 
     mean: dict[str, float] = {}
     std: dict[str, float] = {}

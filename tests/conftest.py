@@ -1,6 +1,15 @@
+import os
+
 import pytest
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+def pytest_configure(config):
+    # tests run on at most 2 CPUs, so multi_seed_run starts at most one worker
+    # process, here and in the interpreters tests start
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
 
 
 @pytest.fixture(scope="session")

@@ -67,7 +67,7 @@ from msa_forge.models import (
 )
 from msa_forge.robustness import PerturbationSpec, add_feature_noise, drop_modality, evaluate_tagged, render_tagged_reports
 from msa_forge.synthetic import make_synthetic_bundle
-from msa_forge.trainer import get_config_regression, train_run
+from msa_forge.trainer import get_config_regression, multi_seed_run, train_run
 from reference_kernels import sum_
 from test_synthetic import latent_readout_labels
 
@@ -139,12 +139,8 @@ def zoo_checkpoints(synthetic_bundle, tmp_path_factory):
         config = get_config_regression(name, "synthetic")
         config["max_epochs"] = 10
         config["patience"] = 10
-        paths = []
-        for seed in config.seeds:
-            run_dir = root / name / f"seed_{seed}"
-            result = train_run(config, synthetic_bundle, seed, run_dir=run_dir)
-            paths.append(result.checkpoint_path)
-        out[name] = paths
+        result = multi_seed_run(config, synthetic_bundle, run_dir=root / name)
+        out[name] = [run.checkpoint_path for run in result.per_seed]
     return out
 
 

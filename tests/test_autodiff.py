@@ -807,6 +807,22 @@ class TestLiveRowLstm:
         assert lstm_sequence([x], [mask], [params]).shape == (0, 3, 2, 4)
         assert lstm_sequence([x], [mask], [params], last_h=True).shape == (0, 4)
 
+    @pytest.mark.parametrize("last_h", [False, True])
+    def test_empty_batch_under_a_tape(self, last_h):
+        # the taped pass returns empty states, an empty x adjoint and zero
+        # weight gradients, not numpy's reshape error
+        rng = np.random.default_rng(3)
+        params = ParamSet({"wx": rng.normal(size=(2, 16)), "wh": rng.normal(size=(4, 16)),
+                           "b": rng.normal(size=16)})
+        x, mask = Tensor(np.ones((0, 3, 2))), np.ones((0, 3), dtype=bool)
+        with Tape() as tape:
+            out = lstm_sequence([x], [mask], [dict(params.items())], last_h=last_h)
+            loss = sum_(out)
+        assert out.shape == ((0, 4) if last_h else (0, 3, 2, 4))
+        backward(tape, loss, params)
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.grad, np.zeros_like(p.data), err_msg=name)
+
 
 class TestAttention:
     def test_single_key_returns_that_value(self):

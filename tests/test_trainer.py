@@ -516,13 +516,17 @@ class TestMultiSeed:
             assert ha == hb
 
 
-# one epoch of each model whose artifacts hold at any BLAS thread count
+ALL_MODELS = ("lf_dnn", "lmf", "tfn", "misa", "mtfn", "mlf_dnn", "mlmf", "ef_lstm", "mult",
+              "mfn")
+
+# one epoch of each model: training pins BLAS to one thread, so the artifacts
+# hold at any BLAS thread count
 THREAD_INVARIANT_RUNS = """
 import sys
 from msa_forge.synthetic import make_synthetic_bundle
 from msa_forge.trainer import get_config_regression, train_run
 bundle = make_synthetic_bundle()
-for model in ("lf_dnn", "lmf", "misa", "mult", "mlf_dnn", "mlmf"):
+for model in sys.argv[2:]:
     config = get_config_regression(model, "synthetic")
     config["max_epochs"] = 1
     train_run(config, bundle, 1111, run_dir=f"{sys.argv[1]}/{model}")
@@ -531,18 +535,36 @@ for model in ("lf_dnn", "lmf", "misa", "mult", "mlf_dnn", "mlmf"):
 
 class TestBlasThreadCount:
     def test_artifacts_equal_at_one_and_two_threads(self, tmp_path):
-        """lf_dnn, lmf, misa, mult, mlf_dnn and mlmf write the same
-        history.jsonl, params.bin and reps.bin at 1 and at 2 OpenBLAS
-        threads. The two interpreters run one after the other."""
+        """All ten models write the same history.jsonl, params.bin and
+        reps.bin at 1 and at 2 OpenBLAS threads. The two interpreters run one
+        after the other."""
         src = str(Path(msa_forge.__file__).resolve().parents[1])
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads)
             done = subprocess.run([sys.executable, "-c", THREAD_INVARIANT_RUNS,
-                                   str(tmp_path / threads)],
+                                   str(tmp_path / threads), *ALL_MODELS],
                                   env=env, capture_output=True, text=True, timeout=600)
             assert done.returncode == 0, done.stderr
-        for model in ("lf_dnn", "lmf", "misa", "mult", "mlf_dnn", "mlmf"):
+        for model in ALL_MODELS:
             for name in ("history.jsonl", "checkpoint/params.bin", "reps.bin"):
                 one, two = (tmp_path / t / model / name for t in ("1", "2"))
                 assert one.read_bytes() == two.read_bytes(), (model, name)
+
+    def test_one_blas_thread_pins_and_restores(self):
+        from msa_forge import _blas
+
+        with _blas.one_blas_thread():   # the first use looks the libraries up
+            pass
+        if not _blas._libraries:
+            pytest.skip("no loaded OpenBLAS exports the thread-count functions")
+        before = [get() for get, _ in _blas._libraries]
+        try:
+            for _, set_ in _blas._libraries:
+                set_(2)
+            with _blas.one_blas_thread():
+                assert [get() for get, _ in _blas._libraries] == [1] * len(before)
+            assert [get() for get, _ in _blas._libraries] == [2] * len(before)
+        finally:
+            for (_, set_), threads in zip(_blas._libraries, before):
+                set_(threads)
