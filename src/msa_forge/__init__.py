@@ -44,7 +44,6 @@ from .models import (
     ModelOutput,
     batch_from_bundle,
     build_model,
-    lmf_full_tensor_expand,
     load_checkpoint,
     save_checkpoint,
 )

@@ -1,8 +1,9 @@
 """``%.6g`` CSV text at numpy speed.
 
 ``write_csv(path, a)`` writes the bytes ``np.savetxt(path, a, delimiter=",",
-fmt="%.6g")`` writes for a 2-D float array. It formats a block of values at
-a time by array arithmetic instead of one ``%`` per value.
+fmt="%.6g")`` writes for a 2-D float array; ``csv_text(a)`` returns them as
+text. It formats a block of values at a time by array arithmetic instead of
+one ``%`` per value.
 
 The digits: a finite nonzero |x| whose decimal exponent e has an exact
 double 10**(5 - e) (|5 - e| <= 22) is scaled by it, in one correctly
@@ -28,7 +29,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["write_csv"]
+__all__ = ["csv_text", "write_csv"]
 
 _BLOCK_VALUES = 16384       # values formatted at a time; bounds the temporaries
 _MIN_KERNEL_VALUES = 512    # below this, numpy's per-call cost exceeds `%`'s
@@ -188,19 +189,31 @@ def _block_text(x: np.ndarray, delims: np.ndarray) -> np.ndarray:
     return flat[np.take(_tables()["masks"], length, axis=0)]
 
 
+def _chunks(array: np.ndarray):
+    """The bytes ``np.savetxt(..., delimiter=",", fmt="%.6g")`` writes for a
+    2-D float array, a block of rows at a time."""
+    n_rows, n_cols = array.shape
+    if array.size < _MIN_KERNEL_VALUES:
+        line = ",".join(["%.6g"] * n_cols) + "\n"
+        yield (line * n_rows % tuple(array.ravel().tolist())).encode("ascii")
+        return
+    rows = max(1, _BLOCK_VALUES // n_cols)
+    delims = np.full((rows, n_cols), ord(","), dtype=np.uint8)
+    delims[:, -1] = ord("\n")
+    delims = delims.reshape(-1)
+    for start in range(0, n_rows, rows):
+        block = np.asarray(array[start:start + rows], dtype=np.float64).reshape(-1)
+        yield _block_text(block, delims[:len(block)])
+
+
 def write_csv(path, array: np.ndarray) -> None:
     """A 2-D float array as the bytes ``np.savetxt(path, array, delimiter=",",
     fmt="%.6g")`` writes."""
-    n_rows, n_cols = array.shape
     with open(path, "wb") as fh:
-        if array.size < _MIN_KERNEL_VALUES:
-            line = ",".join(["%.6g"] * n_cols) + "\n"
-            fh.write((line * n_rows % tuple(array.ravel().tolist())).encode("ascii"))
-            return
-        rows = max(1, _BLOCK_VALUES // n_cols)
-        delims = np.full((rows, n_cols), ord(","), dtype=np.uint8)
-        delims[:, -1] = ord("\n")
-        delims = delims.reshape(-1)
-        for start in range(0, n_rows, rows):
-            block = np.asarray(array[start:start + rows], dtype=np.float64).reshape(-1)
-            fh.write(_block_text(block, delims[:len(block)]))
+        for chunk in _chunks(array):
+            fh.write(chunk)
+
+
+def csv_text(array: np.ndarray) -> str:
+    """The text :func:`write_csv` writes, as a string."""
+    return b"".join(_chunks(array)).decode("ascii")

@@ -22,6 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._csvtext import csv_text
 from .errors import MetricError, ValidationError, parsing
 
 __all__ = [
@@ -267,18 +268,22 @@ def export_curves(history_path, out_path=None) -> str:
 def export_projection_csv(proj: ProjectionResult, ids, labels, preds,
                           out_path=None) -> str:
     """Projection coordinates with ids, labels, and predictions:
-    id, x, y, z, label, pred."""
+    id, x, y, z, label, pred. Numbers are written ``%.6g`` by
+    :func:`_csvtext.csv_text` (missing coordinates as 0), rows by
+    ``csv.writer``."""
     n = proj.projected.shape[0]
     if not (len(ids) == n and len(labels) == n and len(preds) == n):
         raise ValidationError("ids/labels/preds lengths disagree with the projection")
+    numeric = np.zeros((n, 5))
+    k = min(3, proj.projected.shape[1])
+    numeric[:, :k] = proj.projected[:, :k]
+    numeric[:, 3] = labels
+    numeric[:, 4] = preds
+    cells = [line.split(",") for line in csv_text(numeric).splitlines()]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["id", "x", "y", "z", "label", "pred"])
-    for i in range(n):
-        coords = [f"{proj.projected[i, j]:.6g}" for j in range(proj.projected.shape[1])]
-        while len(coords) < 3:
-            coords.append("0")
-        writer.writerow([ids[i], *coords[:3], f"{labels[i]:.6g}", f"{preds[i]:.6g}"])
+    writer.writerows([[i, *row] for i, row in zip(ids, cells)])
     text = buf.getvalue()
     if out_path is not None:
         Path(out_path).write_text(text, encoding="utf-8")

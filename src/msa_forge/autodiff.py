@@ -239,7 +239,8 @@ def _matmul_adjoints(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.nd
 def linear(x, w, b) -> Tensor:
     """The affine layer x @ w + b, for x (..., d_in), w (d_in, d_out) and
     b (d_out,), as one record. x's leading axes are flattened into rows, so
-    the product and each adjoint is one 2-D GEMM."""
+    the product and each adjoint is one 2-D GEMM, and b's gradient is the
+    matrix-vector product ones @ g over those rows."""
     x = _as_tensor(x)
     w = _as_tensor(w)
     b = _as_tensor(b)
@@ -256,7 +257,7 @@ def linear(x, w, b) -> Tensor:
         def bwd(g):
             g2 = g.reshape(-1, d_out)
             return ((x, (g2 @ wd.T).reshape(x.shape)),
-                    (w, x2.T @ g2), (b, g2.sum(axis=0)))
+                    (w, x2.T @ g2), (b, np.ones(len(g2), dtype=g2.dtype) @ g2))
         _record("linear", out, bwd)
     return out
 
@@ -419,15 +420,16 @@ def mean_(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 def masked_mean(x, mask: np.ndarray) -> Tensor:
     """Mean over the time axis (second to last) counting only positions
-    where ``mask`` is true. An all-false mask yields a zero vector (the
-    convention models rely on when a modality is missing)."""
+    where ``mask`` is true. The masked sum is the batched matrix-vector
+    product mᵀ x of the 0/1 mask and x. An all-false mask yields a zero
+    vector (the convention models rely on when a modality is missing)."""
     x = _as_tensor(x)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.data.shape[:-1]:
         raise ShapeError(f"masked_mean mask {mask.shape} does not match data {x.data.shape}")
     m = mask.astype(x.data.dtype)[..., None]
     counts = np.maximum(mask.sum(axis=-1), 1).astype(x.data.dtype)
-    out = Tensor((x.data * m).sum(axis=-2) / counts[..., None])
+    out = Tensor((m.swapaxes(-1, -2) @ x.data)[..., 0, :] / counts[..., None])
     if active_tape() is not None:
         def bwd(g):
             gx = (m / counts[..., None, None]) * g[..., None, :]
@@ -943,6 +945,14 @@ def linear_recurrence(keep, write, u0) -> Tensor:
     return out
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)`` from a key-major copy of a: one
+    elementwise maximum per key over whole rows, not a short reduction per
+    row. The bytes are the same, but for a row whose maximum is a zero,
+    which may get the other zero's sign; exp(a - max) is the same then."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0)).max(axis=0)[..., None]
+
+
 def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None, *, heads: int = 1) -> Tensor:
     """softmax(q kᵀ / sqrt(d) + mask_bias) v over the last two axes, per head:
     the last axis of q, k and v splits into ``heads`` equal parts (d is q's
@@ -954,6 +964,11 @@ def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None, *, heads: int 
     masked returns zeros, which is what the fusion models use when a whole
     modality has been dropped. Under a tape the whole attention is one
     record with a hand-written backward.
+
+    The softmax's row max is taken key-major (:func:`_row_max`). Its
+    denominator, and the backward's row dot of the weights with their
+    adjoint, are matrix-vector products with a ones vector, so their bits
+    depend on the BLAS core and thread count as a GEMM's do.
     """
     q = _as_tensor(q)
     k = _as_tensor(k)
@@ -986,9 +1001,10 @@ def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None, *, heads: int 
     scores *= scale
     if mask is not None:
         scores = scores + np.where(mask, 0.0, MASK_BIAS).astype(q.data.dtype)
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= _row_max(scores)
     weights = np.exp(scores, out=scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    ones_k = np.ones(weights.shape[-1], dtype=weights.dtype)
+    weights /= (weights @ ones_k)[..., None]
     att = weights @ vh
     out = Tensor(join(att if keep is None else att * keep))
     if active_tape() is not None:
@@ -997,7 +1013,7 @@ def scaled_dot_attention(q, k, v, mask: np.ndarray | None = None, *, heads: int 
             if keep is not None:
                 g = _unbroadcast(g * keep, att.shape)
             d_weights, dv = _matmul_adjoints(g, weights, vh)
-            d_scores = (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * weights
+            d_scores = (d_weights - ((d_weights * weights) @ ones_k)[..., None]) * weights
             d_qk = _unbroadcast(d_scores, qk_shape) * scale
             dq, dk_t = _matmul_adjoints(d_qk, qh, k_t)
             return ((q, join(dq)), (k, join(dk_t.swapaxes(-1, -2))), (v, join(dv)))

@@ -41,7 +41,6 @@ __all__ = [
     "ModelOutput",
     "Model",
     "build_model",
-    "lmf_full_tensor_expand",
     "batch_from_bundle",
     "save_checkpoint",
     "load_checkpoint",
@@ -431,24 +430,6 @@ class LMF(Model):
         fused = ad.dropout(fused, self.config.dropout, train, self._dropout_rng)
         pred = ad.reshape(_affine(self.params, "out", fused), (-1,))
         return ModelOutput(pred=pred, fusion_rep=fused, uni_reps=uni)
-
-
-def lmf_full_tensor_expand(model: Model) -> np.ndarray:
-    """Reconstruct the explicit fusion weight tensor of an LMF model as a
-    sum over rank of per-modality factor outer products.
-
-    Contracting the 1-augmented encodings against the result (then adding
-    the fusion bias) reproduces the LMF fusion output. The returned array
-    has one axis of size h_m + 1 per modality plus a trailing output axis.
-    """
-    if not isinstance(model, LMF):
-        raise ModelError(f"lmf_full_tensor_expand needs an LMF model, got {model.name!r}")
-    mods = model.modalities()
-    letters = "ijk"[:len(mods)]
-    factors = [model.params[f"lmf.{m}.factor"].data.astype(np.float64) for m in mods]
-    weights = model.params["lmf.weights"].data.astype(np.float64)[0]
-    spec = ",".join(["r"] + [f"r{x}o" for x in letters]) + "->" + letters + "o"
-    return np.einsum(spec, weights, *factors)
 
 
 class MFN(Model):

@@ -14,8 +14,13 @@ it was before its partial products went through ``np.einsum``, and
 ``scaled_dot_attention`` split the heads itself; the package kernels must
 equal them bit for bit.
 
+``attention_per_op`` takes its softmax from ``softmax_matvec``, whose
+denominators are products with a ones vector, as the fused record's are.
+
 ``sum_``, the differentiable sum that reduces a test's output to a scalar
-loss, lives here too: no model calls it, so the package does not carry it.
+loss, and ``lmf_full_tensor_expand``, LMF's fusion weights as one explicit
+tensor, live here too: no model calls them, so the package does not carry
+them.
 """
 
 import math
@@ -24,6 +29,8 @@ import numpy as np
 
 from msa_forge import autodiff as ad
 from msa_forge.autodiff import MASK_BIAS, Tensor
+from msa_forge.errors import ModelError
+from msa_forge.models import LMF, Model
 
 
 def sum_(x, axis=None, keepdims=False):
@@ -234,6 +241,23 @@ def lstm_sequence_batch_major(xs, masks, params):
     return out
 
 
+def softmax_matvec(x):
+    """The softmax over the last axis as one ``softmax`` record, its
+    denominator and its backward's row dot taken as products with a ones
+    vector, as :func:`msa_forge.autodiff.scaled_dot_attention` takes them
+    (the package's generic ``softmax`` sums the rows)."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    ones = np.ones(x.shape[-1], dtype=x.data.dtype)
+    y = e / (e @ ones)[..., None]
+    out = Tensor(y)
+    if ad.active_tape() is not None:
+        def bwd(g):
+            return ((x, (g - ((g * y) @ ones)[..., None]) * y),)
+        ad._record("softmax", out, bwd)
+    return out
+
+
 def attention_per_op(q, k, v, mask=None):
     """softmax(q kᵀ / sqrt(d) + mask_bias) v from transpose, matmul, mul,
     add, softmax and matmul records; rows with no valid key become zeros."""
@@ -241,10 +265,10 @@ def attention_per_op(q, k, v, mask=None):
     k_t = ad.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
     scores = ad.mul(ad.matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
     if mask is None:
-        return ad.matmul(ad.softmax(scores, axis=-1), v)
+        return ad.matmul(softmax_matvec(scores), v)
     mask = np.asarray(mask, dtype=bool)[..., None, :]
     bias = np.where(mask, 0.0, MASK_BIAS).astype(q.data.dtype)
-    out = ad.matmul(ad.softmax(ad.add(scores, bias), axis=-1), v)
+    out = ad.matmul(softmax_matvec(ad.add(scores, bias)), v)
     keep = mask.any(axis=-1, keepdims=True)
     if keep.all():
         return out
@@ -307,3 +331,21 @@ def outer_fusion_broadcast(vectors, augment=True):
                          for t, gk in zip(ts, adjoints))
         ad._record("outer_fusion_broadcast", out, bwd)
     return out
+
+
+def lmf_full_tensor_expand(model: Model) -> np.ndarray:
+    """Reconstruct the explicit fusion weight tensor of an LMF model as a
+    sum over rank of per-modality factor outer products.
+
+    Contracting the 1-augmented encodings against the result (then adding
+    the fusion bias) reproduces the LMF fusion output. The returned array
+    has one axis of size h_m + 1 per modality plus a trailing output axis.
+    """
+    if not isinstance(model, LMF):
+        raise ModelError(f"lmf_full_tensor_expand needs an LMF model, got {model.name!r}")
+    mods = model.modalities()
+    letters = "ijk"[:len(mods)]
+    factors = [model.params[f"lmf.{m}.factor"].data.astype(np.float64) for m in mods]
+    weights = model.params["lmf.weights"].data.astype(np.float64)[0]
+    spec = ",".join(["r"] + [f"r{x}o" for x in letters]) + "->" + letters + "o"
+    return np.einsum(spec, weights, *factors)

@@ -62,13 +62,12 @@ from msa_forge.models import (
     ModelConfig,
     batch_from_bundle,
     build_model,
-    lmf_full_tensor_expand,
     load_checkpoint,
 )
 from msa_forge.robustness import PerturbationSpec, add_feature_noise, drop_modality, evaluate_tagged, render_tagged_reports
 from msa_forge.synthetic import make_synthetic_bundle
 from msa_forge.trainer import get_config_regression, multi_seed_run, train_run
-from reference_kernels import sum_
+from reference_kernels import lmf_full_tensor_expand, sum_
 from test_synthetic import latent_readout_labels
 
 

@@ -1,5 +1,7 @@
 """Metric oracles, PCA properties, and report rendering."""
 
+import csv
+import io
 import json
 import math
 
@@ -8,6 +10,7 @@ import pytest
 
 from msa_forge.analysis import (
     MetricReport,
+    ProjectionResult,
     compute_metrics,
     export_curves,
     export_projection_csv,
@@ -253,3 +256,43 @@ class TestExports:
         lines = text.strip().splitlines()
         assert lines[0] == "id,x,y,z,label,pred"
         assert len(lines) == 6
+
+    @staticmethod
+    def projection_csv_by_rows(proj, ids, labels, preds):
+        """The projection CSV formatted one value at a time through
+        csv.writer, as export_projection_csv wrote it before it formatted
+        the numbers through _csvtext."""
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["id", "x", "y", "z", "label", "pred"])
+        for i in range(proj.projected.shape[0]):
+            coords = [f"{proj.projected[i, j]:.6g}" for j in range(proj.projected.shape[1])]
+            while len(coords) < 3:
+                coords.append("0")
+            writer.writerow([ids[i], *coords[:3], f"{labels[i]:.6g}", f"{preds[i]:.6g}"])
+        return buf.getvalue()
+
+    EDGE_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 0.5, 1e-4, 9.999995e-5,
+                   0.0001234565, 1234565.0, 999999.5, 999999.4, 1e6, 1e-300, 5e-324,
+                   -2.2250738585072014e-308, 1.7976931348623157e308, 123456789012.0, 0.1,
+                   1 / 3, 2.5e-5, 100000.5, -123.4565]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [4, 150])
+    def test_projection_bytes_equal_per_value_formatting(self, n, k):
+        """Random values of every magnitude, the edge values, float32 inputs
+        and ids csv.writer must quote give the bytes of the per-value writer,
+        below and above _csvtext's kernel threshold."""
+        rng = np.random.default_rng(12 + n + k)
+        projected = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-12, 12, size=(n, k))
+        edges = np.array(self.EDGE_VALUES)
+        projected.ravel()[:min(projected.size, len(edges))] = edges[:projected.size]
+        proj = ProjectionResult(components=np.eye(k), projected=projected,
+                                explained_variance=np.ones(k))
+        labels = rng.uniform(-3, 3, n)
+        labels[:min(n, len(edges))] = edges[:n]
+        preds = (rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, size=n)).astype(np.float32)
+        ids = [f"s{i}" for i in range(n)]
+        ids[:4] = ["a,b", 'q"uote', "line\nbreak", ""]
+        text = export_projection_csv(proj, ids, labels, preds)
+        assert text == self.projection_csv_by_rows(proj, ids, labels, preds)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msa_forge.autodiff import (
+    MASK_BIAS,
     GradCheckReport,
     ParamSet,
     Tape,
@@ -1028,8 +1029,9 @@ class TestFusedAttention:
 
 class TestLinear:
     """linear is one record; it equals the matmul + add pair it replaced:
-    f32 outputs bit for bit, 2-D f32 gradients bit for bit, and 3-D f64
-    gradients within 1e-12 (flattening the rows changes their summation)."""
+    f32 outputs bit for bit, 2-D f32 x and w gradients bit for bit (b's is
+    ones @ g, where the add record sums), and 3-D f64 gradients within
+    1e-12 (flattening the rows changes their summation)."""
 
     # (x shape, d_out): a pooled head's 2-D input, and the (B, T, d) inputs
     # of mult's projections, with T > 1 (a one-step batch is a matrix-vector
@@ -1063,8 +1065,10 @@ class TestLinear:
                                        ps, weights)
         assert records == 1
         assert out.tobytes() == ref_out.tobytes()
-        for name, g in grads.items():
-            assert g.tobytes() == ref_grads[name].tobytes(), name
+        for name in "xw":
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+        # the add record sums the bias adjoint; linear takes ones @ g
+        assert grads["b"].tobytes() == (np.ones(x_shape[0], dtype=np.float32) @ weights).tobytes()
 
     @pytest.mark.parametrize("x_shape,d_out", [s for s in SHAPES if len(s[0]) == 3])
     def test_3d_f64_gradients_match_per_op(self, x_shape, d_out):
@@ -1096,6 +1100,115 @@ class TestLinear:
             linear(x, w, Tensor(np.ones(4)))
         with pytest.raises(ShapeError, match=r"\(1, 5\).*\(4, 5\)"):
             linear(x, w, Tensor(np.ones((1, 5))))
+
+
+class TestReductionProducts:
+    """The reductions taken as BLAS matrix-vector products hold the
+    arithmetic they state byte for byte: the attention's softmax denominator
+    and its backward's row dot (weights @ ones), linear's bias gradient
+    (ones @ g) and masked_mean's masked sum (mᵀ x). The attention's
+    key-major row max gives the bytes of the max over the last axis."""
+
+    DTYPES = [np.float32, np.float64]
+
+    @staticmethod
+    def _scores(dtype, tk):
+        rng = np.random.default_rng(70)
+        s = rng.normal(size=(3, 2, 5, tk)).astype(dtype)
+        s[0, 0, 1] = 0.0
+        s[0, 0, 1, ::2] = -0.0                 # signed zeros below a positive max
+        s[0, 0, 1, -1] = 0.5
+        s[0, 0, 2, ::3] = -0.0                 # signed zeros among random values
+        s[0, 1, 2, tk // 2] = np.nan           # a NaN row
+        masked = rng.random((3, tk)) < 0.5
+        masked[1] = True                       # all-masked rows
+        s[:, 1] += np.where(masked, MASK_BIAS, 0.0)[:, None, :].astype(dtype)
+        return s
+
+    @pytest.mark.parametrize("tk", [1, 5, 20, 33])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_key_major_max_equals_max_over_keys(self, dtype, tk):
+        s = self._scores(dtype, tk)
+        _assert_same_bits(ad._row_max(s), s.max(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_zero_row_max_keeps_the_weights(self, dtype):
+        """Where a row's max is a zero, the two orders may pick zeros of
+        other signs; the shifted exponentials stay the same bytes."""
+        rng = np.random.default_rng(71)
+        s = rng.choice(np.array([0.0, -0.0, -1.0, -2.5], dtype=dtype), size=(4, 6, 33))
+        s[..., 0] = rng.choice(np.array([0.0, -0.0], dtype=dtype), size=(4, 6))
+        got, ref = ad._row_max(s), s.max(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(got, ref)
+        _assert_same_bits(np.exp(s - got), np.exp(s - ref))
+
+    @staticmethod
+    def _attention_by_products(q, k, v, mask, g):
+        """The attention and its q, k, v adjoints for one head in numpy, the
+        denominator and the row dot as products with a ones vector."""
+        k_t = k.swapaxes(-1, -2)
+        scale = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=q.dtype)
+        s = (q @ k_t) * scale
+        keep = np.ones(q.shape[:-1] + (1,), dtype=q.dtype)
+        if mask is not None:
+            s = s + np.where(mask[:, None, :], 0.0, MASK_BIAS).astype(q.dtype)
+            keep = keep * mask.any(axis=-1)[:, None, None]
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        ones = np.ones(k.shape[-2], dtype=q.dtype)
+        w = e / (e @ ones)[..., None]
+        out = (w @ v) * keep
+        g = g * keep
+        d_w, dv = g @ v.swapaxes(-1, -2), w.swapaxes(-1, -2) @ g
+        d_qk = (d_w - ((d_w * w) @ ones)[..., None]) * w * scale
+        return out, d_qk @ k_t.swapaxes(-1, -2), (q.swapaxes(-1, -2) @ d_qk).swapaxes(-1, -2), dv
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_attention_denominators_are_products(self, dtype, masked):
+        rng = np.random.default_rng(72)
+        q, k, v, g = (rng.normal(size=shape).astype(dtype)
+                      for shape in [(3, 4, 5), (3, 7, 5), (3, 7, 6), (3, 4, 6)])
+        mask = None
+        if masked:
+            mask = rng.random((3, 7)) < 0.6
+            mask[0, 0], mask[2] = True, False   # row 2 has no valid key
+        qt, kt, vt = Tensor(q), Tensor(k), Tensor(v)
+        with Tape() as tape:
+            out = scaled_dot_attention(qt, kt, vt, mask=mask)
+        adjoints = {id(t): a for t, a in tape.records[0].backward(g)}
+        ref_out, dq, dk, dv = self._attention_by_products(q, k, v, mask, g)
+        _assert_same_bits(out.data, ref_out, "out")
+        for t, ref in ((qt, dq), (kt, dk), (vt, dv)):
+            _assert_same_bits(adjoints[id(t)], ref)
+        if masked:
+            np.testing.assert_array_equal(out.data[2], 0.0)
+
+    @pytest.mark.parametrize("x_shape,d_out", [((5, 4), 3), ((32, 16), 1), ((3, 6, 4), 5),
+                                               ((32, 20, 16), 16), ((32, 20, 16), 64)])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_linear_bias_gradient_is_ones_times_adjoint(self, dtype, x_shape, d_out):
+        rng = np.random.default_rng(73)
+        x, w, b = (Tensor(rng.normal(size=shape).astype(dtype))
+                   for shape in (x_shape, (x_shape[-1], d_out), (d_out,)))
+        g = rng.normal(size=x_shape[:-1] + (d_out,)).astype(dtype)
+        with Tape() as tape:
+            linear(x, w, b)
+        adjoints = {id(t): a for t, a in tape.records[0].backward(g)}
+        g2 = g.reshape(-1, d_out)
+        _assert_same_bits(adjoints[id(b)], np.ones(len(g2), dtype=dtype) @ g2)
+
+    @pytest.mark.parametrize("shape", [(6, 9, 4), (150, 30, 40), (2, 3, 7, 5)])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_masked_mean_is_batched_product(self, dtype, shape):
+        rng = np.random.default_rng(74)
+        x = rng.normal(size=shape).astype(dtype)
+        mask = rng.random(shape[:-1]) < 0.7
+        mask.reshape(-1, shape[-2])[0] = False              # an all-false row
+        m = mask.astype(dtype)[..., None]
+        counts = np.maximum(mask.sum(axis=-1), 1).astype(dtype)
+        out = masked_mean(Tensor(x), mask).data
+        _assert_same_bits(out, (m.swapaxes(-1, -2) @ x)[..., 0, :] / counts[..., None])
+        np.testing.assert_array_equal(out.reshape(-1, shape[-1])[0], 0.0)
 
 
 class TestMatmulAdjoints:

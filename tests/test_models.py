@@ -18,12 +18,11 @@ from msa_forge.models import (
     MultitaskWrapper,
     batch_from_bundle,
     build_model,
-    lmf_full_tensor_expand,
     load_checkpoint,
     save_checkpoint,
 )
 from msa_forge.synthetic import make_synthetic_bundle
-from reference_kernels import attention_per_op, mult_multihead_presplit
+from reference_kernels import attention_per_op, lmf_full_tensor_expand, mult_multihead_presplit
 
 
 TOY_SEQ_LENS = {"text": 4, "audio": 5, "vision": 3}

@@ -31,6 +31,7 @@ from msa_forge.trainer import (
     multi_seed_run,
     train_run,
 )
+import golden_runs
 from reference_kernels import sum_
 
 
@@ -516,40 +517,57 @@ class TestMultiSeed:
             assert ha == hb
 
 
-ALL_MODELS = ("lf_dnn", "lmf", "tfn", "misa", "mtfn", "mlf_dnn", "mlmf", "ef_lstm", "mult",
-              "mfn")
+def _run_all_models(out, specs, threads):
+    """Train all ten models per ``DTYPE:EPOCHS`` spec in a new interpreter at
+    ``threads`` OpenBLAS threads (tests/golden_runs.py); its JSON result."""
+    src = str(Path(msa_forge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    done = subprocess.run([sys.executable, str(Path(__file__).with_name("golden_runs.py")),
+                           str(out), *specs], env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
-# one epoch of each model: training pins BLAS to one thread, so the artifacts
-# hold at any BLAS thread count
-THREAD_INVARIANT_RUNS = """
-import sys
-from msa_forge.synthetic import make_synthetic_bundle
-from msa_forge.trainer import get_config_regression, train_run
-bundle = make_synthetic_bundle()
-for model in sys.argv[2:]:
-    config = get_config_regression(model, "synthetic")
-    config["max_epochs"] = 1
-    train_run(config, bundle, 1111, run_dir=f"{sys.argv[1]}/{model}")
-"""
+
+@pytest.fixture(scope="module")
+def one_thread_runs(tmp_path_factory):
+    """One interpreter at one BLAS thread trains the golden runs and the
+    one-epoch runs TestBlasThreadCount compares; its JSON result."""
+    specs = [f"{dtype}:{golden_runs.GOLDEN_EPOCHS}" for dtype in ("f32", "f64")] + ["f32:1"]
+    return _run_all_models(tmp_path_factory.mktemp("one_thread"), specs, "1")
+
+
+class TestGoldenArtifacts:
+    def test_hashes_equal_the_table(self, one_thread_runs):
+        """All ten models, f32 and f64, 3 epochs at seed 1111 and one BLAS
+        thread, write the history.jsonl, params.bin and reps.bin bytes
+        tests/golden_artifacts.json holds for this numpy and OpenBLAS. A
+        BLAS identity with no entry skips, printing the identity and the
+        hashes to file under it (`python tests/golden_runs.py OUT f32:3
+        f64:3 --write` does that)."""
+        result = one_thread_runs
+        found = {spec.split(":")[0]: hashes for spec, hashes in result["runs"].items()
+                 if spec.endswith(f":{golden_runs.GOLDEN_EPOCHS}")}
+        table = json.loads(golden_runs.TABLE.read_text())
+        if result["blas"] not in table:
+            pytest.skip(f"no golden entry for BLAS {result['blas']!r}; "
+                        f"its hashes: {json.dumps(found, sort_keys=True)}")
+        expected = table[result["blas"]]
+        moved = [f"{dtype}/{model}/{name}" for dtype, models in found.items()
+                 for model, hashes in models.items() for name, sha in hashes.items()
+                 if expected.get(dtype, {}).get(model, {}).get(name) != sha]
+        assert found == expected, f"moved against the golden table: {moved}"
 
 
 class TestBlasThreadCount:
-    def test_artifacts_equal_at_one_and_two_threads(self, tmp_path):
+    def test_artifacts_equal_at_one_and_two_threads(self, one_thread_runs, tmp_path):
         """All ten models write the same history.jsonl, params.bin and
         reps.bin at 1 and at 2 OpenBLAS threads. The two interpreters run one
         after the other."""
-        src = str(Path(msa_forge.__file__).resolve().parents[1])
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads)
-            done = subprocess.run([sys.executable, "-c", THREAD_INVARIANT_RUNS,
-                                   str(tmp_path / threads), *ALL_MODELS],
-                                  env=env, capture_output=True, text=True, timeout=600)
-            assert done.returncode == 0, done.stderr
-        for model in ALL_MODELS:
-            for name in ("history.jsonl", "checkpoint/params.bin", "reps.bin"):
-                one, two = (tmp_path / t / model / name for t in ("1", "2"))
-                assert one.read_bytes() == two.read_bytes(), (model, name)
+        one = one_thread_runs["runs"]["f32:1"]
+        two = _run_all_models(tmp_path, ["f32:1"], "2")["runs"]["f32:1"]
+        for model in golden_runs.ALL_MODELS:
+            assert one[model] == two[model], model
 
     def test_one_blas_thread_pins_and_restores(self):
         from msa_forge import _blas
