@@ -143,7 +143,9 @@ class ProjectionResult:
 def pca_project(reps: np.ndarray, k: int = 3) -> ProjectionResult:
     """Top-k principal directions of the mean-centered representations via
     SVD. Sign convention: each component's largest-magnitude entry is
-    positive. Explained variance uses the sample (N-1) convention."""
+    positive. Explained variance uses the sample (N-1) convention; one past
+    float64's range reads inf. Reps that are non-finite or too large to
+    center raise MetricError."""
     reps = np.asarray(reps, dtype=np.float64)
     if reps.ndim != 2:
         raise ValidationError(f"reps must be an N x d matrix, got shape {reps.shape}")
@@ -152,15 +154,19 @@ def pca_project(reps: np.ndarray, k: int = 3) -> ProjectionResult:
         raise ValidationError(f"need at least k={k} samples, got {n}")
     if d < k:
         raise ValidationError(f"need at least k={k} feature dims, got {d}")
-    centered = reps - reps.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = reps - reps.mean(axis=0)
+    if not np.isfinite(centered).all():
+        raise MetricError("reps are non-finite or too large to center in float64")
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     components = vt[:k].copy()
     for i in range(k):
         j = int(np.argmax(np.abs(components[i])))
         if components[i, j] < 0:
             components[i] = -components[i]
-    projected = centered @ components.T
-    explained = (s[:k] ** 2) / max(n - 1, 1)
+    with np.errstate(over="ignore"):  # past float64's range they read inf
+        projected = centered @ components.T
+        explained = (s[:k] ** 2) / max(n - 1, 1)
     return ProjectionResult(components=components, projected=projected,
                             explained_variance=explained)
 

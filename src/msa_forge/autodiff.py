@@ -659,18 +659,6 @@ def lstm_cell_step(x_t, h_prev, c_prev, params: Mapping[str, Tensor]) -> tuple[T
     return slice_(out, (slice(None), 0)), slice_(out, (slice(None), 1))
 
 
-def _lstm_cell(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Activate a step's pre-activations ``z`` (4, N, H) in place into the
-    gates input, forget, cell, output, and return (h_t, c_t) from c_{t-1}
-    ``c``. The cell gate's tanh comes first, so that one sigmoid call covers
-    the step."""
-    cell = np.tanh(z[2])
-    _sigmoid(z, out=z)
-    z[2] = cell
-    c_new = z[1] * c + z[0] * z[2]
-    return z[3] * np.tanh(c_new), c_new
-
-
 # The untaped pass steps only the rows still running, so a row meets GEMMs of
 # other row counts and at another place than in a pass over all rows. OpenBLAS
 # gives it the same bits there only with at least 8 rows, and only when every
@@ -694,23 +682,26 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
 
     The gates live step-major, (4, B, H) per step, so each gate of a step is
     one contiguous (B, H) block and each elementwise step is one numpy call
-    for all groups; each group keeps its own x @ Wx + b and h @ Wh GEMMs. A
-    per-unit (T, B, H) mask, built once, blends the states; steps whose mask
-    is true everywhere skip the blend. Under a tape the pass is one record:
-    X @ Wx + b is one GEMM per group over all B*T rows, written into a
-    (T, 4, B, H) gate cache. The backward (BPTT) forms each step's dz
+    for all groups; each group keeps its own x @ Wx + b and h @ Wh GEMMs,
+    with x projected one step at a time. A per-unit (T, B, H) mask, built
+    once, blends the states; steps whose mask is true everywhere skip the
+    blend. One step loop serves both passes.
+
+    Without a tape nothing is kept for a backward, and the rows run in one
+    order, sorted once by their last valid step: a step runs only the prefix
+    of that order that still has a valid step at or after it, never fewer
+    than ``min(B, LSTM_MIN_ROWS)`` rows (:func:`_live_row_order`). Each row
+    meets the same arithmetic as in a pass over all rows, so the states keep
+    their bits.
+
+    Under a tape the pass is one record. Every row steps at every step in
+    batch order, and each step activates its gates in place in its slot of
+    a (T, 4, B, H) gate cache. The backward (BPTT) forms each step's dz
     step-major and writes it into its group's batch-major (B, T, 4, h_k)
     buffer, which that group's dh GEMM reads at the step and its weight
     gradients read after the walk. It frees the gate cache, so the record
     is replayed once. With ``last_h`` the record's backward hands the BPTT
     a zero (B, T, 2, H) adjoint with g at ``[:, -1, 0]``.
-
-    Without a tape nothing is kept for a backward, x is projected one step
-    at a time, and the rows run in one order, sorted once by their last
-    valid step: a step runs only the prefix of that order that still has a
-    valid step at or after it, never fewer than ``min(B, LSTM_MIN_ROWS)``
-    rows (:func:`_lstm_live_rows`). Each row meets the same arithmetic as
-    in a pass over all rows, so the states keep their bits.
     """
     if not xs or not len(xs) == len(masks) == len(params):
         raise ShapeError(f"lstm_sequence needs one mask and one parameter set per input, got "
@@ -733,35 +724,62 @@ def lstm_sequence(xs: Sequence, masks: Sequence[np.ndarray],
     groups = [(x.data, wx.data, wh.data, b.data.reshape(4, hid), lo, lo + hid)
               for x, (wx, wh, b), hid, lo in zip(xs, weights, hids, bounds)]
     dtype = np.result_type(*(x.data for x in xs), *(wx.data for wx, _, _ in weights))
-    if active_tape() is None:
-        return Tensor(_lstm_live_rows(groups, masks, hids, dtype, last_h))
-
+    taped = active_tape() is not None
     width = bounds[-1]
-    step_mask = np.stack([m.T for m in masks], axis=2)   # (T, B, groups)
-    full_step = step_mask.all(axis=(1, 2))
+    if taped:  # the backward reads every row's gates and states in batch order
+        order, live = slice(None), np.full(steps, n)
+    else:
+        order, live = _live_row_order(np.logical_or.reduce(masks), hids)
+        if (live == n).all():  # the order is the batch's: no gathers
+            order = slice(None)
+    step_mask = np.stack([m[order].T for m in masks], axis=2)   # (T, B, groups)
     # (T, B, H): group k's mask repeated over its units; one group broadcasts
     unit_mask = step_mask if len(hids) == 1 else np.repeat(step_mask, hids, axis=2)
-    states = np.empty((n, steps, 2, width), dtype=dtype)
-    gates = np.empty((steps, 4, n, width), dtype=dtype)  # every step's, kept for the backward
-    for xd, wxd, _, b4, lo, hi in groups:
-        xw = xd.reshape(n * steps, wxd.shape[0]) @ wxd
-        np.add(xw.reshape(n, steps, 4, hi - lo), b4, out=gates[..., lo:hi].transpose(2, 0, 1, 3))
-    h = c = np.zeros((n, width), dtype=dtype)
+    every_group = np.logical_and.reduce(masks)   # (B, T): the row takes step t in every group
+    # [t, r]: rows 0..r of the order all take step t in every group
+    prefix_full = np.logical_and.accumulate(every_group[order].T, axis=1)
+
+    if taped:
+        gates = np.empty((steps, 4, n, width), dtype=dtype)  # every step's, kept for the backward
+    else:
+        z_buf = np.empty(4 * n * width, dtype=dtype)
+    h, c = np.zeros((n, width), dtype=dtype), np.zeros((n, width), dtype=dtype)
+    states = None if last_h and not taped else np.empty((n, steps, 2, width), dtype=dtype)
     with np.errstate(over="ignore"):  # for _sigmoid
         for t in range(steps):
-            z = gates[t]
-            for _, _, whd, _, lo, hi in groups:
-                z_k = z[..., lo:hi].transpose(1, 0, 2)  # (B, 4, h), as the GEMMs write
-                z_k += (h[:, lo:hi] @ whd).reshape(n, 4, hi - lo)
-            h_new, c_new = _lstm_cell(z, c)
-            if full_step[t]:
+            k = live[t]
+            stepped = order if k == n else order[:k]
+            z = gates[t] if taped else z_buf[:4 * k * width].reshape(4, k, width)
+            for xd, wxd, whd, b4, lo, hi in groups:
+                # (x @ Wx + b) + h @ Wh batch-major, then one transposed copy
+                xw = (xd[stepped, t] @ wxd).reshape(k, 4, hi - lo)
+                xw += b4
+                xw += (h[:k, lo:hi] @ whd).reshape(k, 4, hi - lo)
+                z[..., lo:hi].transpose(1, 0, 2)[...] = xw
+            # activate z in place into the gates input, forget, cell, output;
+            # the cell gate's tanh comes first, so one sigmoid covers the step
+            cell = np.tanh(z[2])
+            _sigmoid(z, out=z)
+            z[2] = cell
+            c_new = z[1] * c[:k] + z[0] * z[2]
+            h_new = z[3] * np.tanh(c_new)
+            if k and not prefix_full[t, k - 1]:   # k is 0 only in an empty batch
+                m = unit_mask[t, :k]
+                h_new, c_new = np.where(m, h_new, h[:k]), np.where(m, c_new, c[:k])
+            if k == n:
                 h, c = h_new, c_new
             else:
-                m = unit_mask[t]
-                h, c = np.where(m, h_new, h), np.where(m, c_new, c)
-            states[:, t, 0] = h
-            states[:, t, 1] = c
-    out = Tensor(states[:, -1, 0].copy() if last_h else states)
+                h[:k], c[:k] = h_new, c_new
+            if states is not None:
+                states[order, t, 0] = h
+                states[order, t, 1] = c
+    if last_h:
+        h_last = np.empty_like(h)
+        h_last[order] = h
+    out = Tensor(h_last if last_h else states)
+    if not taped:
+        return out
+    full_step = every_group.all(axis=0)   # (T,)
 
     def bwd(g):
         nonlocal gates
@@ -846,66 +864,6 @@ def _live_row_order(valid: np.ndarray, hids: list[int]) -> tuple[np.ndarray, np.
     ends = (valid * np.arange(1, steps + 1)).max(axis=1, initial=0)
     live = (ends[:, None] > np.arange(steps)).sum(axis=0)
     return np.argsort(-ends, kind="stable"), np.maximum(live, LSTM_MIN_ROWS)
-
-
-def _lstm_live_rows(groups, masks: list[np.ndarray], hids: list[int], dtype,
-                    last_h: bool) -> np.ndarray:
-    """:func:`lstm_sequence`'s pass without a tape: ``groups`` and ``masks``
-    (B, T) as it builds them. Returns the (B, T, 2, H) states, or with
-    ``last_h`` the (B, H) h after the final step.
-
-    The rows are ordered once, stably, by their last valid step in any
-    group (:func:`_live_row_order`), and h and c are kept in that order
-    from the first step. The rows that still have a valid step at or after
-    step t are a prefix of it; only that prefix, and never fewer than
-    ``min(B, LSTM_MIN_ROWS)`` rows, is stepped: x is projected one step at
-    a time from its rows, gathered in that order, and each step's states
-    are scattered back to batch order. Rows in the prefix whose mask is
-    false at t blend as in the taped pass. When every step runs every row,
-    the order is the batch's and the steps read views. Each row meets the
-    same GEMMs and elementwise ops on the same values as in a pass over all
-    rows, so the states keep their bits.
-    """
-    n, steps = masks[0].shape
-    width = sum(hids)
-    order, live = _live_row_order(np.logical_or.reduce(masks), hids)
-    if (live == n).all():  # the order is the batch's: no gathers
-        order = slice(None)
-    step_mask = np.stack([m[order].T for m in masks], axis=2)   # (T, B, groups)
-    unit_mask = step_mask if len(hids) == 1 else np.repeat(step_mask, hids, axis=2)
-    # [t, r]: rows 0..r of the order all take step t in every group
-    prefix_full = np.logical_and.accumulate(np.logical_and.reduce(masks)[order].T, axis=1)
-
-    z_buf = np.empty(4 * n * width, dtype=dtype)
-    h, c = np.zeros((n, width), dtype=dtype), np.zeros((n, width), dtype=dtype)
-    states = None if last_h else np.empty((n, steps, 2, width), dtype=dtype)
-    with np.errstate(over="ignore"):  # for _sigmoid
-        for t in range(steps):
-            k = live[t]
-            stepped = order if k == n else order[:k]
-            z = z_buf[:4 * k * width].reshape(4, k, width)
-            for xd, wxd, whd, b4, lo, hi in groups:
-                # (x @ Wx + b) + h @ Wh batch-major, then one transposed copy
-                xw = (xd[stepped, t] @ wxd).reshape(k, 4, hi - lo)
-                xw += b4
-                xw += (h[:k, lo:hi] @ whd).reshape(k, 4, hi - lo)
-                z[..., lo:hi].transpose(1, 0, 2)[...] = xw
-            h_new, c_new = _lstm_cell(z, c[:k])
-            if k and not prefix_full[t, k - 1]:   # k is 0 only in an empty batch
-                m = unit_mask[t, :k]
-                h_new, c_new = np.where(m, h_new, h[:k]), np.where(m, c_new, c[:k])
-            if k == n:
-                h, c = h_new, c_new
-            else:
-                h[:k], c[:k] = h_new, c_new
-            if states is not None:
-                states[order, t, 0] = h
-                states[order, t, 1] = c
-    if not last_h:
-        return states
-    out = np.empty_like(h)
-    out[order] = h
-    return out
 
 
 def linear_recurrence(keep, write, u0) -> Tensor:

@@ -6,13 +6,16 @@ table, the extractor each modality was computed with (absent for bundles
 that were not extracted), and per-sample metadata (labels, split, tags,
 per-modality lengths).
 Each ``.bin`` is one MSAB block: a header (magic ``MSAB``, version, then N,
-T, d as little-endian u32) followed by the N x T x d float32 array,
-row-major, little-endian. Positions past a sample's length are exactly zero.
+T, d as little-endian u32) followed by the N x T x d array, row-major,
+little-endian. Version 1 stores float32 (``<f4``), version 2 float64
+(``<f8``). Bundles hold float32 only, so their blocks are version 1.
+Positions past a sample's length are exactly zero.
 
 The same block codec stores checkpoint ``params.bin`` and run ``reps.bin``
-as named blocks (u32 name length, UTF-8 name, one MSAB block each). The
-decoder checks every bound and raises BundleFormatError naming the file
-and the entry.
+as named blocks (u32 name length, UTF-8 name, one MSAB block each); an f64
+model's parameters and representations keep their float64 values there.
+The decoder checks every bound and raises BundleFormatError naming the
+file and the entry.
 
 Bundles are immutable after load and safe for concurrent reads.
 """
@@ -53,7 +56,7 @@ INSTANCE_TYPES = ("easy", "common", "difficult", "noise", "missing")
 SCENARIOS = ("Films(TV)", "Variety Show", "Life(Vlog)")
 
 _MAGIC = b"MSAB"
-_VERSION = 1
+_PAYLOAD = {1: np.dtype("<f4"), 2: np.dtype("<f8")}  # version -> payload dtype
 _HEADER = struct.Struct("<4sIIII")  # magic, version, then the three dims
 _NAME_LEN = struct.Struct("<I")
 
@@ -258,7 +261,8 @@ def write_bundle(bundle: FeatureBundle, path) -> None:
 
 def _write_block(fh, arr: np.ndarray, name: str | None = None) -> None:
     """Append one block to ``fh``, prefixed by its name when given. Arrays
-    of fewer than three dims are stored with leading ones."""
+    of fewer than three dims are stored with leading ones; a float64 array
+    as a version-2 block, any other as a version-1 (float32) block."""
     arr = np.asarray(arr)
     if arr.ndim > 3:
         raise ShapeError(f"cannot store array {name!r} with ndim {arr.ndim}")
@@ -266,8 +270,9 @@ def _write_block(fh, arr: np.ndarray, name: str | None = None) -> None:
         encoded = name.encode("utf-8")
         fh.write(_NAME_LEN.pack(len(encoded)))
         fh.write(encoded)
-    fh.write(_HEADER.pack(_MAGIC, _VERSION, *((1,) * (3 - arr.ndim) + arr.shape)))
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    version = 2 if arr.dtype == np.float64 else 1
+    fh.write(_HEADER.pack(_MAGIC, version, *((1,) * (3 - arr.ndim) + arr.shape)))
+    fh.write(np.ascontiguousarray(arr, dtype=_PAYLOAD[version]).tobytes())
 
 
 def _decode_block(raw: bytes, pos: int, where: str) -> tuple[np.ndarray, int]:
@@ -278,19 +283,21 @@ def _decode_block(raw: bytes, pos: int, where: str) -> tuple[np.ndarray, int]:
     magic, version, a, b, c = _HEADER.unpack_from(raw, pos)
     if magic != _MAGIC:
         raise BundleFormatError(f"{where}: bad magic {magic!r}, expected {_MAGIC!r}")
-    if version != _VERSION:
+    if version not in _PAYLOAD:
         raise BundleFormatError(f"{where}: unsupported version {version}")
+    dtype = _PAYLOAD[version]
     pos += _HEADER.size
-    size = 4 * a * b * c
+    size = dtype.itemsize * a * b * c
     if len(raw) - pos < size:
         raise BundleFormatError(
             f"{where}: payload is {len(raw) - pos} bytes, header promises {size}")
-    data = np.frombuffer(raw, dtype="<f4", count=a * b * c, offset=pos)
+    data = np.frombuffer(raw, dtype=dtype, count=a * b * c, offset=pos)
     return data.reshape(a, b, c), pos + size
 
 
 def write_named_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    """Store named float arrays as consecutive named blocks (float32)."""
+    """Store named float arrays as consecutive named blocks: float64 as
+    float64, any other as float32."""
     with open(path, "wb") as fh:
         for name, arr in arrays.items():
             _write_block(fh, arr, name)

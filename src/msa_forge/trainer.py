@@ -91,8 +91,19 @@ class TrainConfig:
     grad_clip: float = 5.0
 
     def validate(self) -> None:
-        if self.optimizer.lr <= 0:
-            raise ValidationError(f"lr must be > 0, got {self.optimizer.lr}")
+        opt = self.optimizer
+        if not (math.isfinite(opt.lr) and opt.lr > 0):
+            raise ValidationError(f"lr must be finite and > 0, got {opt.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(opt, name) < 1.0:
+                raise ValidationError(f"{name} must be in [0, 1), got {getattr(opt, name)}")
+        if not (math.isfinite(opt.eps) and opt.eps > 0):
+            raise ValidationError(f"eps must be finite and > 0, got {opt.eps}")
+        if not (math.isfinite(opt.weight_decay) and opt.weight_decay >= 0):
+            raise ValidationError(f"weight_decay must be finite and >= 0, got {opt.weight_decay}")
+        if not self.grad_clip >= 0:  # NaN or negative; 0 turns clipping off
+            raise ValidationError(f"grad_clip must be >= 0 (0 turns clipping off), "
+                                  f"got {self.grad_clip}")
         if self.patience < 1:
             raise ValidationError(f"patience must be >= 1, got {self.patience}")
         if not self.seeds:

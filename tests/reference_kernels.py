@@ -133,8 +133,9 @@ def lstm_single(x, mask, params):
 def lstm_sequence_batch_major(xs, masks, params):
     """``ad.lstm_sequence`` with its gate cache batch-major, (B, T, 4, H),
     and a per-unit mask repeated on every step: the layout the package
-    kernel kept before its cache went step-major. Same GEMMs on the same
-    operands and the same elementwise ops on the same values, so the
+    kernel kept before its cache went step-major. x is projected one step
+    at a time over all B rows, with and without a tape. Same GEMMs on the
+    same operands and the same elementwise ops on the same values, so the
     package kernel must match it bit for bit, states and adjoints."""
     xs = [x if isinstance(x, Tensor) else Tensor(x) for x in xs]
     weights = [ad._lstm_weights(p) for p in params]
@@ -155,11 +156,8 @@ def lstm_sequence_batch_major(xs, masks, params):
     dtype = np.result_type(*(x.data for x in xs), *(wx.data for wx, _, _ in weights))
     states = np.empty((n, steps, 2, width), dtype=dtype)
     taped = ad.active_tape() is not None
-    if taped:
-        gates = np.empty((n, steps, 4, width), dtype=dtype)
-        for xd, wxd, _, b4, lo, hi in groups:
-            xw = xd.reshape(n * steps, -1) @ wxd
-            np.add(xw.reshape(n, steps, 4, hi - lo), b4, out=gates[..., lo:hi])
+    if taped:  # zeros: a step no row takes leaves its gates unwritten
+        gates = np.zeros((n, steps, 4, width), dtype=dtype)
     else:
         z = np.empty((n, 4, width), dtype=dtype)
     h = c = np.zeros((n, width), dtype=dtype)
@@ -170,8 +168,7 @@ def lstm_sequence_batch_major(xs, masks, params):
                     z = gates[:, t]
                 for xd, wxd, whd, b4, lo, hi in groups:
                     z_k = z[..., lo:hi]
-                    if not taped:
-                        np.add((xd[:, t] @ wxd).reshape(z_k.shape), b4, out=z_k)
+                    np.add((xd[:, t] @ wxd).reshape(z_k.shape), b4, out=z_k)
                     z_k += (h[:, lo:hi] @ whd).reshape(z_k.shape)
                 cell = np.tanh(z[:, 2])
                 ad._sigmoid(z, out=z)

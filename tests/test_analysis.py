@@ -186,6 +186,22 @@ class TestPca:
         for comp in proj.components:
             assert comp[np.argmax(np.abs(comp))] > 0
 
+    def test_reps_too_large_to_center_rejected(self):
+        # their mean overflows, and the SVD of the NaN-filled centered matrix
+        # ended eval in a LinAlgError traceback
+        data = 1e308 + 1e307 * np.random.default_rng(11).random((6, 4))
+        assert np.isfinite(data).all()
+        with pytest.raises(MetricError, match="too large to center"):
+            pca_project(data, k=3)
+        with pytest.raises(MetricError, match="non-finite"):
+            pca_project(np.where(np.eye(6, 4) > 0, np.nan, 1.0), k=3)
+
+    def test_variance_past_float64_reads_inf(self):
+        # centered values of 1e200 are finite; their squares are not
+        proj = pca_project(np.random.default_rng(12).normal(size=(6, 4)) * 1e200, k=3)
+        assert np.isposinf(proj.explained_variance).all()
+        assert np.isfinite(proj.projected).all()
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValidationError):
             pca_project(np.zeros((2, 5)), k=3)

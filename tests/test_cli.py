@@ -220,6 +220,17 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "batch_size" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("override", ["beta1=1.5", "beta1=1", "beta2=-0.5", "eps=-1",
+                                          "eps=0", "weight_decay=-3", "grad_clip=NaN",
+                                          "grad_clip=-2", "lr=Infinity", "lr=NaN"])
+    def test_train_set_bad_optimizer_value(self, tmp_path, tiny_bundle_dir, capsys, override):
+        # these trained silently (beta1=1.5, eps=-1, weight_decay=-3,
+        # grad_clip=NaN) or diverged with exit 3 (eps=0, beta1=1, lr=Infinity)
+        assert self.train(tmp_path, tiny_bundle_dir, "--set", override) == 2
+        err = capsys.readouterr().err
+        assert override.split("=")[0] in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
     def test_train_set_string_for_dict_field(self, tmp_path, tiny_bundle_dir, capsys):
         assert self.train(tmp_path, tiny_bundle_dir, "--set", "hidden_dims=abc") == 1
         err = capsys.readouterr().err
@@ -394,6 +405,22 @@ def trained_run(tmp_path_factory, tiny_bundle_dir):
 
 
 class TestEvalCli:
+    def test_f64_reps_too_large_for_pca(self, tmp_path, tiny_bundle_dir, trained_run, capsys):
+        # an f64 checkpoint keeps float64 weights, so the fusion layer can put
+        # out finite values near float64's max; the PCA's mean overflowed and
+        # its SVD ended eval in a LinAlgError traceback
+        model, _ = load_checkpoint(trained_run / "seed_1111" / "checkpoint")
+        model.config.dtype = "f64"
+        model64 = build_model(model.config)
+        model64.params["head.l1.w"].data[...] = 0.0
+        model64.params["head.l1.b"].data[...] = 1e308
+        model64.params["head.l2.w"].data[...] = 0.0
+        save_checkpoint(model64, tmp_path / "ckpt")
+        assert cli_main(["eval", "--checkpoint", str(tmp_path / "ckpt"), "--bundle",
+                         str(tiny_bundle_dir), "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert "too large to center" in err and "Traceback" not in err
+
     def test_eval_writes_metrics_projection_curves(self, tmp_path, tiny_bundle_dir,
                                                    trained_run):
         ckpt = trained_run / "seed_1111" / "checkpoint"

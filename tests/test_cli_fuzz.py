@@ -1,25 +1,30 @@
-"""Property tests for the CLI's numeric flags and bundle manifests: whatever
-number or string a user passes to `perturb`/`eval --tagged` `--snr-db`,
-`--seed`, or `extract` `--lenient`/`--label-range`, and whatever JSON value of
-another type a bundle's or a checkpoint's manifest, an `aggregate.json` or a
-`tagged_report.json` holds in place of one of its fields, the command exits
-0, 1, 2 or 3 and prints no traceback. Every
-failure these found has a named regression test in test_cli.py,
-test_robustness.py, test_extractors.py or test_bundle.py."""
+"""Property tests for the CLI's numeric flags, bundle manifests and binary
+payloads: whatever number or string a user passes to `perturb`/`eval --tagged`
+`--snr-db`, `--seed`, or `extract` `--lenient`/`--label-range`, and whatever
+JSON value of another type a bundle's or a checkpoint's manifest, an
+`aggregate.json` or a `tagged_report.json` holds in place of one of its
+fields, the command exits 0, 1, 2 or 3 and prints no traceback. Whatever
+bytes of a bundle `.bin` or a checkpoint's `params.bin` (MSAB version-1 and
+version-2 blocks) are overwritten, cut or inserted, `eval` exits 0, 2 or 3
+and prints no traceback. Every failure these found has a named regression
+test in test_cli.py, test_robustness.py, test_extractors.py, test_bundle.py
+or test_msab_codec.py."""
 
 import contextlib
 import io
 import json
 import math
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from msa_forge.bundle import write_bundle
+from msa_forge.bundle import read_bundle, read_named_arrays, write_bundle
 from msa_forge.cli import cli_main
 from msa_forge.synthetic import make_synthetic_bundle
 from test_extractors import build_toy_dataset
@@ -208,3 +213,83 @@ def test_corrupt_report_fields(report_docs, data):
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / name).write_text(json.dumps(doc))
         assert _run(["report", "--runs", tmp, "--style", style]) in (0, 2)
+
+
+@pytest.fixture(scope="module")
+def payload_files(bundle_and_checkpoint, tmp_path_factory):
+    """A bundle and an f32 and an f64 checkpoint trained on it: the bundle's
+    ``.bin`` files and the f32 ``params.bin`` are version-1 blocks, the f64
+    ``params.bin`` version-2 blocks."""
+    bundle, checkpoint = bundle_and_checkpoint
+    root = tmp_path_factory.mktemp("fuzz_payload")
+    assert cli_main(["train", "--bundle", str(bundle), "--model", "lf_dnn", "--seeds", "7",
+                     "--out", str(root / "runs"), "--set", "max_epochs=1", "--set",
+                     "batch_size=8", "--set", "dtype=f64"]) == 0
+    (checkpoint64,) = (root / "runs" / "lf_dnn").glob("*/seed_7/checkpoint")
+    for path, dtype in ((checkpoint, np.float32), (checkpoint64, np.float64)):
+        assert {a.dtype for a in read_named_arrays(path / "params.bin").values()} == {np.dtype(dtype)}
+    return bundle, {"f32": checkpoint, "f64": checkpoint64}
+
+
+@st.composite
+def mutations(draw, size: int) -> list:
+    """One to four edits of a file of ``size`` bytes: overwrite, cut or insert,
+    half of them in the first 64 bytes, where the headers and names are."""
+    def position():
+        return draw(st.integers(0, min(size, 64) - 1) | st.integers(0, size - 1))
+    edits = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["overwrite", "cut", "insert"]))
+        edits.append((kind, position(), draw(st.binary(min_size=1, max_size=8))))
+    return edits
+
+
+def _mutate(raw: bytes, edits) -> bytes:
+    blob = bytearray(raw)
+    for kind, pos, chunk in edits:
+        pos = min(pos, len(blob))
+        if kind == "overwrite":
+            blob[pos:pos + len(chunk)] = chunk
+        elif kind == "cut":
+            del blob[pos:pos + len(chunk)]
+        else:
+            blob[pos:pos] = chunk
+    return bytes(blob)
+
+
+@settings(PROFILE, max_examples=150)
+@given(data=st.data())
+def test_mutated_params_bin(payload_files, data):
+    bundle, checkpoints = payload_files
+    checkpoint = checkpoints[data.draw(st.sampled_from(sorted(checkpoints)), label="dtype")]
+    raw = (checkpoint / "params.bin").read_bytes()
+    edits = data.draw(mutations(len(raw)), label="edits")
+    with tempfile.TemporaryDirectory() as tmp:
+        corrupt = Path(tmp) / "checkpoint"
+        shutil.copytree(checkpoint, corrupt)
+        (corrupt / "params.bin").write_bytes(_mutate(raw, edits))
+        code = _run(["eval", "--checkpoint", str(corrupt), "--bundle", str(bundle),
+                     "--out", str(Path(tmp) / "e")])
+    assert code in (0, 2, 3)
+
+
+@settings(PROFILE, max_examples=150)
+@given(data=st.data())
+def test_mutated_bundle_bin(payload_files, data):
+    # audio.bin as written (version 1) or re-encoded as a version-2 block,
+    # which a bundle refuses: bundles hold float32 only
+    bundle, checkpoints = payload_files
+    version = data.draw(st.sampled_from([1, 2]), label="version")
+    with tempfile.TemporaryDirectory() as tmp:
+        corrupt = Path(tmp) / "bundle"
+        shutil.copytree(bundle, corrupt)
+        if version == 2:
+            audio = read_bundle(bundle).blocks["audio"].data
+            raw = b"MSAB" + struct.pack("<IIII", 2, *audio.shape) + audio.astype("<f8").tobytes()
+        else:
+            raw = (bundle / "audio.bin").read_bytes()
+        edits = data.draw(mutations(len(raw)), label="edits")
+        (corrupt / "audio.bin").write_bytes(_mutate(raw, edits))
+        code = _run(["eval", "--checkpoint", str(checkpoints["f32"]), "--bundle", str(corrupt),
+                     "--out", str(Path(tmp) / "e")])
+    assert code in (0, 2, 3)

@@ -16,7 +16,7 @@ from msa_forge.bundle import (
     read_bundle,
     write_bundle,
 )
-from msa_forge.errors import BundleFormatError, ModelError
+from msa_forge.errors import BundleFormatError, BundleValidationError, ModelError
 from msa_forge.models import (
     ModelConfig,
     build_model,
@@ -27,26 +27,31 @@ from msa_forge.models import (
 )
 
 
-def pack_block(arr):
-    """An MSAB block packed by hand: magic, u32 version 1, three u32 dims
-    (leading ones for fewer), then the little-endian float32 payload."""
-    arr = np.asarray(arr, dtype=np.float32)
+def pack_block(arr, version=None):
+    """An MSAB block packed by hand: magic, u32 version, three u32 dims
+    (leading ones for fewer), then the little-endian payload, float32 under
+    version 1 and float64 under version 2. The version defaults to 2 for a
+    float64 array and to 1 for any other."""
+    arr = np.asarray(arr)
+    if version is None:
+        version = 2 if arr.dtype == np.float64 else 1
     dims = (1,) * (3 - arr.ndim) + arr.shape
-    return (b"MSAB" + struct.pack("<IIII", 1, *dims)
-            + struct.pack(f"<{arr.size}f", *arr.ravel().tolist()))
+    return (b"MSAB" + struct.pack("<IIII", version, *dims)
+            + struct.pack(f"<{arr.size}{'fd'[version - 1]}", *arr.ravel().tolist()))
 
 
-def pack_named(arrays):
+def pack_named(arrays, version=None):
     out = b""
     for name, arr in arrays.items():
         encoded = name.encode("utf-8")
-        out += struct.pack("<I", len(encoded)) + encoded + pack_block(arr)
+        out += struct.pack("<I", len(encoded)) + encoded + pack_block(arr, version)
     return out
 
 
-def small_model():
+def small_model(dtype="f32"):
     cfg = ModelConfig(model_name="lf_dnn", feature_dims={"text": 2, "audio": 2},
-                      hidden_dims={"text": 2, "audio": 2, "vision": 2}, post_fusion_dim=2)
+                      hidden_dims={"text": 2, "audio": 2, "vision": 2}, post_fusion_dim=2,
+                      dtype=dtype)
     return build_model(cfg)
 
 
@@ -96,6 +101,52 @@ class TestByteLayout:
         for name, arr in reps.items():
             np.testing.assert_array_equal(back[name].reshape(arr.shape), arr)
         assert back["pred"].shape == (1, 1, 4)
+
+    def test_f64_params_bin_keeps_the_weights(self, tmp_path):
+        # an f64 model's parameters are version-2 blocks, so a reload gives
+        # back its exact weights, not float32-rounded ones
+        model = small_model("f64")
+        save_checkpoint(model, tmp_path / "ckpt")
+        expected = {name: p.data for name, p in model.params.items()}
+        assert all(a.dtype == np.float64 for a in expected.values())
+        assert any((a.astype(np.float32) != a).any() for a in expected.values())
+        assert (tmp_path / "ckpt" / "params.bin").read_bytes() == pack_named(expected)
+        restored, _ = load_checkpoint(tmp_path / "ckpt")
+        assert restored.dtype == np.float64
+        for name, p in restored.params.items():
+            assert p.data.tobytes() == expected[name].tobytes(), name
+
+    def test_version_1_params_bin_still_loads_into_f64(self, tmp_path):
+        # a params.bin written before version 2 holds float32 values; an f64
+        # model loads them widened, as it always did
+        model = small_model("f64")
+        save_checkpoint(model, tmp_path / "ckpt")
+        expected = {name: p.data.astype(np.float32) for name, p in model.params.items()}
+        (tmp_path / "ckpt" / "params.bin").write_bytes(pack_named(expected, version=1))
+        restored, _ = load_checkpoint(tmp_path / "ckpt")
+        for name, p in restored.params.items():
+            assert p.data.dtype == np.float64
+            np.testing.assert_array_equal(p.data, expected[name].astype(np.float64))
+
+    def test_f64_reps_bin(self, tmp_path):
+        reps = {name: a.astype(np.float64) / 3 for name, a in sample_reps().items()}
+        reps["pred"] = reps["pred"].astype(np.float32)   # mixed versions in one file
+        write_named_arrays(tmp_path / "reps.bin", reps)
+        assert (tmp_path / "reps.bin").read_bytes() == pack_named(reps)
+        back = read_named_arrays(tmp_path / "reps.bin")
+        for name, arr in reps.items():
+            assert back[name].dtype == arr.dtype, name
+            assert back[name].tobytes() == arr.tobytes(), name
+
+    def test_f64_bundle_is_refused(self, tmp_path):
+        # bundles stay float32: a float64 block reads, and validation refuses it
+        data = np.ones((1, 1, 1), dtype=np.float32)
+        bundle = FeatureBundle(Manifest("toy", (-3.0, 3.0), [SampleMeta("a", "train", 0.0)]),
+                               {"audio": ModalityBlock(1, 1, data, np.array([1]))})
+        write_bundle(bundle, tmp_path / "b")
+        (tmp_path / "b" / "audio.bin").write_bytes(pack_block(data.astype(np.float64)))
+        with pytest.raises(BundleValidationError, match="float64, expected float32"):
+            read_bundle(tmp_path / "b")
 
     def test_empty_named_container(self, tmp_path):
         write_named_arrays(tmp_path / "empty.bin", {})
@@ -165,7 +216,7 @@ def corrupt(raw, kind):
     elif kind == "flipped magic":
         blob[header] ^= 0xFF
     elif kind == "bad version":
-        blob[header + 4:header + 8] = struct.pack("<I", 2)
+        blob[header + 4:header + 8] = struct.pack("<I", 3)
     elif kind == "name past end":
         blob[:4] = struct.pack("<I", len(raw))
     elif kind == "non-UTF-8 name":

@@ -101,6 +101,28 @@ class TestConfigRegistry:
         with pytest.raises(ValidationError):
             config.validate()
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr", float("inf")), ("lr", float("nan")), ("lr", 0.0),
+        ("beta1", 1.5), ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", float("nan")),
+        ("eps", -1.0), ("eps", 0.0), ("eps", float("inf")), ("eps", float("nan")),
+        ("weight_decay", -3.0), ("weight_decay", float("inf")), ("weight_decay", float("nan")),
+        ("grad_clip", float("nan")), ("grad_clip", -1.0)])
+    def test_optimizer_values_are_validated(self, key, value):
+        # each of these trained silently or diverged before validation saw it
+        config = get_config_regression("tfn", "mosi")
+        config[key] = value
+        with pytest.raises(ValidationError, match=key):
+            config.validate()
+
+    @pytest.mark.parametrize("key, value", [("beta1", 0.0), ("beta2", 0.0), ("eps", 1e-300),
+                                            ("weight_decay", 0.0), ("grad_clip", 0.0),
+                                            ("grad_clip", float("inf"))])
+    def test_optimizer_edge_values_pass(self, key, value):
+        # a zero grad_clip turns clipping off; an infinite one never clips
+        config = get_config_regression("tfn", "mosi")
+        config[key] = value
+        config.validate()
+
 
 class TestAdam:
     """One step from zero moments, by hand: the gradient with coupled L2
