@@ -75,8 +75,10 @@ def active_tape() -> "Tape | None":
 class Tensor:
     """A shaped float array with an optional gradient slot.
 
-    A tensor registered in a :class:`ParamSet` has a ``grad`` slot, which
-    :func:`backward` fills; for everything else it stays ``None``.
+    A tensor registered in a :class:`ParamSet` has a ``grad`` slot, its view
+    of the set's gradient store, which :func:`backward` fills; reading it
+    allocates the store if nothing has yet. For everything else ``grad``
+    stays ``None``.
     """
 
     __slots__ = ("data", "grad")
@@ -477,13 +479,55 @@ def mse_loss(pred, target) -> Tensor:
 # parameters, backward, gradient checking
 # ---------------------------------------------------------------------------
 
+class _GradStore:
+    """A ParamSet's flat gradient store, zero-filled on first use."""
+
+    __slots__ = ("like", "array")
+
+    def __init__(self, like: np.ndarray):
+        self.like = like
+        self.array: np.ndarray | None = None
+
+    def get(self) -> np.ndarray:
+        if self.array is None:
+            self.array = np.zeros_like(self.like)
+        return self.array
+
+
+class _Param(Tensor):
+    """A ParamSet's tensor: ``grad`` is its view of the set's gradient
+    store, made on first read. It holds the store, not the set, so that a
+    set and its tensors form no reference cycle and are freed with their
+    last reference."""
+
+    __slots__ = ("_store", "_offset")
+
+    @property
+    def grad(self) -> np.ndarray:
+        view = Tensor.grad.__get__(self)
+        if view is None:
+            lo = self._offset
+            view = self._store.get()[lo:lo + self.data.size].reshape(self.data.shape)
+            Tensor.grad.__set__(self, view)
+        return view
+
+    @grad.setter
+    def grad(self, value) -> None:
+        Tensor.grad.__set__(self, value)
+
+
 class ParamSet:
     """Named parameter tensors of one dtype, stored flat.
 
-    Every value lives in one array, ``data``, and every gradient slot in
-    another, ``grad``, in the mapping's order; each is allocated once. Each
-    parameter's ``Tensor.data`` and ``Tensor.grad`` are reshaped views into
-    them, so a whole-set update is one operation on the flat arrays.
+    Every value lives in one array, ``data``, in the mapping's order, and
+    each parameter's ``Tensor.data`` is a reshaped view into it, so a
+    whole-set update is one operation on the flat array. The gradient slots
+    live the same way in a second array, ``grad``, with each parameter's
+    ``Tensor.grad`` a view into it. That store is allocated, zero-filled, on
+    its first use (an optimizer built over the set, :func:`backward`,
+    clipping, or a read of ``grad`` on the set or on one of its tensors), so
+    a set that is only evaluated, like a loaded checkpoint's, never holds
+    one.
     """
 
     def __init__(self, values: Mapping[str, np.ndarray]):
@@ -494,16 +538,20 @@ class ParamSet:
                              "holds one dtype, float32 or float64")
         size = sum(a.size for a in arrays.values())
         self.data = np.empty(size, dtype=dtypes.pop() if dtypes else np.float64)
-        self.grad = np.zeros_like(self.data)
+        self._store = _GradStore(self.data)
         self._params: dict[str, Tensor] = {}
         lo = 0
         for name, a in arrays.items():
-            hi = lo + a.size
-            t = Tensor(self.data[lo:hi].reshape(a.shape))
+            t = _Param(self.data[lo:lo + a.size].reshape(a.shape))
             t.data[...] = a
-            t.grad = self.grad[lo:hi].reshape(a.shape)
+            t._store, t._offset = self._store, lo
             self._params[name] = t
-            lo = hi
+            lo += a.size
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The flat gradient store, allocated and zero-filled on first use."""
+        return self._store.get()
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]

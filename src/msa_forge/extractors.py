@@ -17,14 +17,16 @@ import functools
 import hashlib
 import io
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .bundle import FeatureBundle, Manifest, ModalityBlock, SampleMeta, validate_bundle
-from .errors import ExtractionError
+from .errors import ExtractionError, MsaForgeError
 
 __all__ = [
     "WaveBuffer",
@@ -529,6 +531,155 @@ def _read_label_csv(label_file, modalities: list[str]) -> list[tuple[SampleMeta,
     return out
 
 
+def _stored(seq: np.ndarray) -> np.ndarray:
+    """``seq`` cast to float32 as _pack_blocks casts it; ``seq`` itself where
+    that cast overflows, so that _pack_blocks makes its cast, and its
+    warning, in the same order as when it casts every sequence."""
+    try:
+        with np.errstate(over="raise"):
+            return seq.astype(np.float32)
+    except FloatingPointError:
+        return seq
+
+
+def _extract_rows(root: Path, by_modality: dict[str, ExtractorConfig],
+                  tables: dict[str, EmbeddingTable | None], rows: list) -> list:
+    """Each ``(sample id, paths)`` row's features, one array per modality
+    stored as _pack_blocks stores it, or the message of the ExtractionError
+    that failed the row. Any other exception is raised."""
+    out = []
+    for _, paths in rows:
+        try:
+            out.append({m: _stored(_extract_one(cfg, root / paths[m], tables[m])[0])
+                        for m, cfg in by_modality.items()})
+        except ExtractionError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _load_tables(root: Path, by_modality: dict[str, ExtractorConfig]
+                 ) -> dict[str, EmbeddingTable | None]:
+    """Each glove modality's embedding table; None for the other kinds."""
+    tables: dict[str, EmbeddingTable | None] = {}
+    for m, cfg in by_modality.items():
+        if cfg.kind == "glove":
+            table_path = filled_params(cfg)["table"]
+            if not table_path:
+                raise ExtractionError("glove extractor needs params['table'] = path")
+            tables[m] = EmbeddingTable.load(root / table_path)  # an absolute path replaces root
+        else:
+            tables[m] = None
+    return tables
+
+
+# rows per chunk: a chunk's features cross a worker's stdout as one reply, so
+# a few clips' worth keeps each reply small and the slots' shares even
+_CHUNK_ROWS = 4
+# chunks granted to a worker and not yet returned: with a second one queued,
+# a worker goes on while this process is busy with its own chunk
+_GRANTS = 2
+
+
+def _serve_chunks(exchange, root: Path, by_modality: dict[str, ExtractorConfig]) -> None:
+    """A worker's side of _extract_chunks. Once it has imported what
+    extraction needs and loaded the embedding tables, the worker sends None:
+    it asks for work. Then, for each chunk it is granted, ``(index, rows)``,
+    it sends ``(index, outcomes)``, ``outcomes`` as _extract_rows returns
+    them, or ``(index, exception)`` when the chunk raised; a grant of None
+    ends the request."""
+    from ._heap import keep_freed_memory
+    from ._worker import _picklable
+
+    keep_freed_memory()     # as cli_main does in the caller
+    if any(cfg.kind in WAV_KINDS for cfg in by_modality.values()):
+        import scipy.fft            # what read_wav and _cepstra import where used
+        import scipy.io.wavfile     # noqa: F401
+    tables = _load_tables(root, by_modality)
+    exchange.send(None)
+    while (grant := exchange.receive()) is not None:
+        k, rows = grant
+        try:
+            exchange.send((k, _extract_rows(root, by_modality, tables, rows)))
+        except Exception as exc:
+            exchange.send((k, _picklable(exc, f"the chunk from clip {rows[0][0]!r}")))
+
+
+def _extract_chunks(root: Path, by_modality: dict[str, ExtractorConfig],
+                    tables: dict[str, EmbeddingTable | None], chunks: list) -> list:
+    """Every chunk's _extract_rows, in chunk order, from ``min(chunks, CPUs)``
+    slots: this process and, for the others, worker processes. This process
+    takes the next unclaimed chunk, one at a time; between its chunks it
+    reads the workers' replies and grants each worker that has asked for
+    work more chunks, up to _GRANTS out at a time. A chunk that raises stops
+    further claims, and once the claimed chunks are in, the lowest such
+    chunk's exception is raised, as the sequential loop would raise it."""
+    from . import trainer
+
+    # replies are polled with select, which takes no pipe on Windows
+    slots = min(len(chunks), trainer._usable_cpus()) if os.name == "posix" else 1
+    helpers = []
+    if slots > 1:
+        from . import _worker
+        helpers = _worker.workers(slots - 1)
+    results: list = [None] * len(chunks)
+    claims = iter(range(len(chunks)))
+    out: dict = dict.fromkeys(helpers)  # each worker's chunks in grant order; None until it asks
+    stop = False
+
+    def take(helper) -> None:
+        nonlocal stop
+        reply = helper.receive()
+        if reply is None:
+            out[helper] = []
+        else:
+            k, results[k] = reply
+            out[helper].remove(k)
+            stop = stop or isinstance(results[k], Exception)
+
+    helper = None
+    try:
+        for helper in helpers:
+            helper.submit(_serve_chunks, root, by_modality)
+        while True:
+            for helper in helpers:
+                while helper.ready():
+                    take(helper)
+                while out[helper] is not None and len(out[helper]) < _GRANTS and not stop:
+                    k = next(claims, None)
+                    if k is None:
+                        break
+                    out[helper].append(k)
+                    helper.send((k, chunks[k]))
+            k = None if stop else next(claims, None)
+            if k is None:
+                break
+            try:
+                with one_blas_thread():     # as in a worker, whose CPU a second thread would crowd
+                    results[k] = _extract_rows(root, by_modality, tables, chunks[k])
+            except Exception as exc:
+                results[k] = exc
+                stop = True
+        for helper in helpers:
+            while out[helper]:
+                take(helper)
+            if out[helper] is None:
+                helper.unread += 1  # its ask, read before its next request
+            helper.send(None)
+    except BaseException as exc:
+        for other in helpers:   # partway through an exchange: unusable for the next call
+            other.kill()
+        if helpers and isinstance(exc, _worker.WorkerExited):
+            doing = (f"extracting the chunk from clip {chunks[out[helper][0]][0][0]!r}"
+                     if out[helper] else "before extracting a chunk")
+            raise MsaForgeError(f"the worker process exited with code {exc.args[0]} "
+                                f"{doing}") from None
+        raise
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
 def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
                 *, dataset_name: str | None = None,
                 label_range: tuple[float, float] = (-3.0, 3.0),
@@ -544,6 +695,14 @@ def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
     failed id; a ``max_failure_fraction`` outside [0, 1] is rejected before
     any table or clip is read. The manifest records each modality's resolved
     extractor, params as given.
+
+    Rows are extracted in chunks of a few, side by side in ``min(chunks,
+    CPUs)`` slots, as :func:`msa_forge.trainer.multi_seed_run` trains seeds:
+    this process and worker processes (:mod:`msa_forge._worker`), which get
+    the dataset root, the rows' paths and the resolved configs. Rows keep
+    the label CSV's order, and the failures, the bundle and its bytes are
+    those of extracting every row here, one after another, which is what a
+    process restricted to one CPU (``taskset -c 0``) does.
     """
     if not 0.0 <= max_failure_fraction <= 1.0:  # also false for NaN
         raise ExtractionError("max_failure_fraction (--lenient) must be in [0, 1], "
@@ -558,30 +717,21 @@ def run_dataset(dataset_dir, configs: list[ExtractorConfig], label_file,
     if not by_modality:
         raise ExtractionError("no extractor configs given")
 
-    tables: dict[str, EmbeddingTable | None] = {}
-    for m, cfg in by_modality.items():
-        if cfg.kind == "glove":
-            table_path = filled_params(cfg)["table"]
-            if not table_path:
-                raise ExtractionError("glove extractor needs params['table'] = path")
-            tables[m] = EmbeddingTable.load(root / table_path)  # an absolute path replaces root
-        else:
-            tables[m] = None
-
+    tables = _load_tables(root, by_modality)
     rows = _read_label_csv(label_file, list(by_modality))
+    chunks = [[(meta.id, paths) for meta, paths in rows[lo:lo + _CHUNK_ROWS]]
+              for lo in range(0, len(rows), _CHUNK_ROWS)]
 
     sequences: dict[str, list[np.ndarray]] = {m: [] for m in by_modality}
     samples: list[SampleMeta] = []
     failures: dict[str, str] = {}
-    for meta, paths in rows:
-        try:
-            per_mod = {}
-            for m, cfg in by_modality.items():
-                per_mod[m] = _extract_one(cfg, root / paths[m], tables[m])[0]
-        except ExtractionError as exc:
-            failures[meta.id] = str(exc)
+    outcomes = [row for chunk in _extract_chunks(root, by_modality, tables, chunks)
+                for row in chunk]
+    for (meta, _), outcome in zip(rows, outcomes):
+        if isinstance(outcome, str):
+            failures[meta.id] = outcome
             continue
-        for m, seq in per_mod.items():
+        for m, seq in outcome.items():
             sequences[m].append(seq)
         samples.append(meta)
 

@@ -35,7 +35,7 @@ from ._blas import one_blas_thread
 from ._heap import keep_freed_memory
 from .analysis import METRIC_KEYS, MetricReport, compute_metrics
 from .bundle import FeatureBundle, split_view
-from .errors import ModelError, TrainingDivergedError, ValidationError
+from .errors import ModelError, MsaForgeError, TrainingDivergedError, ValidationError
 from .models import (
     Model,
     ModelConfig,
@@ -210,6 +210,9 @@ class Adam:
         self.params = params
         self.config = config
         self.t = 0
+        # the gradient store comes with the moments, before the first step's
+        # activations: allocated amid them, it left the heap 0.6 MB higher
+        params.grad
         self.m = np.zeros_like(params.data)
         self.v = np.zeros_like(params.data)
         self._scratch = np.empty((2, min(params.data.size, ADAM_CHUNK)), dtype=params.data.dtype)
@@ -249,16 +252,17 @@ def clip_global_norm(params: ad.ParamSet, max_norm: float) -> float:
     max_norm. The norm sums per parameter in float64: the flat gradient
     is squared once, and each parameter's slice is summed pairwise and
     added in declaration order."""
-    squares = np.square(params.grad, dtype=np.float64)
+    grad = params.grad
+    squares = np.square(grad, dtype=np.float64)
     total = 0.0
     lo = 0
     for _, p in params.items():
-        hi = lo + p.grad.size
+        hi = lo + p.data.size
         total += float(np.add.reduce(squares[lo:hi]))
         lo = hi
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
-        params.grad *= max_norm / norm
+        grad *= max_norm / norm
     return norm
 
 
@@ -495,7 +499,11 @@ def _train_seeds(config: TrainConfig, bundle: FeatureBundle, runs: list) -> list
     outcomes = [None] * len(runs)
     try:
         for k, helper in enumerate(helpers, 1):
-            helper.submit(config, bundle, runs[k::slots])
+            try:
+                helper.submit(_serve_seeds, config, bundle, runs[k::slots])
+            except _worker.WorkerExited as exc:
+                raise MsaForgeError(f"the worker process for seed {runs[k][0]} has exited "
+                                    f"(code {exc.args[0]})") from None
         for i in range(0, len(runs), slots):
             seed, run_dir = runs[i]
             try:
@@ -504,7 +512,7 @@ def _train_seeds(config: TrainConfig, bundle: FeatureBundle, runs: list) -> list
                 outcomes[i] = (False, exc)
                 break
         for k, helper in enumerate(helpers, 1):
-            outcomes[k::slots] = helper.collect()
+            outcomes[k::slots] = _collect_seeds(helper, runs[k::slots])
     except BaseException:
         for helper in helpers:  # partway through an exchange: unusable for the next run
             helper.kill()
@@ -513,6 +521,47 @@ def _train_seeds(config: TrainConfig, bundle: FeatureBundle, runs: list) -> list
         if outcome is not None and not outcome[0]:
             raise outcome[1]
     return [result for _, result in outcomes]
+
+
+def _serve_seeds(exchange, config: TrainConfig, bundle: FeatureBundle, runs: list) -> None:
+    """A worker's side of _train_seeds: send each seed as it starts training
+    it, stop after the first seed that raises, then send the list of
+    outcomes, ``(True, RunResult)`` or ``(False, exception)``, in ``runs``
+    order. Outcomes come only at the end, so that the worker never waits on
+    a caller still training its own seeds; the seed numbers are a few bytes
+    each and name the seed a worker was training if it dies."""
+    from ._worker import _picklable
+
+    outcomes = []
+    for seed, run_dir in runs:
+        exchange.send(seed)
+        try:
+            outcomes.append((True, train_run(config, bundle, seed, run_dir=run_dir)))
+        except Exception as exc:
+            outcomes.append((False, _picklable(exc, f"seed {seed}")))
+            break
+    exchange.send(outcomes)
+
+
+def _collect_seeds(helper, runs: list) -> list:
+    """A worker's outcomes for ``runs``, in order, one per seed: ``(True,
+    RunResult)``, ``(False, exception)``, or None for a seed not run (after a
+    failure) or whose result died with the worker. A worker that dies gives
+    its seed a MsaForgeError that names it."""
+    from ._worker import WorkerExited
+
+    outcomes = [None] * len(runs)
+    started = 0
+    try:
+        while not isinstance(msg := helper.receive(), list):
+            started = [seed for seed, _ in runs].index(msg)
+    except WorkerExited as exc:
+        outcomes[started] = (False, MsaForgeError(
+            f"the worker process training seed {runs[started][0]} exited "
+            f"with code {exc.args[0]} before returning its result"))
+        return outcomes
+    outcomes[:len(msg)] = msg
+    return outcomes
 
 
 def multi_seed_run(config: TrainConfig, bundle: FeatureBundle,

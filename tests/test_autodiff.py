@@ -4,8 +4,10 @@ Every primitive gets a forward oracle (hand arithmetic or an explicit
 loop) and a finite-difference gradient check on randomized small shapes.
 """
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -286,6 +288,21 @@ class TestParamSet:
         assert report.passed
         self.assert_views(ps)
         assert np.all(ps.grad != 0)
+
+    def test_gradient_store_comes_on_first_read_and_the_set_leaves_no_cycle(self):
+        ps = self._params()
+        assert ps._store.array is None
+        slot = ps["b"].grad
+        assert slot.base is ps.grad and not ps.grad.any()
+        self.assert_views(ps)
+        # freed by reference counting alone, as a loaded checkpoint's set must be
+        gone = weakref.ref(ps)
+        gc.disable()
+        try:
+            del ps, slot
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_second_dtype_refused(self):
         with pytest.raises(ValueError, match="one dtype"):

@@ -22,6 +22,7 @@ from msa_forge.models import (
     save_checkpoint,
 )
 from msa_forge.synthetic import make_synthetic_bundle
+from msa_forge.trainer import Adam, AdamConfig
 from reference_kernels import attention_per_op, lmf_full_tensor_expand, mult_multihead_presplit
 
 
@@ -709,6 +710,27 @@ class TestCheckpoints:
         assert params.data.tobytes() == model.params.data.tobytes()
         for n, p in params.items():
             assert p.data.base is params.data and p.grad.base is params.grad, n
+
+    def test_load_allocates_no_gradient_store_until_backward(self, tmp_path):
+        # predict and eval only forward a loaded checkpoint: its ParamSet
+        # allocates the gradient store (1.2 MB for tfn) on the first backward
+        cfg = toy_config("tfn")
+        model = build_model(cfg)
+        save_checkpoint(model, tmp_path / "ckpt")
+        restored, _ = load_checkpoint(tmp_path / "ckpt")
+        batch = toy_batch(cfg)
+        restored.forward(batch, train=False)
+        assert restored.params._store.array is None
+        for trained in (model, restored):    # one training step from the same values
+            with Tape() as tape:
+                loss = trained.loss(trained.forward(batch, train=True), batch)
+            backward(tape, loss, trained.params)
+            Adam(trained.params, AdamConfig()).step()
+        params = restored.params
+        assert params.grad.tobytes() == model.params.grad.tobytes()
+        assert np.count_nonzero(params.grad) > 0
+        assert all(p.grad.base is params.grad for _, p in params.items())
+        assert params.data.tobytes() == model.params.data.tobytes()
 
     def test_missing_checkpoint_errors(self, tmp_path):
         with pytest.raises(ModelError):

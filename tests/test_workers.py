@@ -1,20 +1,28 @@
-"""multi_seed_run's worker slots: the same bytes in every slot, failures
-raised in seed order, errors that survive pickling, and worker processes
-that end with their caller."""
+"""The worker slots of multi_seed_run and run_dataset: the same bytes in
+every slot, failures raised as the sequential loop raises them, errors that
+survive pickling, and worker processes that end with their caller."""
 
 import inspect
+import logging
 import os
 import pickle
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.io.wavfile
+from test_extractors import build_toy_dataset
 
 import msa_forge
-from msa_forge import _worker, errors, trainer
-from msa_forge.bundle import write_bundle
+from msa_forge import _worker, errors, extractors, trainer
+from msa_forge.bundle import read_bundle, write_bundle
+from msa_forge.cli import cli_main
+from msa_forge.extractors import ExtractorConfig, run_dataset
 from msa_forge.synthetic import make_synthetic_bundle
 from msa_forge.trainer import get_config_regression, multi_seed_run
 
@@ -64,11 +72,11 @@ class TwoArgumentError(Exception):
 
 
 def test_an_error_that_does_not_unpickle_crosses_as_msa_forge_error():
-    exc = _worker._picklable(TwoArgumentError(5, "bad"), 7)
+    exc = _worker._picklable(TwoArgumentError(5, "bad"), "seed 7")
     assert type(exc) is errors.MsaForgeError
     assert "seed 7" in str(exc) and "TwoArgumentError" in str(exc)
     done = errors.TrainingDivergedError(2, None, "loss is non-finite at epoch 2")
-    assert _worker._picklable(done, 7) is done
+    assert _worker._picklable(done, "seed 7") is done
 
 
 # 3 seeds of a pooled and a recurrent model; prints whether a worker ran
@@ -224,6 +232,211 @@ def test_worker_ends_with_its_caller():
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     pid = int(done.stdout.split()[-1])
+    try:
+        cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+    except FileNotFoundError:
+        cmdline = b""
+    assert b"msa_forge._worker" not in cmdline
+
+
+# ---------------------------------------------------------------------------
+# run_dataset's slots
+# ---------------------------------------------------------------------------
+
+CONFIGS = [ExtractorConfig("audio", "mfcc", {"n_fft": 256, "hop": 128, "n_mels": 10,
+                                             "n_mfcc": 4}),
+           ExtractorConfig("text", "glove", {"table": "emb.txt"})]
+EXTRACT_JSON = ('{"audio": {"kind": "mfcc", "params": {"n_fft": 256, "hop": 128, '
+                '"n_mels": 10, "n_mfcc": 4}}, "text": {"kind": "glove", '
+                '"params": {"table": "emb.txt"}}}')
+
+
+def twelve_clips(root: Path, garbage=(), overflowing=(), stuck=()) -> Path:
+    """build_toy_dataset's clips s0..s11: three chunks of four rows. The
+    ``garbage`` clips' WAVs are unreadable; the ``overflowing`` clips' are
+    stereo float64 at 1e308, whose downmix overflows (a RuntimeWarning) and
+    then fails as non-finite; the ``stuck`` clips' are FIFOs that nothing
+    writes, so opening one waits for ever."""
+    build_toy_dataset(root, n=12)
+    for i in garbage:
+        (root / f"s{i}.wav").write_bytes(b"garbage")
+    for i in overflowing:
+        scipy.io.wavfile.write(root / f"s{i}.wav", 16000, np.full((4000, 2), 1e308))
+    for i in stuck:
+        (root / f"s{i}.wav").unlink()
+        os.mkfifo(root / f"s{i}.wav")
+    return root
+
+
+class TestExtractionSlots:
+    """One slot extracts every chunk here. With two, a warm worker takes
+    chunk 1 (clips s4..s7) and one of chunks 0 and 2: this process holds its
+    first chunk until the worker has asked for work, and a worker that asks
+    is granted two chunks at once."""
+
+    @pytest.fixture
+    def slots(self, monkeypatch, tmp_path):
+        """``slots(n)`` forces n slots, and returns the first clip id of
+        each chunk this process extracts from then on."""
+        warm = twelve_clips(tmp_path / "warm")
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
+        run_dataset(warm, CONFIGS, warm / "labels.csv")
+        _worker.workers(1)      # reads its request for work: the worker is warm
+        real = extractors._extract_rows
+
+        def force(n: int) -> list:
+            done = []
+
+            def extract_rows(root, by_modality, tables, rows):
+                if n > 1 and not done:
+                    time.sleep(0.5)
+                done.append(rows[0][0])
+                return real(root, by_modality, tables, rows)
+
+            monkeypatch.setattr(trainer, "_usable_cpus", lambda: n)
+            monkeypatch.setattr(extractors, "_extract_rows", extract_rows)
+            return done
+        return force
+
+    def test_bundle_bytes_equal_in_one_and_two_slots(self, tmp_path, slots):
+        root = twelve_clips(tmp_path / "data")
+        for n in (1, 2):
+            done = slots(n)
+            write_bundle(run_dataset(root, CONFIGS, root / "labels.csv"), tmp_path / str(n))
+            assert done == ["s0", "s4", "s8"] if n == 1 else len(done) == 1 and done != ["s4"]
+        files = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "2").iterdir()) and files
+        for name in files:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_a_bad_clip_in_each_share_fails_as_in_one_slot(self, tmp_path, slots, capsys,
+                                                           caplog):
+        root = twelve_clips(tmp_path / "data", garbage=(1, 6, 9))    # one in each chunk
+        (tmp_path / "extract.json").write_text(EXTRACT_JSON)
+        outcomes = {}
+        for n in (1, 2):
+            runs = []
+            for flags in ([], ["--lenient", "0.25"], ["--lenient", "0.2"]):
+                slots(n)
+                out = tmp_path / f"out{n}{len(runs)}"
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="msa_forge.extractors"):
+                    code = cli_main(["extract", "--data", str(root), "--labels",
+                                     str(root / "labels.csv"), "--config",
+                                     str(tmp_path / "extract.json"), "--out", str(out), *flags])
+                samples = read_bundle(out).manifest.samples if out.is_dir() else None
+                runs.append((code, capsys.readouterr().err, caplog.text, samples))
+            outcomes[n] = runs
+        assert outcomes[1] == outcomes[2]
+        (strict, strict_err, _, _), (lenient, _, log, samples), (too_strict, _, _, _) = outcomes[2]
+        assert (strict, lenient, too_strict) == (2, 0, 2)
+        assert strict_err.startswith("error: 3/12 samples failed")
+        assert strict_err.index("s1: ") < strict_err.index("s6: ") < strict_err.index("s9: ")
+        assert "Traceback" not in strict_err
+        assert "dropped 3 failed sample(s)" in log
+        assert [s.id for s in samples] == [f"s{i}" for i in range(12) if i not in (1, 6, 9)]
+
+    def test_the_callers_warning_filters_hold_in_the_worker(self, tmp_path, slots):
+        # tier-1 turns RuntimeWarning into an error (pyproject's filterwarnings)
+        root = twelve_clips(tmp_path / "data", overflowing=(5,))
+        done = slots(2)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            run_dataset(root, CONFIGS, root / "labels.csv")
+        assert "s4" not in done
+        slots(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(errors.ExtractionError, match="s5: .*non-finite"):
+                run_dataset(root, CONFIGS, root / "labels.csv")
+
+    def test_a_worker_killed_mid_chunk_names_the_chunks_first_clip(self, tmp_path, slots):
+        # s5.wav is a FIFO with no writer: the worker that opens it, in chunk 1,
+        # waits there until it is killed
+        root = twelve_clips(tmp_path / "data", stuck=(5,))
+        slots(2)
+        kill = threading.Timer(1.2, _worker.workers(1)[0].proc.kill)
+        kill.start()
+        try:
+            with pytest.raises(errors.MsaForgeError,
+                               match="code -9 extracting the chunk from clip 's4'"):
+                run_dataset(root, CONFIGS, root / "labels.csv")
+        finally:
+            kill.cancel()
+        again = twelve_clips(tmp_path / "again")
+        assert run_dataset(again, CONFIGS, again / "labels.csv").n == 12   # a new worker
+
+
+# ``msa-forge extract`` with a worker killed while it waits in chunk 1's FIFO
+KILLED_WORKER_CLI = """
+import os, sys, threading, time
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+from msa_forge import _worker, cli, extractors
+from msa_forge.extractors import ExtractorConfig, run_dataset
+warm, root = sys.argv[1:3]
+run_dataset(warm, [ExtractorConfig("audio", "mfcc", {"n_fft": 256, "hop": 128, "n_mels": 10,
+                                                      "n_mfcc": 4}),
+                   ExtractorConfig("text", "glove", {"table": "emb.txt"})],
+            os.path.join(warm, "labels.csv"))
+threading.Timer(1.2, _worker.workers(1)[0].proc.kill).start()
+extract_rows = extractors._extract_rows
+def slow_extract_rows(*args):
+    time.sleep(0.5)
+    return extract_rows(*args)
+extractors._extract_rows = slow_extract_rows
+sys.argv[1:] = ["extract", "--data", root, "--labels", os.path.join(root, "labels.csv"),
+                "--config", sys.argv[3], "--out", sys.argv[4]]
+sys.exit(cli.main())
+"""
+
+
+@two_cpus
+def test_a_killed_worker_makes_extract_exit_3_without_a_traceback(tmp_path):
+    warm = twelve_clips(tmp_path / "warm")
+    root = twelve_clips(tmp_path / "data", stuck=(5,))
+    (tmp_path / "extract.json").write_text(EXTRACT_JSON)
+    done = subprocess.run([sys.executable, "-c", KILLED_WORKER_CLI, str(warm), str(root),
+                           str(tmp_path / "extract.json"), str(tmp_path / "out")],
+                          env=ENV, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 3, done.stderr
+    assert "exited with code -9 extracting the chunk from clip 's4'" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+# the worker sleeps through its start-up; this process extracts every chunk
+SLOW_START = """
+import os, sys, time
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+os.environ["MSA_FORGE_TEST_SLOW_START"] = "60"     # read by the worker's sitecustomize
+from msa_forge import _worker, extractors
+from msa_forge.extractors import ExtractorConfig, run_dataset
+done = []
+extract_rows = extractors._extract_rows
+extractors._extract_rows = lambda *args: done.append(1) or extract_rows(*args)
+root = sys.argv[1]
+bundle = run_dataset(root, [ExtractorConfig("audio", "mfcc", {"n_fft": 256, "hop": 128,
+                                                              "n_mels": 10, "n_mfcc": 4})],
+                     os.path.join(root, "labels.csv"))
+print(bundle.n, len(done), _worker._pool[0].proc.pid)
+"""
+
+
+@two_cpus
+def test_exit_does_not_wait_on_a_worker_that_got_no_chunk(tmp_path):
+    root = twelve_clips(tmp_path / "data")
+    (tmp_path / "site").mkdir()
+    (tmp_path / "site" / "sitecustomize.py").write_text(
+        "import os, time\n"
+        "time.sleep(float(os.environ.get('MSA_FORGE_TEST_SLOW_START', 0)))\n")
+    env = dict(ENV, PYTHONPATH=os.pathsep.join([SRC, str(tmp_path / "site")]))
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", SLOW_START, str(root)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    elapsed = time.monotonic() - start
+    assert done.returncode == 0, done.stderr
+    n, chunks, pid = map(int, done.stdout.split())
+    assert (n, chunks) == (12, 3)
+    assert elapsed < 30, elapsed    # the worker sleeps for 60 s
     try:
         cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
     except FileNotFoundError:
